@@ -1,0 +1,118 @@
+"""SHA-256 digests of every CLI output on small fixed inputs.
+
+Runs ``synth``, ``fit``, ``forecast`` (site, areal and grid mode), ``verify``
+and ``sweep`` in-process at three seeds and prints one ``<sha256>  <path>``
+line per output file, paths relative to the output directory. Two checkouts
+whose listings agree produce byte-identical outputs, which is the gate for a
+refactor that must not move any result.
+
+Usage::
+
+    python scripts/cli_digests.py                 # outputs in a temp dir
+    python scripts/cli_digests.py --keep out/     # keep outputs for diffing
+    python scripts/cli_digests.py --src other/src # digest another checkout
+
+Takes about ten seconds; ``verify`` and ``sweep`` dominate.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import os
+import sys
+import tempfile
+
+SEEDS = (1, 2, 3)
+SITES, DAYS = 12, 18
+GRID_NX, GRID_NY = 9, 7
+
+
+def run(cli, args):
+    """One CLI command; raises on a nonzero exit."""
+    rv = cli.main.main(args=[str(a) for a in args], standalone_mode=False)
+    if rv not in (None, 0):
+        raise SystemExit(f"{args[0]} exited {rv}")
+
+
+def write_grid_forecast(path):
+    """A fixed forecast field with zero cells, so both trend branches run."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["row", "col", "value_hundredths_inch"])
+        for iy in range(GRID_NY):
+            for ix in range(GRID_NX):
+                writer.writerow([iy, ix, repr(4.1 * ((3 * iy + ix) % 5))])
+
+
+def produce(cli, top, seed):
+    """All CLI outputs for one seed under ``top/seed<seed>``."""
+    out = os.path.join(top, f"seed{seed}")
+    world = os.path.join(out, "synth")
+    os.makedirs(world)
+    run(cli, ["synth", "--seed", seed, "--out", world, "--sites", SITES,
+              "--days", DAYS, "--wet-bias-offset", 0.5 * (seed - 1)])
+    dataset = os.path.join(world, "dataset.csv")
+    with open(dataset, newline="", encoding="utf-8") as fh:
+        last = list(csv.reader(fh))[-1][3]
+    model = os.path.join(out, "model.txt")
+    run(cli, ["fit", "--dataset", dataset, "--date", last, "-M", 12,
+              "--seed", seed, "--out", model])
+    common = ["--model", model, "--seed", seed]
+    run(cli, ["forecast", *common, "--dataset", dataset, "--date", last,
+              "--mode", "site", "--members", 9, "--out", os.path.join(out, "site.csv")])
+    run(cli, ["forecast", *common, "--dataset", dataset, "--date", last,
+              "--mode", "areal", "--members", 400, "--site-ids", "s000,s003,s007",
+              "--out", os.path.join(out, "areal.csv")])
+    grid_fcst = os.path.join(top, "grid_forecast.csv")
+    if not os.path.exists(grid_fcst):
+        write_grid_forecast(grid_fcst)
+    run(cli, ["forecast", *common, "--mode", "grid", "--members", 4,
+              "--grid-forecast", grid_fcst, "--grid-cell-km", 15,
+              "--grid-nx", GRID_NX, "--grid-ny", GRID_NY,
+              "--out", os.path.join(out, "grid")])
+    run(cli, ["verify", "--dataset", dataset, "-M", 10, "--members", 15,
+              "--mst-members", 9, "--dates", 2, "--seed", seed,
+              "--out", os.path.join(out, "verify")])
+    run(cli, ["sweep", "--dataset", dataset, "--window-days-list", "6,10",
+              "--dates", 2, "--members", 10, "--seed", seed,
+              "--out", os.path.join(out, "sweep.csv")])
+
+
+def digests(top):
+    for base, dirs, files in sorted(os.walk(top)):
+        dirs.sort()
+        for name in sorted(files):
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                yield hashlib.sha256(fh.read()).hexdigest(), os.path.relpath(path, top)
+
+
+def main():
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(here), "src"),
+                        help="source tree holding the precipfield package")
+    parser.add_argument("--keep", default=None,
+                        help="write outputs here (must not exist) instead of a temp dir")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    from precipfield import cli
+
+    def emit(top):
+        for seed in SEEDS:
+            produce(cli, top, seed)
+        for digest, rel in digests(top):
+            print(f"{digest}  {rel}")
+
+    if args.keep:
+        os.makedirs(args.keep)
+        emit(args.keep)
+    else:
+        with tempfile.TemporaryDirectory() as top:
+            emit(top)
+
+
+if __name__ == "__main__":
+    main()

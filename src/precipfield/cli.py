@@ -16,11 +16,13 @@ import sys
 
 import click
 import numpy as np
+from scipy.special import ndtr
 
 from . import data as dm
 from . import estimation as est
 from . import fields as rf
 from . import forecasting as fc
+from . import transforms as tr
 from . import verification as vf
 from .errors import (
     DegenerateOccurrence,
@@ -178,16 +180,6 @@ def fit(config_path, dataset_path, valid_date, window_days, seed, out_path):
     log.info("wrote model to %s", out_path)
 
 
-def _load_day(ds, valid_date):
-    recs = ds.by_date(valid_date)
-    if not recs:
-        raise NotFound(f"no records on {valid_date}")
-    sites = [rf.Site(r.site_id, r.x, r.y) for r in recs]
-    fcst = np.array([r.fcst for r in recs])
-    obs = np.array([r.obs for r in recs])
-    return sites, fcst, obs
-
-
 @main.command()
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--model", "model_path", type=str, default=None)
@@ -229,14 +221,16 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
     try:
         if mode == "grid":
             grid_forecast = _resolve(grid_forecast, config, "grid_forecast")
-            if grid_forecast is None:
-                _fail(EXIT_USAGE, "grid mode requires --grid-forecast and grid geometry")
+            grid_nx = _resolve(grid_nx, config, "grid_nx", cast=int)
+            grid_ny = _resolve(grid_ny, config, "grid_ny", cast=int)
+            if None in (grid_forecast, grid_nx, grid_ny):
+                _fail(EXIT_USAGE, "grid mode requires --grid-forecast, --grid-nx and --grid-ny")
             grid = rf.GridSpec(
                 x0=_resolve(grid_x0, config, "grid_x0", 0.0, float),
                 y0=_resolve(grid_y0, config, "grid_y0", 0.0, float),
                 cell_km=_resolve(grid_cell_km, config, "grid_cell_km", 12.0, float),
-                nx=_resolve(grid_nx, config, "grid_nx", cast=int),
-                ny=_resolve(grid_ny, config, "grid_ny", cast=int),
+                nx=grid_nx,
+                ny=grid_ny,
             )
             field = _read_grid_csv(grid_forecast, grid)
             n = _resolve(members, config, "members", fc.DEFAULT_GRID_MEMBERS, int)
@@ -249,7 +243,7 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
         if dataset_path is None or valid_date is None:
             _fail(EXIT_USAGE, f"{mode} mode requires --dataset and --date")
         ds = dm.load_dataset(dataset_path)
-        sites, fcst, _ = _load_day(ds, dt.date.fromisoformat(valid_date))
+        sites, fcst, _ = dm.day_arrays(ds, dt.date.fromisoformat(valid_date))
         if mode == "areal":
             if site_ids:
                 wanted = set(site_ids.split(","))
@@ -275,17 +269,33 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
 
 
 def _read_grid_csv(path, grid):
-    field = np.zeros((grid.ny, grid.nx))
+    """Gridded forecast with exactly one finite, nonnegative value per cell."""
+    field = np.full((grid.ny, grid.nx), np.nan)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["row", "col", "value_hundredths_inch"]:
             raise ParseError(f"{path}: expected header row,col,value_hundredths_inch")
+        lineno = 1
         for lineno, row in enumerate(reader, start=2):
             try:
-                field[int(row[0]), int(row[1])] = float(row[2])
+                iy, ix, value = int(row[0]), int(row[1]), float(row[2])
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not (0 <= iy < grid.ny and 0 <= ix < grid.nx):
+                raise ParseError(f"{path}:{lineno}: cell ({iy}, {ix}) outside the "
+                                 f"{grid.ny}x{grid.nx} grid")
+            if not (np.isfinite(value) and value >= 0):
+                raise ParseError(f"{path}:{lineno}: value {value!r} is not a finite "
+                                 "nonnegative accumulation")
+            if not np.isnan(field[iy, ix]):
+                raise ParseError(f"{path}:{lineno}: duplicate cell ({iy}, {ix})")
+            field[iy, ix] = value
+    missing = np.argwhere(np.isnan(field))
+    if missing.size:
+        iy, ix = missing[0]
+        raise ParseError(f"{path}:{lineno + 1}: end of file with {len(missing)} "
+                         f"cells missing, first ({iy}, {ix})")
     return field
 
 
@@ -322,7 +332,7 @@ def verify(config_path, dataset_path, window_days, members, mst_members,
         ds = dm.load_dataset(dataset_path)
     except PrecipError as exc:
         _fail(_exit_for(exc), str(exc))
-    eligible = [d for d in ds.dates if any(h < d for h in ds.dates)]
+    eligible = ds.dates[1:]  # sorted and unique: every later date has history
     if n_dates:
         eligible = eligible[-n_dates:]
     if not eligible:
@@ -350,39 +360,36 @@ def run_verification(ds, valid_dates, window_days, members, mst_members,
     n_unmatched = 0
 
     for di, valid_date in enumerate(valid_dates):
+        stage = "window"
         try:
             history, _ = dm.split_by_date(ds, valid_date)
             window = est.make_window(ds, valid_date, window_days)
+            stage = "fit"
             model = est.fit_model(window, sem_config)
-            sites, fcst, obs = _load_day(ds, valid_date)
+            stage = "load"
+            sites, fcst, obs = dm.day_arrays(ds, valid_date)
+            stage = "forecast"
+            seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(di, k))
+                     for k in range(4)]
+            ens_sp = fc.generate_site_ensemble(model, sites, fcst, members, seeds[0])
+            ens_in = fc.independence_baseline_ensemble(model, sites, fcst, members, seeds[1])
+            sp19 = fc.generate_site_ensemble(model, sites, fcst, mst_members, seeds[2])
+            in19 = fc.independence_baseline_ensemble(model, sites, fcst, mst_members, seeds[3])
+            fcst_cr = np.cbrt(fcst)
+            zero_flag = fcst == 0.0
+            p_wet = ndtr(tr.occurrence_trend(model.occurrence, fcst_cr, zero_flag))
+            marginals, _ = fc._site_marginals(model, fcst_cr, zero_flag)
         except PrecipError as exc:
-            log.debug("skip %s: %s", valid_date, exc)
+            log.warning("skip %s at stage %s: %s: %s",
+                        valid_date, stage, type(exc).__name__, exc)
             n_unmatched += 1
             continue
 
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed, spawn_key=(1000 + di,)))
-        hist_obs = np.array([r.obs for r in history.records])
-        clim = fc.climatology_forecast(hist_obs)
+        clim = np.array([r.obs for r in history.records])
         clim_p0 = float((clim == 0).mean())
         clim_cdf = vf.empirical_cdf(clim)
-
-        ens_sp = fc.generate_site_ensemble(
-            model, sites, fcst, members,
-            np.random.SeedSequence(entropy=seed, spawn_key=(di, 0)))
-        ens_in = fc.independence_baseline_ensemble(
-            model, sites, fcst, members,
-            np.random.SeedSequence(entropy=seed, spawn_key=(di, 1)))
-        sp19 = fc.generate_site_ensemble(
-            model, sites, fcst, mst_members,
-            np.random.SeedSequence(entropy=seed, spawn_key=(di, 2)))
-        in19 = fc.independence_baseline_ensemble(
-            model, sites, fcst, mst_members,
-            np.random.SeedSequence(entropy=seed, spawn_key=(di, 3)))
-
-        fcst_cr = np.cbrt(fcst)
-        zero_flag = fcst == 0.0
-        from scipy.special import ndtr
 
         for j in range(len(sites)):
             o = float(obs[j])
@@ -406,26 +413,20 @@ def run_verification(ds, valid_dates, window_days, members, mst_members,
             rel["nwp"][0].append(float(f > 0))
             rel["nwp"][1].append(occurred)
             # Statistical ensembles.
-            mu_j = tr_mu(model, fcst_cr[j], zero_flag[j])
-            p_wet = float(ndtr(mu_j))
+            p = float(p_wet[j])
             for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
                 mem = ens.members[:, j]
                 report.add_case(name, valid_date, site_id=sites[j].id,
                                 mae=vf.mae_of_median(mem, o),
                                 crps=vf.crps_ensemble(mem, o),
-                                bs=vf.brier_score(p_wet, occurred))
+                                bs=vf.brier_score(p, occurred))
                 rank_bins[name].append(vf.verification_rank(mem, o, rng))
-                rel[name][0].append(p_wet)
+                rel[name][0].append(p)
                 rel[name][1].append(occurred)
             # Climatology ranks scale to [0, 1] (the history is large).
             clim_rank = vf.verification_rank(clim, o, rng)
             rank_bins["climatology"].append((clim_rank - 0.5) / (clim.size + 1))
-            try:
-                marg = fc._site_marginals(model, fcst_cr[j:j + 1], zero_flag[j:j + 1])[0][0]
-                pit_vals["spatial"].append(
-                    vf.pit_value(1.0 - p_wet, marg, o, rng))
-            except PrecipError:
-                pass
+            pit_vals["spatial"].append(vf.pit_value(1.0 - p, marginals[j], o, rng))
 
         # Multivariate scores over the day's sites.
         for name, ens in (("independence", in19), ("spatial", sp19)):
@@ -455,12 +456,6 @@ def run_verification(ds, valid_dates, window_days, members, mst_members,
     return report, n_unmatched
 
 
-def tr_mu(model, fcst_cr, zero_flag):
-    from . import transforms as tr
-
-    return tr.occurrence_trend(model.occurrence, float(fcst_cr), bool(zero_flag))
-
-
 @main.command()
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--dataset", "dataset_path", type=str, default=None)
@@ -487,10 +482,12 @@ def sweep(config_path, dataset_path, ms_text, n_dates, members, seed, out_path):
         ms = [int(tok) for tok in ms_text.split(",") if tok.strip()]
     except ValueError:
         _fail(EXIT_USAGE, f"bad window list {ms_text!r}")
+    if not ms or min(ms) < 1:
+        _fail(EXIT_USAGE, f"window lengths must be positive, got {ms_text!r}")
     try:
         ds = dm.load_dataset(dataset_path)
         max_m = max(ms)
-        eligible = [d for d in ds.dates if sum(h < d for h in ds.dates) >= max_m]
+        eligible = ds.dates[max_m:]  # sorted and unique: dates with max_m earlier days
         if not eligible:
             _fail(EXIT_DATA, f"not enough history for M={max_m}")
         valid_dates = eligible[-n_dates:]

@@ -112,6 +112,16 @@ def save_dataset(ds, path):
             )
 
 
+def day_arrays(ds, date):
+    """The sites reporting on ``date`` with their aligned forecast and
+    observation arrays; raises :class:`NotFound` when there are none."""
+    recs = ds.by_date(date)
+    if not recs:
+        raise NotFound(f"no records on {date}")
+    sites = [rf.Site(r.site_id, r.x, r.y) for r in recs]
+    return sites, np.array([r.fcst for r in recs]), np.array([r.obs for r in recs])
+
+
 def dataset_summary(ds):
     """Forecast-vs-observation diagnostics: over-forecast fraction, mean
     error (fcst - obs), nonzero-forecast fraction, nonzero-observation
@@ -221,19 +231,16 @@ def synth_generate(spec):
         # Forecast field: thresholded probit of a coherent unit field.
         g = chol_f @ rng.standard_normal(n)
         fcst_cr = spec.fcst_amp * np.maximum(0.0, ndtr(g) - threshold)
-        fcst = fcst_cr ** 3
+        fcst = tr.cube(fcst_cr)
         zero_flag = fcst == 0.0
 
-        mu = gamma.gamma0 + gamma.gamma1 * fcst_cr + gamma.gamma2 * zero_flag
-        w = mu + chol_w @ rng.standard_normal(n)
+        w = tr.occurrence_trend(gamma, fcst_cr, zero_flag) + chol_w @ rng.standard_normal(n)
         z = chol_z @ rng.standard_normal(n)
-
-        obs = np.zeros(n)
-        for j in range(n):
-            if w[j] > 0:
-                marg = tr.gamma_marginal(coeffs, fcst_cr[j], zero_flag[j])
-                obs[j] = tr.anamorphosis(z[j], marg) ** 3
-        obs = quantize(obs)
+        # Marginals at wet sites only, so their checks never fire on dry ones.
+        wet = w > 0
+        alpha, beta = np.ones(n), np.ones(n)
+        alpha[wet], beta[wet], _ = tr.gamma_marginals(coeffs, fcst_cr[wet], zero_flag[wet])
+        obs = quantize(tr.wet_amounts(w, z, alpha, beta))
         # Forecasts stay continuous (they come from a model grid, not gauges).
         fcst_out = fcst + spec.wet_bias_offset
 

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, optimize, special
 
+from . import data as dm
 from . import fields as rf
 from . import transforms as tr
 from .errors import (
     DegenerateOccurrence,
     InsufficientData,
     NonpositiveMean,
+    NotFound,
     NoTrainingData,
     PrecipError,
     RangeUnidentifiable,
@@ -233,23 +235,13 @@ def golden_section_max(objective, lo, hi, tol=1e-3):
     return (a + b) / 2.0
 
 
-class _DayGroups:
-    """Days grouped by identical site geometry so Cholesky work is shared."""
-
-    def __init__(self, window, min_sites=2):
-        groups = {}
-        for date, day in window.days.items():
-            if len(day["obs"]) < min_sites:
-                continue
-            key = day["xy"].tobytes()
-            groups.setdefault(key, {"xy": day["xy"], "dates": []})["dates"].append(date)
-        self.groups = list(groups.values())
-
-    def __iter__(self):
-        return iter(self.groups)
-
-    def __len__(self):
-        return len(self.groups)
+def _group_by_geometry(items):
+    """Group ``(xy, value)`` pairs by identical site geometry, first-seen
+    order, so Cholesky work is shared; returns ``[(xy, [values])]``."""
+    groups = {}
+    for xy, value in items:
+        groups.setdefault(xy.tobytes(), (xy, []))[1].append(value)
+    return list(groups.values())
 
 
 def _profile_range_objective(dev_by_group, max_range=RANGE_SEARCH_KM[1]):
@@ -293,22 +285,18 @@ def fit_occurrence_range(window, trend, config):
     the summed Gaussian log likelihood over the range. Returns the mean of
     the post-burn-in range iterates. Deterministic given the config seed.
     """
-    groups = _DayGroups(window)
-    if len(groups) == 0:
+    grouped = _group_by_geometry(
+        (day["xy"], day) for day in window.days.values() if len(day["obs"]) >= 2)
+    if not grouped:
         raise RangeUnidentifiable("no day has two or more sites")
 
     rng = rf.as_generator(np.random.SeedSequence(config.seed))
-    samplers = []
-    for grp in groups:
-        means, signs = [], []
-        for date in grp["dates"]:
-            day = window.days[date]
-            fcst_cr = np.cbrt(day["fcst"])
-            mu = tr.occurrence_trend(trend, fcst_cr, day["fcst"] == 0.0)
-            means.append(mu)
-            signs.append(np.where(day["obs"] > 0, 1.0, -1.0))
-        grp["means"] = np.array(means)
-        grp["signs"] = np.array(signs)
+    groups = []
+    for xy, days in grouped:
+        means = [tr.occurrence_trend(trend, np.cbrt(d["fcst"]), d["fcst"] == 0.0)
+                 for d in days]
+        signs = [np.where(d["obs"] > 0, 1.0, -1.0) for d in days]
+        groups.append({"xy": xy, "means": np.array(means), "signs": np.array(signs)})
 
     rho = math.sqrt(RANGE_SEARCH_KM[0] * RANGE_SEARCH_KM[1])  # geometric midpoint
     rho_iters = []
@@ -378,7 +366,7 @@ def fit_gamma_variance(window, eta):
     if wet.sum() < 10:
         raise InsufficientData(f"only {int(wet.sum())} wet records")
     y = np.cbrt(obs[wet])
-    means = eta[0] + eta[1] * fcst_cr[wet] + eta[2] * zero_flag[wet].astype(float)
+    means = tr.gamma_mean(eta, fcst_cr[wet], zero_flag[wet])
     usable = means > 0
     if not usable.any():
         raise NonpositiveMean("all implied means are nonpositive")
@@ -418,8 +406,8 @@ def fit_amount_range(window, eta, nu):
     likelihood do not depend on the range and are omitted.
     """
     coeffs = tr.GammaCoeffs(*eta, *nu)
-    groups = {}
-    for date, day in window.days.items():
+    wet_devs = []
+    for day in window.days.values():
         wet = day["obs"] > 0
         if wet.sum() < 2:
             continue
@@ -437,12 +425,11 @@ def fit_amount_range(window, eta, nu):
             z[j] = tr.anamorphosis_inverse(y[j], marg)
         if keep.sum() < 2:
             continue
-        xy = day["xy"][wet][keep]
-        key = xy.tobytes()
-        groups.setdefault(key, {"xy": xy, "devs": []})["devs"].append(z[keep])
-    if not groups:
+        wet_devs.append((day["xy"][wet][keep], z[keep]))
+    grouped = _group_by_geometry(wet_devs)
+    if not grouped:
         raise RangeUnidentifiable("no day has two or more wet sites")
-    dev_by_group = [(g["xy"], np.array(g["devs"])) for g in groups.values()]
+    dev_by_group = [(xy, np.array(devs)) for xy, devs in grouped]
     r_hat, _ = _maximize_range(dev_by_group)
     return float(r_hat)
 
@@ -477,7 +464,7 @@ def fit_model(window, sem_config):
     # when a site's implied mean goes nonpositive.
     obs, _, fcst_cr, zero_flag = window.pooled()
     wet = obs > 0
-    means = eta[0] + eta[1] * fcst_cr[wet] + eta[2] * zero_flag[wet].astype(float)
+    means = tr.gamma_mean(eta, fcst_cr[wet], zero_flag[wet])
     pos = means[means > 0]
     diagnostics["min_training_mean"] = float(pos.min()) if pos.size else 0.1
     diagnostics["n_wet_records"] = int(wet.sum())
@@ -513,13 +500,11 @@ def window_sweep(dataset, valid_dates, Ms, sem_config, n_members, seed):
             except PrecipError:
                 n_skipped += 1
                 continue
-            recs = dataset.by_date(valid_date)
-            if not recs:
+            try:
+                sites, fcst, obs = dm.day_arrays(dataset, valid_date)
+            except NotFound:
                 n_skipped += 1
                 continue
-            sites = [rf.Site(r.site_id, r.x, r.y) for r in recs]
-            fcst = np.array([r.fcst for r in recs])
-            obs = np.array([r.obs for r in recs])
             member_seed = np.random.SeedSequence(entropy=seed, spawn_key=(M, di))
             ens = fc.generate_site_ensemble(model, sites, fcst, n_members, member_seed)
             for j in range(len(sites)):

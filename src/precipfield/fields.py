@@ -205,11 +205,6 @@ class CirculantEmbedding:
         return out[0] if n_fields == 1 else out
 
 
-def sample_grf_grid(grid, corr, seed):
-    """One exact stationary unit-variance field on ``grid``; deterministic."""
-    return CirculantEmbedding(grid, corr).sample(as_generator(seed))
-
-
 def _trunc_norm_lower(rng, mean, sd, lower=0.0):
     """Inverse-CDF draw from N(mean, sd) truncated to (lower, inf).
 

@@ -1,8 +1,8 @@
 """Sampled predictive distributions from a fitted model.
 
 Site ensembles, gridded field ensembles via circulant embedding, areal
-averages, and the reference forecasts: empirical climatology and a
-no-spatial-correlation baseline with identical marginals.
+averages, and the no-spatial-correlation baseline with identical marginals.
+All of them draw members through one two-stage kernel, :func:`_draw_members`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fields as rf
 from . import transforms as tr
-from .errors import DomainError, NonpositiveMean, NoTrainingData
+from .errors import DomainError
 
 DEFAULT_AREAL_MEMBERS = 10_000
 DEFAULT_MULTISITE_MEMBERS = 19
@@ -36,50 +36,63 @@ class ForecastEnsemble:
         return self.members.shape[0]
 
 
-def _site_marginals(model, fcst_cr, zero_flag):
-    """Per-site Gamma marginals with the nonpositive-mean fallback.
+def _two_stage_params(model, fcst_accum):
+    """Occurrence trend and Gamma marginals implied by a forecast array.
 
     Sites whose implied mean is nonpositive get the smallest valid mean
-    seen in training (forecasts must still be emitted); they are flagged.
+    seen in training (forecasts must still be emitted); they are flagged in
+    the returned boolean array.
     """
-    coeffs = model.amount
+    fcst_cr = tr.cube_root(fcst_accum)
+    zero_flag = fcst_accum == 0.0
+    mu = tr.occurrence_trend(model.occurrence, fcst_cr, zero_flag)
+    alpha, beta, fell_back = _gamma_params(model, fcst_cr, zero_flag)
+    return mu, alpha, beta, fell_back
+
+
+def _gamma_params(model, fcst_cr, zero_flag):
     fallback_mean = model.diagnostics.get("min_training_mean", 0.1)
-    marginals = []
-    flagged = []
-    for j in range(fcst_cr.size):
-        try:
-            marg = tr.gamma_marginal(coeffs, float(fcst_cr[j]), bool(zero_flag[j]))
-        except NonpositiveMean:
-            var = coeffs.nu0 + coeffs.nu1 * float(fcst_cr[j]) ** 3
-            marg = tr.GammaMarginal(fallback_mean ** 2 / var, var / fallback_mean)
-            flagged.append(j)
-        marginals.append(marg)
-    return marginals, flagged
+    return tr.gamma_marginals(model.amount, fcst_cr, zero_flag, fallback_mean)
 
 
-def _generate_site_members(mu, chol_w, chol_z, marginals, n_members, seed):
-    """Common member loop for the spatial and independence ensembles.
+def _site_marginals(model, fcst_cr, zero_flag):
+    """Per-site Gamma marginals with the nonpositive-mean fallback, as a
+    list, plus the indices of the sites that fell back."""
+    alpha, beta, fell_back = _gamma_params(model, fcst_cr, zero_flag)
+    marginals = [tr.GammaMarginal(float(a), float(b)) for a, b in zip(alpha, beta)]
+    return marginals, np.flatnonzero(fell_back).tolist()
 
-    One Generator per member, derived from the master seed, so results do
-    not depend on how members are scheduled.
+
+def _draw_members(mu, alpha, beta, draw_w, draw_z, n_members, seed):
+    """Two-stage member draw shared by every ensemble.
+
+    ``draw_w`` and ``draw_z`` map a Generator to a standard-normal field of
+    the shape of ``mu`` with the occurrence and amount correlations. Each
+    member draws both fields from its own Generator, spawned from the master
+    seed, so results do not depend on how members are scheduled.
     """
-    n_sites = mu.size
-    members = np.zeros((n_members, n_sites))
+    members = np.zeros((n_members,) + np.shape(mu))
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    alphas = np.array([m.alpha for m in marginals])
-    betas = np.array([m.beta for m in marginals])
-    from scipy import special
-
     for i, child in enumerate(seq.spawn(n_members)):
         rng = np.random.default_rng(child)
-        w = mu + chol_w @ rng.standard_normal(n_sites)
-        z = chol_z @ rng.standard_normal(n_sites)
-        wet = w > 0
-        if wet.any():
-            zc = np.clip(z[wet], -tr.Z_CLAMP, tr.Z_CLAMP)
-            y = special.gammaincinv(alphas[wet], special.ndtr(zc)) * betas[wet]
-            members[i, wet] = y ** 3
+        w = mu + draw_w(rng)
+        members[i] = tr.wet_amounts(w, draw_z(rng), alpha, beta)
     return members
+
+
+def _site_ensemble(model, sites, fcst_accum, n_members, seed, draw_w, draw_z):
+    if len(sites) < 1:
+        raise DomainError("need at least one site")
+    fcst_accum = np.atleast_1d(np.asarray(fcst_accum, dtype=float))
+    mu, alpha, beta, fell_back = _two_stage_params(model, fcst_accum)
+    members = _draw_members(mu, alpha, beta, draw_w, draw_z, n_members, seed)
+    return ForecastEnsemble(members=members, sites=list(sites), seed=seed,
+                            fallback_sites=np.flatnonzero(fell_back).tolist())
+
+
+def _cholesky_draw(sites, corr):
+    chol = rf.cholesky_pd(rf.correlation_matrix(sites, corr))
+    return lambda rng: chol @ rng.standard_normal(len(sites))
 
 
 def generate_site_ensemble(model, sites, fcst_accum, n_members, seed):
@@ -89,104 +102,40 @@ def generate_site_ensemble(model, sites, fcst_accum, n_members, seed):
     zero out dry sites and push wet sites through the anamorphosis, then
     cube back to the accumulation scale.
     """
-    if len(sites) < 1:
-        raise DomainError("need at least one site")
-    fcst_accum = np.asarray(fcst_accum, dtype=float)
-    fcst_cr = tr.cube_root(np.atleast_1d(fcst_accum))
-    zero_flag = np.atleast_1d(fcst_accum) == 0.0
-    mu = tr.occurrence_trend(model.occurrence, fcst_cr, zero_flag)
-    mu = np.atleast_1d(mu)
-
-    chol_w = rf.cholesky_pd(rf.correlation_matrix(sites, model.rho))
-    chol_z = rf.cholesky_pd(rf.correlation_matrix(sites, model.r))
-    marginals, flagged = _site_marginals(model, fcst_cr, zero_flag)
-    members = _generate_site_members(mu, chol_w, chol_z, marginals, n_members, seed)
-    return ForecastEnsemble(members=members, sites=list(sites), seed=seed,
-                            fallback_sites=flagged)
+    return _site_ensemble(model, sites, fcst_accum, n_members, seed,
+                          _cholesky_draw(sites, model.rho), _cholesky_draw(sites, model.r))
 
 
 def independence_baseline_ensemble(model, sites, fcst_accum, n_members, seed):
     """Spatially independent counterpart: identical marginals, identity
     correlations for both latent processes."""
-    if len(sites) < 1:
-        raise DomainError("need at least one site")
-    fcst_accum = np.asarray(fcst_accum, dtype=float)
-    fcst_cr = tr.cube_root(np.atleast_1d(fcst_accum))
-    zero_flag = np.atleast_1d(fcst_accum) == 0.0
-    mu = np.atleast_1d(tr.occurrence_trend(model.occurrence, fcst_cr, zero_flag))
-    ident = np.eye(len(sites))
-    marginals, flagged = _site_marginals(model, fcst_cr, zero_flag)
-    members = _generate_site_members(mu, ident, ident, marginals, n_members, seed)
-    return ForecastEnsemble(members=members, sites=list(sites), seed=seed,
-                            fallback_sites=flagged)
+    def draw(rng):
+        return rng.standard_normal(len(sites))
+
+    return _site_ensemble(model, sites, fcst_accum, n_members, seed, draw, draw)
 
 
 def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):
     """Ensemble of gridded accumulation fields via circulant embedding.
 
-    Gamma parameters are computed cell-wise from the gridded forecast.
+    Gamma parameters are computed cell-wise from the gridded forecast;
+    ``fallback_sites`` holds the flat indices of fallback cells.
     """
     fcst_field = np.asarray(fcst_field, dtype=float)
     if fcst_field.shape != (grid.ny, grid.nx):
         raise DomainError("forecast field shape does not match grid")
-    fcst_cr = tr.cube_root(fcst_field)
-    zero_flag = fcst_field == 0.0
-    mu = model.occurrence.gamma0 + model.occurrence.gamma1 * fcst_cr \
-        + model.occurrence.gamma2 * zero_flag
-
     emb_w = rf.CirculantEmbedding(grid, model.rho)
     emb_z = rf.CirculantEmbedding(grid, model.r)
-
-    coeffs = model.amount
-    fallback_mean = model.diagnostics.get("min_training_mean", 0.1)
-    mean_field = coeffs.eta0 + coeffs.eta1 * fcst_cr + coeffs.eta2 * zero_flag
-    n_fallback = int((mean_field <= 0).sum())
-    mean_field = np.where(mean_field > 0, mean_field, fallback_mean)
-    var_field = coeffs.nu0 + coeffs.nu1 * fcst_field
-    alpha = mean_field ** 2 / var_field
-    beta = var_field / mean_field
-
-    from scipy import special
-
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    members = np.zeros((n_members, grid.ny, grid.nx))
-    for i, child in enumerate(seq.spawn(n_members)):
-        rng = np.random.default_rng(child)
-        w = mu + emb_w.sample(rng)
-        z = emb_z.sample(rng)
-        wet = w > 0
-        if wet.any():
-            zc = np.clip(z[wet], -tr.Z_CLAMP, tr.Z_CLAMP)
-            y = special.gammaincinv(alpha[wet], special.ndtr(zc)) * beta[wet]
-            members[i][wet] = y ** 3
+    mu, alpha, beta, fell_back = _two_stage_params(model, fcst_field)
+    members = _draw_members(mu, alpha, beta, emb_w.sample, emb_z.sample, n_members, seed)
     return ForecastEnsemble(members=members, grid=grid, seed=seed,
-                            fallback_sites=[None] * n_fallback)
-
-
-def areal_average(values):
-    """Mean accumulation over sites, on the accumulation scale."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise DomainError("areal average of zero sites")
-    return float(values.mean())
+                            fallback_sites=np.flatnonzero(fell_back).tolist())
 
 
 def areal_ensemble(model, sites, fcst_accum, n_members=DEFAULT_AREAL_MEMBERS, seed=0):
     """Scalar ensemble of areally averaged accumulation over a site subset."""
     ens = generate_site_ensemble(model, sites, fcst_accum, n_members, seed)
     return ens.members.mean(axis=1)
-
-
-def climatology_forecast(history):
-    """Pooled historical values as an exchangeable ensemble.
-
-    ``history`` is a 1-D array of accumulations (scalar case) or a 2-D
-    array of per-day joint tuples (multi-site case).
-    """
-    history = np.asarray(history, dtype=float)
-    if history.size == 0:
-        raise NoTrainingData("empty climatology history")
-    return history
 
 
 def write_site_ensemble_csv(ens, path):

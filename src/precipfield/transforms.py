@@ -104,21 +104,67 @@ def occurrence_trend(params, fcst_cuberoot, zero_flag):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def gamma_marginal(coeffs, fcst_cuberoot, zero_flag):
-    """Site-specific Gamma marginal implied by the forecast.
+def gamma_mean(eta, fcst_cuberoot, zero_flag):
+    """Wet-amount Gamma mean on the cube-root scale, ``eta = (eta0, eta1, eta2)``.
 
-    The marginal mean is linear in the forecast cube root and the
-    zero-forecast indicator; the variance is linear in the forecast on its
-    native accumulation scale. Moment inversion gives shape ``m**2/v`` and
-    scale ``v/m``.
+    Linear in the forecast cube root and the zero-forecast indicator.
     """
-    m = coeffs.eta0 + coeffs.eta1 * fcst_cuberoot + coeffs.eta2 * float(zero_flag)
-    v = coeffs.nu0 + coeffs.nu1 * fcst_cuberoot ** 3
-    if not m > 0:
-        raise NonpositiveMean(f"implied mean {m:.6g} <= 0")
-    if not v > 0:
-        raise NonpositiveVariance(f"implied variance {v:.6g} <= 0")
-    return GammaMarginal(alpha=m * m / v, beta=v / m)
+    y = np.asarray(fcst_cuberoot, dtype=float)
+    return eta[0] + eta[1] * y + eta[2] * np.asarray(zero_flag, dtype=float)
+
+
+def gamma_marginals(coeffs, fcst_cuberoot, zero_flag, fallback_mean=None):
+    """Gamma shapes and scales implied by the forecast, element-wise.
+
+    The mean is :func:`gamma_mean`; the variance is linear in the forecast
+    on its native accumulation scale, the cube of ``fcst_cuberoot``. Moment
+    inversion gives shape ``m**2/v`` and scale ``v/m``. Where the implied
+    mean is nonpositive, ``fallback_mean`` replaces it; without one that
+    raises :class:`NonpositiveMean`. Returns ``(alpha, beta, fell_back)``.
+    """
+    y = np.asarray(fcst_cuberoot, dtype=float)
+    m = gamma_mean((coeffs.eta0, coeffs.eta1, coeffs.eta2), y, zero_flag)
+    # float_power keeps libm's pow, so each element matches the scalar cube.
+    v = coeffs.nu0 + coeffs.nu1 * np.float_power(y, 3)
+    fell_back = ~(m > 0)
+    if fell_back.any():
+        if fallback_mean is None:
+            raise NonpositiveMean(f"implied mean {np.min(m):.6g} <= 0")
+        m = np.where(fell_back, fallback_mean, m)
+    if not np.all(v > 0):
+        raise NonpositiveVariance(f"implied variance {np.min(v):.6g} <= 0")
+    alpha, beta = m * m / v, v / m
+    if not np.all((alpha > 0) & (beta > 0) & np.isfinite(alpha) & np.isfinite(beta)):
+        raise DomainError("Gamma shape and scale must be positive and finite")
+    return alpha, beta, fell_back
+
+
+def gamma_marginal(coeffs, fcst_cuberoot, zero_flag):
+    """Scalar case of :func:`gamma_marginals`, without a fallback mean."""
+    alpha, beta, _ = gamma_marginals(coeffs, float(fcst_cuberoot), bool(zero_flag))
+    return GammaMarginal(alpha=float(alpha), beta=float(beta))
+
+
+def wet_amounts(w, z, alpha, beta):
+    """Accumulations of one two-stage draw.
+
+    Zero where the occurrence field ``w`` is nonpositive; elsewhere the cube
+    of the Gamma(``alpha``, ``beta``) anamorphosis of the amount field ``z``.
+    All four arrays share one shape.
+    """
+    out = np.zeros(np.shape(w))
+    wet = w > 0
+    if wet.any():
+        out[wet] = _gamma_quantile(z[wet], alpha[wet], beta[wet]) ** 3
+    return out
+
+
+def _gamma_quantile(z, alpha, beta):
+    """Gamma(alpha, beta) quantile at the normal CDF of the clamped ``z``."""
+    q = special.gammaincinv(alpha, special.ndtr(np.clip(z, -Z_CLAMP, Z_CLAMP)))
+    if not np.all(np.isfinite(q)):
+        raise NumericalError("Gamma quantile did not converge")
+    return q * beta
 
 
 def anamorphosis(z, marginal):
@@ -130,12 +176,7 @@ def anamorphosis(z, marginal):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DomainError("z must be finite")
-    zc = np.clip(z, -Z_CLAMP, Z_CLAMP)
-    p = special.ndtr(zc)
-    q = special.gammaincinv(marginal.alpha, p)
-    if not np.all(np.isfinite(q)):
-        raise NumericalError("Gamma quantile did not converge")
-    out = q * marginal.beta
+    out = _gamma_quantile(z, marginal.alpha, marginal.beta)
     return float(out) if out.ndim == 0 else out
 
 

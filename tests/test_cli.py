@@ -120,6 +120,27 @@ class TestFit:
         assert res.exit_code == 3
 
 
+def full_grid_rows(ny, nx, value):
+    return [[iy, ix, value] for iy in range(ny) for ix in range(nx)]
+
+
+def write_grid_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "col", "value_hundredths_inch"])
+        writer.writerows(rows)
+    return path
+
+
+def toy_model_text(nu=(0.15, 0.05)):
+    return est.FittedModel(
+        occurrence=tr.OccurrenceTrendParams(0.0, 0.4, -0.4),
+        rho=rf.ExpCorrelation(30.0),
+        amount=tr.GammaCoeffs(1.5, 0.8, 0.4, *nu),
+        r=rf.ExpCorrelation(20.0),
+    ).to_text()
+
+
 @pytest.fixture()
 def fitted(synth_dir, tmp_path, runner):
     ds = dm.load_dataset(synth_dir / "dataset.csv")
@@ -215,6 +236,54 @@ class TestForecast:
         ])
         assert res.exit_code == 4
 
+    def test_grid_without_geometry_exits_2(self, fitted, tmp_path, runner):
+        _, _, model = fitted
+        grid_csv = write_grid_csv(tmp_path / "g.csv", full_grid_rows(3, 3, 8.0))
+        res = runner.invoke(cli.main, [
+            "forecast", "--model", str(model), "--mode", "grid",
+            "--grid-forecast", str(grid_csv), "--members", "2", "--seed", "0",
+            "--out", str(tmp_path / "members"),
+        ])
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("case, rows, line", [
+        ("negative index", full_grid_rows(3, 3, 8.0)[:-1] + [[-1, -1, 8.0]], ":10"),
+        ("index past edge", full_grid_rows(3, 3, 8.0) + [[0, 3, 8.0]], ":11"),
+        ("duplicate cell", full_grid_rows(3, 3, 8.0) + [[1, 1, 4.0]], ":11"),
+        ("missing cell", full_grid_rows(3, 3, 8.0)[:-1], ":10"),
+        ("negative value", [[0, 0, -1.0]] + full_grid_rows(3, 3, 8.0)[1:], ":2"),
+        ("nonfinite value", full_grid_rows(3, 3, 8.0)[:4] + [[1, 1, "nan"]]
+         + full_grid_rows(3, 3, 8.0)[5:], ":6"),
+    ])
+    def test_bad_grid_csv_exits_3_with_line(self, case, rows, line, tmp_path, runner):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(toy_model_text())
+        grid_csv = write_grid_csv(tmp_path / "g.csv", rows)
+        with pytest.raises(ParseError, match=line):
+            cli._read_grid_csv(grid_csv, rf.GridSpec(0.0, 0.0, 10.0, 3, 3))
+        res = runner.invoke(cli.main, [
+            "forecast", "--model", str(model_path), "--mode", "grid",
+            "--grid-forecast", str(grid_csv), "--grid-cell-km", "10",
+            "--grid-nx", "3", "--grid-ny", "3", "--members", "2",
+            "--seed", "0", "--out", str(tmp_path / "members"),
+        ])
+        assert res.exit_code == 3, case
+
+    def test_grid_zero_variance_exits_2(self, tmp_path, runner):
+        # nu0 = 0 over a zero forecast: no member may be written as NaN.
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(toy_model_text(nu=(0.0, 0.05)))
+        grid_csv = write_grid_csv(tmp_path / "g.csv", full_grid_rows(4, 4, 0.0))
+        out = tmp_path / "members"
+        res = runner.invoke(cli.main, [
+            "forecast", "--model", str(model_path), "--mode", "grid",
+            "--grid-forecast", str(grid_csv), "--grid-cell-km", "10",
+            "--grid-nx", "4", "--grid-ny", "4", "--members", "2",
+            "--seed", "0", "--out", str(out),
+        ])
+        assert res.exit_code == 2
+        assert not out.exists()
+
     def test_missing_model_exits_2(self, tmp_path, runner):
         res = runner.invoke(cli.main, [
             "forecast", "--model", str(tmp_path / "nope.txt"), "--seed", "0",
@@ -254,6 +323,26 @@ class TestVerify:
         assert res.exit_code == 3
 
 
+    def test_skipped_date_warns_with_stage_and_error(self, tmp_path, runner, caplog):
+        ds = dm.synth_generate(dm.SynthSpec(n_sites=4, n_days=2, seed=0))
+        first = ds.dates[0]
+        dry = [dm.DailyRecord(r.site_id, r.x, r.y, r.date, 0.0, r.fcst)
+               if r.date == first else r for r in ds.records]
+        path = tmp_path / "dry_start.csv"
+        dm.save_dataset(dm.Dataset(dry), path)
+        with caplog.at_level("WARNING", logger="precipfield"):
+            res = runner.invoke(cli.main, [
+                "verify", "--dataset", str(path), "--seed", "0",
+                "--out", str(tmp_path / "rep"),
+            ])
+        assert res.exit_code == 3
+        skips = [r for r in caplog.records
+                 if r.levelname == "WARNING" and "skip" in r.getMessage()]
+        assert len(skips) == 1
+        assert "stage fit" in skips[0].getMessage()
+        assert "DegenerateOccurrence" in skips[0].getMessage()
+
+
 class TestSweep:
     def test_table_shape(self, synth_dir, tmp_path, runner):
         out = tmp_path / "sweep.csv"
@@ -267,6 +356,14 @@ class TestSweep:
         assert rows[0] == ["M", "mean_crps", "se_crps", "n_cases", "n_skipped"]
         assert [r[0] for r in rows[1:]] == ["5", "8"]
         assert all(float(r[1]) > 0 for r in rows[1:])
+
+    def test_nonpositive_window_exits_2(self, synth_dir, tmp_path, runner):
+        res = runner.invoke(cli.main, [
+            "sweep", "--dataset", str(synth_dir / "dataset.csv"),
+            "--window-days-list", "5,0", "--seed", "0",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert res.exit_code == 2
 
     def test_insufficient_history_exits_3(self, synth_dir, tmp_path, runner):
         res = runner.invoke(cli.main, [

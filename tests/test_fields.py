@@ -146,8 +146,8 @@ class TestCirculantEmbedding:
     def test_deterministic(self):
         grid = fd.GridSpec(0.0, 0.0, 5.0, 8, 8)
         corr = fd.ExpCorrelation(20.0)
-        a = fd.sample_grf_grid(grid, corr, seed=5)
-        b = fd.sample_grf_grid(grid, corr, seed=5)
+        a = fd.CirculantEmbedding(grid, corr).sample(np.random.default_rng(5))
+        b = fd.CirculantEmbedding(grid, corr).sample(np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_output_shape(self):

@@ -10,7 +10,7 @@ from precipfield import fields as rf
 from precipfield import forecasting as fc
 from precipfield import transforms as tr
 from precipfield import verification as vf
-from precipfield.errors import DomainError, NoTrainingData
+from precipfield.errors import DomainError
 
 
 def toy_model(gamma=(0.0, 0.4, -0.4), rho=35.0, eta=(1.5, 0.8, 0.4),
@@ -140,6 +140,15 @@ class TestGridEnsemble:
             fc.generate_grid_ensemble(toy_model(), rf.GridSpec(0, 0, 10.0, 4, 4),
                                       np.zeros((3, 4)), 5, seed=0)
 
+    def test_fallback_cells_flagged(self):
+        model = toy_model(eta=(-1.0, 1.0, 0.0))
+        grid = rf.GridSpec(0.0, 0.0, 10.0, 3, 2)
+        field = np.full((2, 3), 8.0)
+        field[1, 2] = 0.0  # implied mean -1
+        ens = fc.generate_grid_ensemble(model, grid, field, 20, seed=1)
+        assert ens.fallback_sites == [5]
+        assert np.all(np.isfinite(ens.members))
+
     def test_zero_field_strong_dry_trend(self):
         model = toy_model(gamma=(-2.5, 0.4, 0.0))
         grid = rf.GridSpec(0.0, 0.0, 10.0, 8, 8)
@@ -168,17 +177,21 @@ class TestGridEnsemble:
 
 class TestArealForecasts:
     def test_average_all_zero(self):
-        assert fc.areal_average(np.zeros(5)) == 0.0
-
-    def test_average_singleton(self):
-        assert fc.areal_average([7.0]) == 7.0
+        model = toy_model(gamma=(-40.0, 0.0, 0.0))
+        areal = fc.areal_ensemble(model, spread_sites(5), np.full(5, 8.0), 50, seed=0)
+        assert np.all(areal == 0.0)
 
     def test_average_two_point(self):
-        assert fc.areal_average([8.0, 0.0]) == 4.0
+        # The areal value of a member is the plain mean of its site values.
+        model = toy_model()
+        sites = spread_sites(2)
+        site_ens = fc.generate_site_ensemble(model, sites, [8.0, 0.0], 300, seed=3)
+        areal = fc.areal_ensemble(model, sites, [8.0, 0.0], n_members=300, seed=3)
+        assert np.array_equal(areal, site_ens.members.mean(axis=1))
 
     def test_average_empty_rejected(self):
         with pytest.raises(DomainError):
-            fc.areal_average([])
+            fc.areal_ensemble(toy_model(), [], [], n_members=10, seed=0)
 
     def test_singleton_subset_equals_site_ensemble(self):
         model = toy_model()
@@ -209,22 +222,9 @@ class TestArealForecasts:
 
 
 class TestClimatology:
-    def test_occurrence_probability(self):
-        hist = fc.climatology_forecast(np.array([0.0, 0.0, 10.0, 20.0]))
-        assert (hist > 0).mean() == 0.5
-
     def test_single_value_crps_is_absolute_error(self):
-        hist = fc.climatology_forecast(np.array([12.0]))
-        assert vf.crps_ensemble(hist, 7.0) == pytest.approx(5.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(NoTrainingData):
-            fc.climatology_forecast(np.array([]))
-
-    def test_multisite_tuples_preserved(self):
-        joint = np.array([[0.0, 1.0], [5.0, 2.0]])
-        out = fc.climatology_forecast(joint)
-        assert out.shape == (2, 2)
+        # Climatology is the pooled history used as an exchangeable ensemble.
+        assert vf.crps_ensemble(np.array([12.0]), 7.0) == pytest.approx(5.0)
 
 
 class TestEnsembleSerialization:

@@ -98,6 +98,48 @@ class TestGammaMarginal:
             tr.gamma_marginal(c, 0.0, True)
 
 
+class TestGammaMarginals:
+    def test_matches_scalar_case_elementwise(self):
+        c = tr.GammaCoeffs(1.5, 0.8, 0.4, 0.15, 0.05)
+        cr = np.array([0.0, 0.3, 1.7, 4.2])
+        flag = cr == 0.0
+        alpha, beta, fell_back = tr.gamma_marginals(c, cr, flag)
+        for j in range(cr.size):
+            m = tr.gamma_marginal(c, cr[j], flag[j])
+            assert (alpha[j], beta[j]) == (m.alpha, m.beta)
+        assert not fell_back.any()
+
+    def test_fallback_replaces_nonpositive_means_only(self):
+        c = tr.GammaCoeffs(-1.0, 1.0, 0.0, 1.0, 0.0)
+        alpha, beta, fell_back = tr.gamma_marginals(c, np.array([0.5, 3.0]),
+                                                    np.array([False, False]), 0.25)
+        assert fell_back.tolist() == [True, False]
+        assert alpha * beta == pytest.approx([0.25, 2.0], rel=1e-12)
+        assert alpha * beta ** 2 == pytest.approx([1.0, 1.0], rel=1e-12)
+
+    def test_without_fallback_nonpositive_mean_raises(self):
+        c = tr.GammaCoeffs(-1.0, 1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(NonpositiveMean):
+            tr.gamma_marginals(c, np.array([0.5, 3.0]), np.array([False, False]))
+
+    def test_fallback_does_not_hide_zero_variance(self):
+        c = tr.GammaCoeffs(-1.0, 0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(NonpositiveVariance):
+            tr.gamma_marginals(c, np.zeros(2), np.ones(2, dtype=bool), 0.25)
+
+
+class TestWetAmounts:
+    def test_dry_zero_wet_cubed_anamorphosis(self):
+        alpha, beta = np.array([2.0, 2.0, 0.5]), np.array([1.0, 1.0, 3.0])
+        w = np.array([0.3, -0.1, 2.0])
+        z = np.array([0.5, 1.0, -1.5])
+        out = tr.wet_amounts(w, z, alpha, beta)
+        assert out[1] == 0.0
+        for j in (0, 2):
+            expected = tr.anamorphosis(z[j], tr.GammaMarginal(alpha[j], beta[j])) ** 3
+            assert out[j] == pytest.approx(expected, rel=1e-14)
+
+
 class TestAnamorphosis:
     def test_exponential_median(self):
         m = tr.GammaMarginal(1.0, 1.0)
