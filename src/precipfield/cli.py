@@ -1,7 +1,8 @@
 """Command-line surface: synth, fit, forecast, verify, sweep.
 
 Every stochastic command requires an explicit seed; identical inputs and
-seed produce byte-identical outputs. Progress goes to stderr, data to files.
+seed produce byte-identical outputs. ``fit`` is deterministic and ignores
+its seed. Progress goes to stderr, data to files.
 Exit codes: 0 success, 2 usage/config error, 3 data/fit error, 4 numerical
 failure.
 """
@@ -97,15 +98,6 @@ def _resolve(flag_value, config, key, default=None, cast=str):
     return default
 
 
-def _sem_config(config, seed):
-    return est.SemConfig(
-        n_iterations=int(config.get("sem_iterations", 30)),
-        n_burn_iterations=int(config.get("sem_burn", 10)),
-        gibbs_sweeps=int(config.get("sem_gibbs_sweeps", 30)),
-        seed=seed,
-    )
-
-
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Chatty progress on stderr.")
 def main(verbose):
@@ -157,22 +149,23 @@ def synth(config_path, seed, outdir, n_sites, n_days, extent_km, wet_bias_offset
 @click.option("--dataset", "dataset_path", type=str, default=None)
 @click.option("--date", "valid_date", type=str, default=None, help="Valid date (ISO).")
 @click.option("--window-days", "-M", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=None,
+              help="Accepted and ignored: the fit is deterministic.")
 @click.option("--out", "out_path", type=str, default=None, help="Model file path.")
 def fit(config_path, dataset_path, valid_date, window_days, seed, out_path):
     """Fit the two-stage spatial model on a sliding training window."""
+    del seed  # the fit draws no random numbers
     config = read_config(config_path) if config_path else {}
     dataset_path = _resolve(dataset_path, config, "dataset")
     valid_date = _resolve(valid_date, config, "date")
     window_days = _resolve(window_days, config, "window_days", 30, int)
-    seed = _resolve(seed, config, "seed", cast=int)
     out_path = _resolve(out_path, config, "out")
-    if None in (dataset_path, valid_date, seed, out_path):
-        _fail(EXIT_USAGE, "fit requires --dataset, --date, --seed and --out")
+    if None in (dataset_path, valid_date, out_path):
+        _fail(EXIT_USAGE, "fit requires --dataset, --date and --out")
     try:
         ds = dm.load_dataset(dataset_path)
         window = est.make_window(ds, dt.date.fromisoformat(valid_date), window_days)
-        model = est.fit_model(window, _sem_config(config, seed))
+        model = est.fit_model(window)
     except PrecipError as exc:
         _fail(_exit_for(exc), str(exc))
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -247,9 +240,10 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
         if mode == "areal":
             if site_ids:
                 wanted = set(site_ids.split(","))
+                absent = sorted(wanted - {s.id for s in sites})
+                if absent:
+                    _fail(EXIT_USAGE, f"site ids absent on {valid_date}: {','.join(absent)}")
                 keep = [i for i, s in enumerate(sites) if s.id in wanted]
-                if not keep:
-                    _fail(EXIT_USAGE, "no requested site ids present on this date")
                 sites = [sites[i] for i in keep]
                 fcst = fcst[keep]
             n = _resolve(members, config, "members", fc.DEFAULT_AREAL_MEMBERS, int)
@@ -339,9 +333,7 @@ def verify(config_path, dataset_path, window_days, members, mst_members,
         _fail(EXIT_DATA, "no date has any history to train on")
 
     report, n_unmatched = run_verification(
-        ds, eligible, window_days, members, mst_members,
-        _sem_config(config, seed), seed,
-    )
+        ds, eligible, window_days, members, mst_members, seed)
     if n_unmatched == len(eligible):
         _fail(EXIT_DATA, "every date failed to fit or had no matching records")
     report.write(outdir)
@@ -349,8 +341,7 @@ def verify(config_path, dataset_path, window_days, members, mst_members,
              len(eligible) - n_unmatched, n_unmatched, outdir)
 
 
-def run_verification(ds, valid_dates, window_days, members, mst_members,
-                     sem_config, seed):
+def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
     """Score the four methods over the given dates; returns (report, skipped)."""
     report = vf.VerificationReport()
     rank_bins = {m: [] for m in ("climatology", "independence", "spatial")}
@@ -365,7 +356,7 @@ def run_verification(ds, valid_dates, window_days, members, mst_members,
             history, _ = dm.split_by_date(ds, valid_date)
             window = est.make_window(ds, valid_date, window_days)
             stage = "fit"
-            model = est.fit_model(window, sem_config)
+            model = est.fit_model(window)
             stage = "load"
             sites, fcst, obs = dm.day_arrays(ds, valid_date)
             stage = "forecast"
@@ -491,8 +482,7 @@ def sweep(config_path, dataset_path, ms_text, n_dates, members, seed, out_path):
         if not eligible:
             _fail(EXIT_DATA, f"not enough history for M={max_m}")
         valid_dates = eligible[-n_dates:]
-        rows = est.window_sweep(ds, valid_dates, ms, _sem_config(config, seed),
-                                members, seed)
+        rows = est.window_sweep(ds, valid_dates, ms, members, seed)
     except PrecipError as exc:
         _fail(_exit_for(exc), str(exc))
     with open(out_path, "w", newline="", encoding="utf-8") as fh:

@@ -1,9 +1,9 @@
 """Parameter estimation from a sliding training window.
 
-Stages, in order: probit occurrence trend, stochastic EM for the occurrence
-range, OLS for the Gamma mean, constrained ML for the Gamma variance, and a
-profile marginal likelihood for the amount range. Every stage is a pure
-function of (window, config, seed).
+Stages, in order: probit occurrence trend, pairwise composite likelihood for
+the occurrence range, OLS for the Gamma mean, constrained ML for the Gamma
+variance, and a profile marginal likelihood for the amount range. Every
+stage is a deterministic function of the window and the earlier stages.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .errors import (
 )
 
 RANGE_SEARCH_KM = (1.0, 2000.0)
+# Occurrence-range pairs: about three ranges at the 35 km synthetic truth,
+# where the correlation is below 0.05 and a pair carries little information.
+PAIR_CUTOFF_KM = 100.0
+_GOLDEN_TOL = 1e-3
 _MIN_NU0 = 1e-6
 
 
@@ -49,22 +53,6 @@ class TrainingWindow:
         obs = np.concatenate([d["obs"] for d in self.days.values()])
         fcst = np.concatenate([d["fcst"] for d in self.days.values()])
         return obs, fcst, np.cbrt(fcst), fcst == 0.0
-
-
-@dataclass(frozen=True)
-class SemConfig:
-    """Tuning of the stochastic EM occurrence-range fit."""
-
-    n_iterations: int = 50
-    n_burn_iterations: int = 10
-    gibbs_sweeps: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.n_iterations > self.n_burn_iterations >= 0:
-            raise PrecipError("need n_iterations > n_burn_iterations >= 0")
-        if self.gibbs_sweeps < 1:
-            raise PrecipError("need at least one Gibbs sweep")
 
 
 @dataclass
@@ -113,6 +101,9 @@ class FittedModel:
             key = key.strip()
             val = val.strip()
             if key.startswith("diag."):
+                if val in ("True", "False"):
+                    diag[key[5:]] = val == "True"
+                    continue
                 try:
                     diag[key[5:]] = float(val)
                 except ValueError:
@@ -170,15 +161,17 @@ def fit_probit_trend(window):
 
     beta = np.zeros(design.shape[1])
     loglik = _probit_loglik(beta, design, wet)
-    converged = False
-    for _ in range(100):
+    for iteration in range(101):
         eta = design @ beta
         log_phi = -0.5 * eta ** 2 - 0.5 * math.log(2 * math.pi)
         lam1 = np.exp(log_phi - special.log_ndtr(eta))
         lam0 = np.exp(log_phi - special.log_ndtr(-eta))
         score = design.T @ (wet * lam1 - (1 - wet) * lam0)
         if np.linalg.norm(score) < 1e-8:
-            converged = True
+            break
+        if iteration == 100:  # out of steps: accept a score that is merely small
+            if np.linalg.norm(score) > 1e-6:
+                raise SeparationDetected("probit did not converge in 100 iterations")
             break
         w_info = lam1 * lam0  # phi^2 / (Phi * (1 - Phi))
         info = design.T @ (design * w_info[:, None])
@@ -198,15 +191,6 @@ def fit_probit_trend(window):
         loglik = _probit_loglik(beta, design, wet)
         if np.linalg.norm(beta) > 1e3:
             raise SeparationDetected("probit coefficients diverge")
-    if not converged:
-        eta = design @ beta
-        log_phi = -0.5 * eta ** 2 - 0.5 * math.log(2 * math.pi)
-        score = design.T @ (
-            wet * np.exp(log_phi - special.log_ndtr(eta))
-            - (1 - wet) * np.exp(log_phi - special.log_ndtr(-eta))
-        )
-        if np.linalg.norm(score) > 1e-6:
-            raise SeparationDetected("probit did not converge in 100 iterations")
     gamma2 = 0.0 if dropped else float(beta[2])
     return tr.OccurrenceTrendParams(float(beta[0]), float(beta[1]), gamma2)
 
@@ -216,7 +200,7 @@ def _probit_loglik(beta, design, wet):
     return float(np.sum(wet * special.log_ndtr(eta) + (1 - wet) * special.log_ndtr(-eta)))
 
 
-def golden_section_max(objective, lo, hi, tol=1e-3):
+def golden_section_max(objective, lo, hi, tol=_GOLDEN_TOL):
     """Golden-section maximization on [lo, hi]; deterministic."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -235,16 +219,7 @@ def golden_section_max(objective, lo, hi, tol=1e-3):
     return (a + b) / 2.0
 
 
-def _group_by_geometry(items):
-    """Group ``(xy, value)`` pairs by identical site geometry, first-seen
-    order, so Cholesky work is shared; returns ``[(xy, [values])]``."""
-    groups = {}
-    for xy, value in items:
-        groups.setdefault(xy.tobytes(), (xy, []))[1].append(value)
-    return list(groups.values())
-
-
-def _profile_range_objective(dev_by_group, max_range=RANGE_SEARCH_KM[1]):
+def _profile_range_objective(dev_by_group):
     """Sum of centered MVN log densities as a function of the range.
 
     ``dev_by_group`` is a list of (xy, dev_matrix) pairs where dev_matrix is
@@ -269,51 +244,91 @@ def _profile_range_objective(dev_by_group, max_range=RANGE_SEARCH_KM[1]):
     return objective
 
 
-def _maximize_range(dev_by_group):
-    objective = _profile_range_objective(dev_by_group)
-    log_opt = golden_section_max(
-        objective, math.log(RANGE_SEARCH_KM[0]), math.log(RANGE_SEARCH_KM[1])
-    )
-    return math.exp(log_opt), objective
+def bivariate_normal_cdf(h, k, r):
+    """P(X <= h, Y <= k) for standard normals with correlation r, element-wise.
 
-
-def fit_occurrence_range(window, trend, config):
-    """Stochastic EM estimate of the occurrence range.
-
-    E-step: impute the latent occurrence field per day by truncated-MVN
-    Gibbs, with sign patterns given by observed wet/dry. M-step: maximize
-    the summed Gaussian log likelihood over the range. Returns the mean of
-    the post-burn-in range iterates. Deterministic given the config seed.
+    Owen's (1956) T-function form, which is 0/0 where h or k is zero and NaN
+    at |r| = 1. There it takes the exact one-sided form P(X <= x, Y <= 0) =
+    Phi(x)/2 - T(x, -r/sqrt(1-r^2)) (1/4 + asin(r)/(2 pi) at h = k = 0) and
+    the |r| = 1 limit.
     """
-    grouped = _group_by_geometry(
-        (day["xy"], day) for day in window.days.values() if len(day["obs"]) >= 2)
-    if not grouped:
+    h, k, r = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (h, k, r)))
+    r = np.clip(r, -1.0, 1.0)
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    out = np.empty(h.shape)
+    plus, minus = r == 1.0, r == -1.0
+    out[plus] = special.ndtr(np.minimum(h[plus], k[plus]))  # X = Y
+    out[minus] = np.maximum(special.ndtr(h[minus]) - special.ndtr(-k[minus]), 0.0)  # X = -Y
+    axis = ~(plus | minus) & ((h == 0.0) | (k == 0.0))
+    x = np.where(h == 0.0, k, h)[axis]
+    out[axis] = 0.5 * special.ndtr(x) - special.owens_t(x, -r[axis] / s[axis])
+    rest = ~(plus | minus | axis)
+    h, k, r, s = h[rest], k[rest], r[rest], s[rest]
+    out[rest] = (0.5 * (special.ndtr(h) + special.ndtr(k))
+                 - special.owens_t(h, (k - r * h) / (h * s))
+                 - special.owens_t(k, (h - r * k) / (k * s))
+                 - np.where(h * k > 0, 0.0, 0.5))
+    return out
+
+
+def _close_pairs(window):
+    """Same-day site pairs closer than PAIR_CUTOFF_KM: indices of both sites
+    into the pooled window records, and their distance."""
+    first, second, dist = [], [], []
+    offset = 0
+    for day in window.days.values():
+        i, j = np.triu_indices(len(day["obs"]), k=1)
+        d = rf.pairwise_distances(day["xy"])[i, j]
+        close = d < PAIR_CUTOFF_KM
+        first.append(offset + i[close])
+        second.append(offset + j[close])
+        dist.append(d[close])
+        offset += len(day["obs"])
+    return np.concatenate(first), np.concatenate(second), np.concatenate(dist)
+
+
+def fit_occurrence_range(window, trend):
+    """Pairwise composite-likelihood estimate of the occurrence range.
+
+    Each same-day pair of sites closer than PAIR_CUTOFF_KM contributes the
+    probability of its observed wet (s = +1) and dry (s = -1) signs,
+    Phi2(s_i mu_i, s_j mu_j; s_i s_j rho(d_ij)) with mu the probit trend
+    (Heagerty & Lele 1998). Golden-section search over the log range
+    maximizes the summed log probability.
+    """
+    if all(len(day["obs"]) < 2 for day in window.days.values()):
         raise RangeUnidentifiable("no day has two or more sites")
+    first, second, dist = _close_pairs(window)
+    if not dist.size:
+        raise RangeUnidentifiable(
+            f"no same-day site pair is closer than {PAIR_CUTOFF_KM:g} km")
+    obs, _, fcst_cr, zero_flag = window.pooled()
+    sign = np.where(obs > 0, 1.0, -1.0)
+    signed_mean = sign * tr.occurrence_trend(trend, fcst_cr, zero_flag)
+    h, k = signed_mean[first], signed_mean[second]
+    sign_product = sign[first] * sign[second]
+    tiny = np.finfo(float).tiny  # a pair impossible at every range (co-located, discordant)
 
-    rng = rf.as_generator(np.random.SeedSequence(config.seed))
-    groups = []
-    for xy, days in grouped:
-        means = [tr.occurrence_trend(trend, np.cbrt(d["fcst"]), d["fcst"] == 0.0)
-                 for d in days]
-        signs = [np.where(d["obs"] > 0, 1.0, -1.0) for d in days]
-        groups.append({"xy": xy, "means": np.array(means), "signs": np.array(signs)})
+    def objective(log_range):
+        r = sign_product * np.exp(-dist / math.exp(log_range))
+        return float(np.sum(np.log(np.maximum(bivariate_normal_cdf(h, k, r), tiny))))
 
-    rho = math.sqrt(RANGE_SEARCH_KM[0] * RANGE_SEARCH_KM[1])  # geometric midpoint
-    rho_iters = []
-    for _ in range(config.n_iterations):
-        dev_by_group = []
-        for grp in groups:
-            corr = np.exp(-rf.pairwise_distances(grp["xy"]) / rho)
-            sampler = rf.GibbsTruncatedMVN(grp["means"], corr, grp["signs"])
-            # Warm start from the previous imputation when shapes persist.
-            if "state" in grp:
-                sampler.state = grp["state"]
-            sampler.sweep(rng, config.gibbs_sweeps)
-            grp["state"] = sampler.state
-            dev_by_group.append((grp["xy"], sampler.state - grp["means"]))
-        rho, _ = _maximize_range(dev_by_group)
-        rho_iters.append(rho)
-    return float(np.mean(rho_iters[config.n_burn_iterations:]))
+    return _maximize_range(objective)
+
+
+def _maximize_range(objective):
+    """Golden-section maximum of ``objective(log range)`` over RANGE_SEARCH_KM, in km."""
+    lo, hi = (math.log(b) for b in RANGE_SEARCH_KM)
+    return math.exp(golden_section_max(objective, lo, hi))
+
+
+def _at_bound(range_km):
+    """Whether a fitted range lies within the golden-section tolerance of
+    either end of RANGE_SEARCH_KM, where a flat or monotone likelihood
+    leaves it."""
+    lo, hi = (math.log(b) for b in RANGE_SEARCH_KM)
+    x = math.log(range_km)
+    return x - lo <= _GOLDEN_TOL or hi - x <= _GOLDEN_TOL
 
 
 def fit_gamma_mean(window):
@@ -406,59 +421,46 @@ def fit_amount_range(window, eta, nu):
     likelihood do not depend on the range and are omitted.
     """
     coeffs = tr.GammaCoeffs(*eta, *nu)
-    wet_devs = []
+    groups = {}  # days with the same wet-site geometry share each Cholesky
     for day in window.days.values():
         wet = day["obs"] > 0
-        if wet.sum() < 2:
-            continue
         fcst_cr = np.cbrt(day["fcst"][wet])
         zero_flag = day["fcst"][wet] == 0.0
-        y = np.cbrt(day["obs"][wet])
-        z = np.empty(y.size)
-        keep = np.ones(y.size, dtype=bool)
-        for j in range(y.size):
-            try:
-                marg = tr.gamma_marginal(coeffs, fcst_cr[j], bool(zero_flag[j]))
-            except NonpositiveMean:
-                keep[j] = False
-                continue
-            z[j] = tr.anamorphosis_inverse(y[j], marg)
+        keep = tr.gamma_mean(eta, fcst_cr, zero_flag) > 0
         if keep.sum() < 2:
             continue
-        wet_devs.append((day["xy"][wet][keep], z[keep]))
-    grouped = _group_by_geometry(wet_devs)
-    if not grouped:
+        alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
+        y = np.cbrt(day["obs"][wet][keep])
+        xy = day["xy"][wet][keep]
+        groups.setdefault(xy.tobytes(), (xy, []))[1].append(tr.gaussian_scores(y, alpha, beta))
+    if not groups:
         raise RangeUnidentifiable("no day has two or more wet sites")
-    dev_by_group = [(xy, np.array(devs)) for xy, devs in grouped]
-    r_hat, _ = _maximize_range(dev_by_group)
-    return float(r_hat)
+    dev_by_group = [(xy, np.array(devs)) for xy, devs in groups.values()]
+    return _maximize_range(_profile_range_objective(dev_by_group))
 
 
-def fit_model(window, sem_config):
+def _stage(name, fit, *args):
+    """One fit stage, its errors tagged with the stage name."""
+    try:
+        return fit(*args)
+    except PrecipError as exc:
+        raise type(exc)(f"stage {name}: {exc}") from exc
+
+
+def fit_model(window):
     """Run the full staged fit; atomic (raises on any stage failure)."""
-    diagnostics = {}
-    try:
-        trend = fit_probit_trend(window)
-        diagnostics["probit_converged"] = True
-    except PrecipError as exc:
-        raise type(exc)(f"stage probit: {exc}") from exc
-    try:
-        rho = fit_occurrence_range(window, trend, sem_config)
-    except PrecipError as exc:
-        raise type(exc)(f"stage occurrence_range: {exc}") from exc
-    try:
-        eta = fit_gamma_mean(window)
-    except PrecipError as exc:
-        raise type(exc)(f"stage gamma_mean: {exc}") from exc
-    try:
-        nu, n_dropped = fit_gamma_variance(window, eta)
-        diagnostics["variance_records_dropped"] = n_dropped
-    except PrecipError as exc:
-        raise type(exc)(f"stage gamma_variance: {exc}") from exc
-    try:
-        r_hat = fit_amount_range(window, eta, nu)
-    except PrecipError as exc:
-        raise type(exc)(f"stage amount_range: {exc}") from exc
+    trend = _stage("probit", fit_probit_trend, window)
+    rho = _stage("occurrence_range", fit_occurrence_range, window, trend)
+    eta = _stage("gamma_mean", fit_gamma_mean, window)
+    nu, n_dropped = _stage("gamma_variance", fit_gamma_variance, window, eta)
+    r_hat = _stage("amount_range", fit_amount_range, window, eta, nu)
+    diagnostics = {
+        "probit_converged": True,
+        "occurrence_pairs": int(_close_pairs(window)[2].size),
+        "variance_records_dropped": n_dropped,
+        "rho_at_bound": _at_bound(rho),
+        "r_at_bound": _at_bound(r_hat),
+    }
 
     # Smallest positive implied training mean: the forecast-time fallback
     # when a site's implied mean goes nonpositive.
@@ -478,7 +480,7 @@ def fit_model(window, sem_config):
     )
 
 
-def window_sweep(dataset, valid_dates, Ms, sem_config, n_members, seed):
+def window_sweep(dataset, valid_dates, Ms, n_members, seed):
     """Mean site-level ensemble CRPS per training-window length.
 
     Returns a list of rows {M, mean_crps, n_cases, n_skipped}; fit failures
@@ -496,7 +498,7 @@ def window_sweep(dataset, valid_dates, Ms, sem_config, n_members, seed):
         for di, valid_date in enumerate(valid_dates):
             try:
                 window = make_window(dataset, valid_date, M)
-                model = fit_model(window, sem_config)
+                model = fit_model(window)
             except PrecipError:
                 n_skipped += 1
                 continue

@@ -233,8 +233,7 @@ class GibbsTruncatedMVN:
 
     Runs ``n_chains`` independent chains sharing one correlation matrix;
     each chain has its own mean vector and per-coordinate sign pattern
-    (+1 for positive, -1 for nonpositive). Used both directly and as the
-    imputation engine of the stochastic EM occurrence fit.
+    (+1 for positive, -1 for nonpositive). Drives :func:`sample_truncated_mvn`.
     """
 
     def __init__(self, means, corr_matrix, signs):

@@ -188,11 +188,16 @@ def anamorphosis_inverse(y, marginal):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0) or not np.all(np.isfinite(y)):
         raise DomainError("y must be positive and finite")
-    p = special.gammainc(marginal.alpha, y / marginal.beta)
-    with np.errstate(divide="ignore"):
-        z = special.ndtri(p)
-    out = np.clip(z, -Z_CLAMP, Z_CLAMP)
+    out = gaussian_scores(y, marginal.alpha, marginal.beta)
     return float(out) if out.ndim == 0 else out
+
+
+def gaussian_scores(y, alpha, beta):
+    """Normal quantile of the Gamma(alpha, beta) CDF at the cube-root amount
+    ``y``, clamped to ±Z_CLAMP; element-wise, without input checks."""
+    with np.errstate(divide="ignore"):
+        z = special.ndtri(special.gammainc(alpha, y / beta))
+    return np.clip(z, -Z_CLAMP, Z_CLAMP)
 
 
 def mixed_cdf(p0, marginal, y0):

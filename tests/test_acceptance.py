@@ -20,8 +20,6 @@ from precipfield import forecasting as fc
 from precipfield import transforms as tr
 from precipfield import verification as vf
 
-SEM = est.SemConfig(n_iterations=30, n_burn_iterations=10, gibbs_sweeps=30, seed=0)
-
 
 def crit999(dof):
     """99.9% chi-square critical value; the documented 42.3 at 19 d.o.f."""
@@ -63,7 +61,7 @@ def test_criterion_2_parameter_recovery():
         ds = dm.synth_generate(spec)
         window = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 160)
         try:
-            model = est.fit_model(window, SEM)
+            model = est.fit_model(window)
         except Exception as exc:  # a failed fit counts as a failed seed
             print(f"seed {seed:2d}: fit failed ({exc})")
             continue
@@ -145,7 +143,7 @@ def _fit_small_model(seed=0):
     spec = dm.SynthSpec(n_sites=40, n_days=40, seed=seed)
     ds = dm.synth_generate(spec)
     window = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 40)
-    return est.fit_model(window, SEM)
+    return est.fit_model(window)
 
 
 def test_criterion_5_calibration_under_the_model():
@@ -236,7 +234,7 @@ def test_criterion_6_spatial_value():
 def test_criterion_7_window_sweep_shape():
     ds = dm.synth_generate(dm.SynthSpec(n_sites=30, n_days=45, seed=2))
     valid_dates = ds.dates[-10:]
-    rows = est.window_sweep(ds, valid_dates, [10, 30], SEM, n_members=50, seed=0)
+    rows = est.window_sweep(ds, valid_dates, [10, 30], n_members=50, seed=0)
     by_m = {row["M"]: row for row in rows}
     crps10, crps30 = by_m[10]["mean_crps"], by_m[30]["mean_crps"]
     se10 = by_m[10]["se_crps"]

@@ -111,6 +111,18 @@ class TestFit:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_seed_has_no_effect(self, synth_dir, tmp_path, runner):
+        ds = dm.load_dataset(synth_dir / "dataset.csv")
+        date = ds.dates[-1].isoformat()
+        blobs = []
+        for seed in (["--seed", "0"], ["--seed", "7"], []):
+            path = tmp_path / f"m{len(blobs)}.txt"
+            res = run(runner, ["fit", "--dataset", str(synth_dir / "dataset.csv"),
+                               "--date", date, "-M", "15", *seed, "--out", str(path)])
+            assert res.exit_code == 0
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
     def test_no_history_exits_3(self, synth_dir, tmp_path, runner):
         res = runner.invoke(cli.main, [
             "fit", "--dataset", str(synth_dir / "dataset.csv"),
@@ -178,6 +190,19 @@ class TestForecast:
         assert res.exit_code == 0
         n_rows = sum(1 for _ in open(out)) - 1
         assert n_rows == 10_000
+
+    def test_areal_absent_site_ids_exit_2(self, fitted, tmp_path, runner, caplog):
+        dataset, date, model = fitted
+        out = tmp_path / "areal.csv"
+        with caplog.at_level("ERROR", logger="precipfield"):
+            res = runner.invoke(cli.main, [
+                "forecast", "--model", str(model), "--dataset", str(dataset),
+                "--date", date.isoformat(), "--mode", "areal", "--seed", "1",
+                "--site-ids", "s000,s999,nonsense", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+        message = caplog.records[-1].getMessage()
+        assert "nonsense,s999" in message and "s000" not in message
 
     def test_deterministic(self, fitted, tmp_path, runner):
         dataset, date, model = fitted

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import ndtr
 
 from precipfield import data as dm
@@ -16,8 +17,6 @@ from precipfield.errors import (
     PrecipError,
     RangeUnidentifiable,
 )
-
-LIGHT_SEM = est.SemConfig(n_iterations=12, n_burn_iterations=4, gibbs_sweeps=20, seed=0)
 
 
 def window_from_days(day_arrays):
@@ -123,19 +122,78 @@ class TestGoldenSection:
         assert opt == pytest.approx(1.0, abs=1e-3)
 
 
+class TestBivariateNormalCdf:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(0)
+        h, k = rng.normal(scale=2.0, size=(2, 200))
+        r = rng.uniform(-0.99, 0.99, size=200)
+        got = est.bivariate_normal_cdf(h, k, r)
+        for i in range(200):
+            ref = stats.multivariate_normal(
+                mean=[0.0, 0.0], cov=[[1.0, r[i]], [r[i], 1.0]]).cdf([h[i], k[i]])
+            assert got[i] == pytest.approx(ref, abs=1e-12)
+
+    def test_exact_on_the_axes(self):
+        r = np.linspace(-0.95, 0.95, 39)
+        # Orthant identity at h = k = 0; the general Owen form gives 2/3 at r = 0.5.
+        assert np.allclose(est.bivariate_normal_cdf(0.0, 0.0, r),
+                           0.25 + np.arcsin(r) / (2 * np.pi), rtol=0, atol=1e-15)
+        x = np.linspace(-3.0, 3.0, 13)
+        # Independence, and symmetry in the two arguments.
+        assert np.allclose(est.bivariate_normal_cdf(x, 0.0, 0.0), 0.5 * ndtr(x),
+                           rtol=0, atol=1e-15)
+        assert np.array_equal(est.bivariate_normal_cdf(0.0, x, 0.3),
+                              est.bivariate_normal_cdf(x, 0.0, 0.3))
+        for xi in x:
+            ref = stats.multivariate_normal(
+                mean=[0.0, 0.0], cov=[[1.0, 0.3], [0.3, 1.0]]).cdf([xi, 0.0])
+            assert est.bivariate_normal_cdf(xi, 0.0, 0.3) == pytest.approx(ref, abs=1e-12)
+
+    def test_perfect_correlation_limit(self):
+        h = np.array([-1.0, 0.0, 0.4, 1.5, 0.0])
+        k = np.array([0.5, 0.7, -0.2, 1.5, 0.0])
+        plus = est.bivariate_normal_cdf(h, k, 1.0)
+        minus = est.bivariate_normal_cdf(h, k, -1.0)
+        assert np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))
+        assert np.array_equal(plus, ndtr(np.minimum(h, k)))
+        assert np.allclose(minus, np.maximum(ndtr(h) + ndtr(k) - 1.0, 0.0),
+                           rtol=0, atol=1e-15)
+        # Continuous with the interior.
+        assert np.allclose(est.bivariate_normal_cdf(h, k, 1.0 - 1e-12), plus, atol=1e-5)
+        assert np.allclose(est.bivariate_normal_cdf(h, k, -1.0 + 1e-12), minus, atol=1e-5)
+
+
 class TestOccurrenceRange:
     def test_single_site_days_rejected(self):
         w = window_from_days([(np.array([[0.0, 0.0]]), [1.0], [2.0])] * 5)
         trend = tr.OccurrenceTrendParams(0.0, 0.1, 0.0)
         with pytest.raises(RangeUnidentifiable):
-            est.fit_occurrence_range(w, trend, LIGHT_SEM)
+            est.fit_occurrence_range(w, trend)
+
+    def test_no_close_pair_rejected(self):
+        far = np.array([[0.0, 0.0], [2.0 * est.PAIR_CUTOFF_KM, 0.0]])
+        w = window_from_days([(far, [1.0, 0.0], [2.0, 2.0])] * 5)
+        trend = tr.OccurrenceTrendParams(0.0, 0.1, 0.0)
+        with pytest.raises(RangeUnidentifiable, match="closer than"):
+            est.fit_occurrence_range(w, trend)
+
+    def test_colocated_sites_give_finite_range(self):
+        # Two sites share a location (correlation exactly 1), and on some
+        # days they disagree, which is impossible at every range.
+        xy = np.array([[0.0, 0.0], [0.0, 0.0], [15.0, 0.0], [40.0, 0.0]])
+        rng = np.random.default_rng(1)
+        days = [(xy, (rng.random(4) < 0.5).astype(float), rng.gamma(2.0, 5.0, 4))
+                for _ in range(20)]
+        trend = tr.OccurrenceTrendParams(0.0, 0.1, 0.0)
+        rho = est.fit_occurrence_range(window_from_days(days), trend)
+        assert est.RANGE_SEARCH_KM[0] <= rho <= est.RANGE_SEARCH_KM[1]
 
     def test_recovers_generating_range(self):
         spec = dm.SynthSpec(n_sites=50, n_days=30, rho_km=60.0, seed=7)
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 30)
         trend = tr.OccurrenceTrendParams(*spec.gamma)
-        rho = est.fit_occurrence_range(w, trend, est.SemConfig(seed=0))
+        rho = est.fit_occurrence_range(w, trend)
         assert abs(rho - 60.0) / 60.0 < 0.30
 
     def test_shuffled_pattern_shrinks_range(self):
@@ -143,12 +201,12 @@ class TestOccurrenceRange:
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 25)
         trend = tr.OccurrenceTrendParams(*spec.gamma)
-        rho = est.fit_occurrence_range(w, trend, LIGHT_SEM)
+        rho = est.fit_occurrence_range(w, trend)
         rng = np.random.default_rng(0)
         shuffled = window_from_days(
             [(d["xy"], rng.permutation(d["obs"]), d["fcst"]) for d in w.days.values()]
         )
-        rho_shuf = est.fit_occurrence_range(shuffled, trend, LIGHT_SEM)
+        rho_shuf = est.fit_occurrence_range(shuffled, trend)
         assert rho_shuf < rho
 
 
@@ -271,23 +329,51 @@ class TestFitModel:
         spec = dm.SynthSpec(n_sites=20, n_days=15, seed=11)
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 15)
-        a = est.fit_model(w, LIGHT_SEM)
-        b = est.fit_model(w, LIGHT_SEM)
+        a = est.fit_model(w)
+        b = est.fit_model(w)
         assert a.to_text() == b.to_text()
 
     def test_all_dry_fails_atomically(self):
         w = pooled_window(np.zeros(30), np.linspace(0, 5, 30))
         with pytest.raises(DegenerateOccurrence, match="probit"):
-            est.fit_model(w, LIGHT_SEM)
+            est.fit_model(w)
 
     def test_diagnostics_present(self):
         spec = dm.SynthSpec(n_sites=20, n_days=15, seed=12)
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 15)
-        model = est.fit_model(w, LIGHT_SEM)
+        model = est.fit_model(w)
         assert model.diagnostics["probit_converged"] is True
         assert model.diagnostics["min_training_mean"] > 0
         assert model.diagnostics["n_wet_records"] > 0
+
+
+    def test_diagnostics_round_trip(self):
+        spec = dm.SynthSpec(n_sites=20, n_days=15, seed=12)
+        ds = dm.synth_generate(spec)
+        w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 15)
+        model = est.fit_model(w)
+        diag = model.diagnostics
+        assert diag["occurrence_pairs"] == int(est._close_pairs(w)[2].size) > 0
+        assert diag["rho_at_bound"] is False and diag["r_at_bound"] is False
+        back = est.FittedModel.from_text(model.to_text())
+        assert back.diagnostics["occurrence_pairs"] == diag["occurrence_pairs"]
+        assert back.diagnostics["rho_at_bound"] is False
+        assert back.diagnostics["r_at_bound"] is False
+        assert back.diagnostics["probit_converged"] is True
+        assert back.to_text() == model.to_text()
+
+    def test_range_at_search_bound_flagged(self):
+        # Every wet day is wet everywhere: the occurrence likelihood grows
+        # with the range up to the end of the search interval.
+        rng = np.random.default_rng(0)
+        xy = np.column_stack([np.arange(6) * 20.0, np.zeros(6)])
+        days = [(xy, rng.gamma(2.0, 5.0, 6) if i % 2 == 0 else np.zeros(6),
+                 rng.gamma(2.0, 5.0, 6)) for i in range(30)]
+        model = est.fit_model(window_from_days(days))
+        assert model.diagnostics["occurrence_pairs"] == 30 * 14  # one pair is 100 km apart
+        assert model.diagnostics["rho_at_bound"] is True
+        assert model.rho.range_km > 0.99 * est.RANGE_SEARCH_KM[1]
 
 
 class TestModelSerialization:
@@ -321,7 +407,7 @@ class TestModelSerialization:
 class TestWindowSweep:
     def test_empty_valid_dates(self):
         ds = dm.synth_generate(dm.SynthSpec(n_sites=5, n_days=5, seed=0))
-        assert est.window_sweep(ds, [], [10], LIGHT_SEM, 5, seed=0) == []
+        assert est.window_sweep(ds, [], [10], 5, seed=0) == []
 
     def test_skipped_cells_counted(self):
         # Valid date with only dry history: fit fails, cell is skipped.
@@ -334,7 +420,7 @@ class TestWindowSweep:
                                    0.0, 2.0)
                 )
         ds = dm.Dataset(recs)
-        rows = est.window_sweep(ds, [dt.date(2004, 1, 12)], [10], LIGHT_SEM, 5, seed=0)
+        rows = est.window_sweep(ds, [dt.date(2004, 1, 12)], [10], 5, seed=0)
         assert rows[0]["n_skipped"] == 1
         assert rows[0]["n_cases"] == 0
         assert math.isnan(rows[0]["mean_crps"])
@@ -342,7 +428,7 @@ class TestWindowSweep:
     def test_produces_scores(self):
         ds = dm.synth_generate(dm.SynthSpec(n_sites=15, n_days=20, seed=13))
         valid = ds.dates[-2:]
-        rows = est.window_sweep(ds, valid, [10], LIGHT_SEM, 10, seed=0)
+        rows = est.window_sweep(ds, valid, [10], 10, seed=0)
         assert rows[0]["n_cases"] == 30
         assert rows[0]["mean_crps"] > 0
         assert rows[0]["se_crps"] > 0
