@@ -357,6 +357,7 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
             window = est.make_window(ds, valid_date, window_days)
             stage = "fit"
             model = est.fit_model(window)
+            est.warn_range_at_bound(model, valid_date, window_days)
             stage = "load"
             sites, fcst, obs = dm.day_arrays(ds, valid_date)
             stage = "forecast"

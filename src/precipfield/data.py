@@ -8,9 +8,11 @@ inch, with anything below one hundredth recorded as zero.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -63,8 +65,15 @@ class Dataset:
     def __len__(self):
         return len(self.records)
 
+    def _date_span(self, date):
+        """Index range [lo, hi) of the records on ``date``, by bisection of
+        the date-sorted records."""
+        lo = bisect.bisect_left(self.records, date, key=attrgetter("date"))
+        return lo, bisect.bisect_right(self.records, date, lo, key=attrgetter("date"))
+
     def by_date(self, date):
-        return [r for r in self.records if r.date == date]
+        lo, hi = self._date_span(date)
+        return self.records[lo:hi]
 
 
 def load_dataset(path):
@@ -142,11 +151,10 @@ def dataset_summary(ds):
 def split_by_date(ds, valid_date):
     """Split into (strict history, records on valid_date); exhaustive for
     datasets whose dates do not extend past valid_date."""
-    if valid_date not in ds.dates:
+    lo, hi = ds._date_span(valid_date)
+    if lo == hi:
         raise NotFound(f"date {valid_date} not present in dataset")
-    history = [r for r in ds.records if r.date < valid_date]
-    current = [r for r in ds.records if r.date == valid_date]
-    return Dataset(history), current
+    return Dataset(ds.records[:lo]), ds.records[lo:hi]
 
 
 @dataclass

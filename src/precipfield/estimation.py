@@ -8,6 +8,7 @@ stage is a deterministic function of the window and the earlier stages.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +35,8 @@ RANGE_SEARCH_KM = (1.0, 2000.0)
 PAIR_CUTOFF_KM = 100.0
 _GOLDEN_TOL = 1e-3
 _MIN_NU0 = 1e-6
+
+log = logging.getLogger("precipfield")
 
 
 @dataclass
@@ -480,6 +483,18 @@ def fit_model(window):
     )
 
 
+def warn_range_at_bound(model, valid_date, M):
+    """Log one WARNING when a range fitted for ``valid_date`` with window
+    length ``M`` stopped at an end of ``RANGE_SEARCH_KM``."""
+    hits = [f"{name} = {corr.range_km!r}"
+            for name, corr, flag in (("rho_km", model.rho, "rho_at_bound"),
+                                     ("r_km", model.r, "r_at_bound"))
+            if model.diagnostics.get(flag)]
+    if hits:
+        log.warning("%s M=%d: %s at the search bound %s km; scoring it anyway",
+                    valid_date, M, ", ".join(hits), RANGE_SEARCH_KM)
+
+
 def window_sweep(dataset, valid_dates, Ms, n_members, seed):
     """Mean site-level ensemble CRPS per training-window length.
 
@@ -502,6 +517,7 @@ def window_sweep(dataset, valid_dates, Ms, n_members, seed):
             except PrecipError:
                 n_skipped += 1
                 continue
+            warn_range_at_bound(model, valid_date, M)
             try:
                 sites, fcst, obs = dm.day_arrays(dataset, valid_date)
             except NotFound:

@@ -20,12 +20,16 @@ def crps_ensemble(members, obs):
     """CRPS of an ensemble forecast against a scalar observation.
 
     Mean absolute member error minus half the mean absolute member spread.
+    Over the sorted members x_(1) <= ... <= x_(m), half the mean spread is
+    sum_i (2i - m - 1) x_(i) / m^2 (Gneiting & Raftery 2007), so one sort
+    replaces the m x m pair matrix: O(m log m) time, O(m) memory.
     """
     x = np.asarray(members, dtype=float)
     if x.size < 1:
         raise DomainError("empty ensemble")
+    m = x.size
     term1 = np.abs(x - obs).mean()
-    term2 = 0.5 * np.abs(x[:, None] - x[None, :]).mean()
+    term2 = np.dot(np.arange(1 - m, m, 2), np.sort(x)) / (m * m)
     return float(term1 - term2)
 
 

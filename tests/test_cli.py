@@ -31,6 +31,16 @@ def synth_dir(tmp_path, runner):
     return out
 
 
+@pytest.fixture()
+def bound_world(tmp_path):
+    """A small world on which the amount range stops at the 1 km bound."""
+    ds = dm.synth_generate(dm.SynthSpec(n_sites=12, n_days=18, seed=2,
+                                        wet_bias_offset=0.5))
+    path = tmp_path / "bound.csv"
+    dm.save_dataset(ds, path)
+    return ds, path
+
+
 class TestConfig:
     def test_key_value_with_comments(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -367,6 +377,21 @@ class TestVerify:
         assert "stage fit" in skips[0].getMessage()
         assert "DegenerateOccurrence" in skips[0].getMessage()
 
+    def test_range_at_search_bound_warns(self, bound_world, tmp_path, runner, caplog):
+        ds, path = bound_world
+        with caplog.at_level("WARNING", logger="precipfield"):
+            res = run(runner, ["verify", "--dataset", str(path), "-M", "10",
+                               "--members", "15", "--mst-members", "9",
+                               "--dates", "2", "--seed", "2",
+                               "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 0
+        bound = [r.getMessage() for r in caplog.records
+                 if r.levelname == "WARNING" and "search bound" in r.getMessage()]
+        assert len(bound) == 2
+        for date, message in zip(ds.dates[-2:], bound):
+            assert message.startswith(f"{date} M=10: ")
+            assert "r_km = 1.000" in message and "rho_km" not in message
+
 
 class TestSweep:
     def test_table_shape(self, synth_dir, tmp_path, runner):
@@ -381,6 +406,19 @@ class TestSweep:
         assert rows[0] == ["M", "mean_crps", "se_crps", "n_cases", "n_skipped"]
         assert [r[0] for r in rows[1:]] == ["5", "8"]
         assert all(float(r[1]) > 0 for r in rows[1:])
+
+    def test_range_at_search_bound_warns(self, bound_world, tmp_path, runner, caplog):
+        ds, path = bound_world
+        with caplog.at_level("WARNING", logger="precipfield"):
+            res = run(runner, ["sweep", "--dataset", str(path),
+                               "--window-days-list", "10", "--dates", "1",
+                               "--members", "10", "--seed", "2",
+                               "--out", str(tmp_path / "sweep.csv")])
+        assert res.exit_code == 0
+        bound = [r.getMessage() for r in caplog.records
+                 if r.levelname == "WARNING" and "search bound" in r.getMessage()]
+        assert len(bound) == 1
+        assert bound[0].startswith(f"{ds.dates[-1]} M=10: ") and "r_km" in bound[0]
 
     def test_nonpositive_window_exits_2(self, synth_dir, tmp_path, runner):
         res = runner.invoke(cli.main, [

@@ -127,6 +127,44 @@ class TestSplitByDate:
             dm.split_by_date(ds, dt.date(2004, 1, 9))
 
 
+class TestDateLookups:
+    """Bisection lookups agree with a plain scan of the sorted records."""
+
+    @pytest.fixture()
+    def gappy(self):
+        rng = np.random.default_rng(11)
+        recs = []
+        for day in range(1, 29):
+            if day in (6, 7, 20):  # no records at all
+                continue
+            if day in (3, 15):  # a single site reports
+                present = ["c"]
+            else:  # some sites missing
+                present = [s for s in "abcde" if rng.random() < 0.7] or ["a"]
+            recs += [make_record(s, float(ord(s)), 0.0, day, obs=float(day))
+                     for s in present]
+        order = rng.permutation(len(recs))
+        return dm.Dataset([recs[i] for i in order])
+
+    def test_by_date_matches_scan(self, gappy):
+        for day in range(1, 31):
+            date = dt.date(2004, 1, day)
+            assert gappy.by_date(date) == [r for r in gappy.records if r.date == date]
+        assert gappy.by_date(dt.date(2004, 1, 7)) == []
+        assert gappy.by_date(dt.date(2003, 12, 31)) == []
+
+    def test_split_matches_scan(self, gappy):
+        for date in gappy.dates:
+            hist, current = dm.split_by_date(gappy, date)
+            assert hist.records == [r for r in gappy.records if r.date < date]
+            assert current == [r for r in gappy.records if r.date == date]
+
+    def test_split_absent_date(self, gappy):
+        for day in (6, 20, 30):
+            with pytest.raises(NotFound):
+                dm.split_by_date(gappy, dt.date(2004, 1, day))
+
+
 class TestQuantize:
     def test_below_one_hundredth_is_zero(self):
         assert dm.quantize(0.9) == 0.0

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,12 @@ from scipy import stats
 from precipfield import verification as vf
 from precipfield.errors import DomainError
 from precipfield.transforms import GammaMarginal, mixed_cdf
+
+
+def pair_matrix_crps(members, obs):
+    """The textbook O(m^2) ensemble CRPS, kept here as the oracle."""
+    x = np.asarray(members, dtype=float)
+    return float(np.abs(x - obs).mean() - 0.5 * np.abs(x[:, None] - x[None, :]).mean())
 
 
 class TestCrpsEnsemble:
@@ -52,6 +59,56 @@ class TestCrpsEnsemble:
             direct = vf.crps_ensemble(members, obs)
             numeric = vf.crps_numeric(vf.empirical_cdf(members), obs)
             assert abs(direct - numeric) < 1e-6
+
+    def test_matches_pair_matrix_oracle(self):
+        rng = np.random.default_rng(20070301)
+        worst = 0.0
+        for case in range(1200):
+            m = int(rng.integers(1, 401))
+            kind = case % 4
+            if kind == 0:  # continuous draws
+                members = rng.gamma(0.8, 12.0, size=m)
+            elif kind == 1:  # point mass at zero
+                members = rng.gamma(1.5, 8.0, size=m)
+                members[rng.random(m) < 0.5] = 0.0
+            elif kind == 2:  # repeated quantized values
+                members = rng.integers(0, 6, size=m).astype(float) * 10.0
+            else:  # all members equal
+                members = np.full(m, float(rng.integers(0, 3)))
+            if case % 3 == 0:
+                obs = 0.0
+            elif case % 3 == 1:  # outside the ensemble, above it
+                obs = float(members.max()) + rng.gamma(1.0, 20.0)
+            else:
+                obs = float(rng.gamma(1.5, 8.0))
+            fast = vf.crps_ensemble(members, obs)
+            slow = pair_matrix_crps(members, obs)
+            err = abs(fast - slow)
+            if abs(slow) >= 1e-6:
+                err /= abs(slow)
+            worst = max(worst, err)
+        assert worst < 1e-12
+
+    def test_permutation_invariant_exactly(self):
+        # The spread term reads only the sorted members, so it is order-free
+        # for any values; the mean absolute error sums in input order, which
+        # is exact for whole hundredths, the unit of observed climatology.
+        rng = np.random.default_rng(5)
+        for m in (2, 7, 64, 300, 2_000):
+            members = np.rint(rng.gamma(0.6, 40.0, size=m))
+            members[rng.random(m) < 0.5] = 0.0
+            for obs in (0.0, 3.0, members.max() + 7.0):
+                base = vf.crps_ensemble(members, obs)
+                for _ in range(10):
+                    assert vf.crps_ensemble(rng.permutation(members), obs) == base
+
+    def test_large_ensemble_is_fast(self):
+        # The pair-matrix form would need 20,000^2 doubles (3.2 GB) here.
+        members = np.random.default_rng(9).gamma(1.5, 8.0, size=20_000)
+        start = time.perf_counter()
+        score = vf.crps_ensemble(members, 4.0)
+        assert time.perf_counter() - start < 0.5
+        assert np.isfinite(score) and score > 0
 
 
 class TestCrpsNumeric:
