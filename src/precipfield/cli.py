@@ -29,7 +29,6 @@ from .errors import (
     DegenerateOccurrence,
     DomainError,
     InsufficientData,
-    NoData,
     NotFound,
     NoTrainingData,
     NumericalError,
@@ -46,11 +45,12 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+POSITIVE = click.IntRange(min=1)
+
 _DATA_ERRORS = (
     ParseError,
     ValidationError,
     NoTrainingData,
-    NoData,
     NotFound,
     InsufficientData,
     DegenerateOccurrence,
@@ -94,7 +94,11 @@ def _resolve(flag_value, config, key, default=None, cast=str):
     if flag_value is not None:
         return flag_value
     if config and key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except click.BadParameter as exc:
+            exc.param_hint = f"config key {key!r}"
+            raise
     return default
 
 
@@ -148,7 +152,7 @@ def synth(config_path, seed, outdir, n_sites, n_days, extent_km, wet_bias_offset
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--dataset", "dataset_path", type=str, default=None)
 @click.option("--date", "valid_date", type=str, default=None, help="Valid date (ISO).")
-@click.option("--window-days", "-M", type=int, default=None)
+@click.option("--window-days", "-M", type=POSITIVE, default=None)
 @click.option("--seed", type=int, default=None,
               help="Accepted and ignored: the fit is deterministic.")
 @click.option("--out", "out_path", type=str, default=None, help="Model file path.")
@@ -158,7 +162,7 @@ def fit(config_path, dataset_path, valid_date, window_days, seed, out_path):
     config = read_config(config_path) if config_path else {}
     dataset_path = _resolve(dataset_path, config, "dataset")
     valid_date = _resolve(valid_date, config, "date")
-    window_days = _resolve(window_days, config, "window_days", 30, int)
+    window_days = _resolve(window_days, config, "window_days", 30, POSITIVE)
     out_path = _resolve(out_path, config, "out")
     if None in (dataset_path, valid_date, out_path):
         _fail(EXIT_USAGE, "fit requires --dataset, --date and --out")
@@ -179,7 +183,7 @@ def fit(config_path, dataset_path, valid_date, window_days, seed, out_path):
 @click.option("--dataset", "dataset_path", type=str, default=None)
 @click.option("--date", "valid_date", type=str, default=None)
 @click.option("--mode", type=click.Choice(["site", "grid", "areal"]), default=None)
-@click.option("--members", type=int, default=None)
+@click.option("--members", type=POSITIVE, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", type=str, default=None)
 @click.option("--site-ids", type=str, default=None, help="Areal-mode site subset.")
@@ -226,7 +230,7 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
                 ny=grid_ny,
             )
             field = _read_grid_csv(grid_forecast, grid)
-            n = _resolve(members, config, "members", fc.DEFAULT_GRID_MEMBERS, int)
+            n = _resolve(members, config, "members", fc.DEFAULT_GRID_MEMBERS, POSITIVE)
             ens = fc.generate_grid_ensemble(model, grid, field, n, seed)
             os.makedirs(out_path, exist_ok=True)
             fc.write_grid_ensemble_csvs(ens, out_path)
@@ -246,12 +250,12 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
                 keep = [i for i, s in enumerate(sites) if s.id in wanted]
                 sites = [sites[i] for i in keep]
                 fcst = fcst[keep]
-            n = _resolve(members, config, "members", fc.DEFAULT_AREAL_MEMBERS, int)
+            n = _resolve(members, config, "members", fc.DEFAULT_AREAL_MEMBERS, POSITIVE)
             values = fc.areal_ensemble(model, sites, fcst, n, seed)
             fc.write_scalar_ensemble_csv(values, out_path)
             log.info("wrote %d areal members to %s", n, out_path)
         else:
-            n = _resolve(members, config, "members", fc.DEFAULT_MULTISITE_MEMBERS, int)
+            n = _resolve(members, config, "members", fc.DEFAULT_MULTISITE_MEMBERS, POSITIVE)
             ens = fc.generate_site_ensemble(model, sites, fcst, n, seed)
             fc.write_site_ensemble_csv(ens, out_path)
             log.info("wrote %d site members to %s", n, out_path)
@@ -296,9 +300,9 @@ def _read_grid_csv(path, grid):
 @main.command()
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--dataset", "dataset_path", type=str, default=None)
-@click.option("--window-days", "-M", type=int, default=None)
-@click.option("--members", type=int, default=None, help="Scoring ensemble size.")
-@click.option("--mst-members", type=int, default=None, help="Multi-site ensemble size.")
+@click.option("--window-days", "-M", type=POSITIVE, default=None)
+@click.option("--members", type=POSITIVE, default=None, help="Scoring ensemble size.")
+@click.option("--mst-members", type=POSITIVE, default=None, help="Multi-site ensemble size.")
 @click.option("--dates", "n_dates", type=int, default=None,
               help="Verify only the last N eligible dates.")
 @click.option("--seed", type=int, default=None)
@@ -312,10 +316,10 @@ def verify(config_path, dataset_path, window_days, members, mst_members,
     """
     config = read_config(config_path) if config_path else {}
     dataset_path = _resolve(dataset_path, config, "dataset")
-    window_days = _resolve(window_days, config, "window_days", 30, int)
-    members = _resolve(members, config, "members", 50, int)
+    window_days = _resolve(window_days, config, "window_days", 30, POSITIVE)
+    members = _resolve(members, config, "members", 50, POSITIVE)
     mst_members = _resolve(mst_members, config, "mst_members",
-                           fc.DEFAULT_MULTISITE_MEMBERS, int)
+                           fc.DEFAULT_MULTISITE_MEMBERS, POSITIVE)
     n_dates = _resolve(n_dates, config, "dates", cast=int)
     seed = _resolve(seed, config, "seed", cast=int)
     outdir = _resolve(outdir, config, "out")
@@ -379,7 +383,7 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
 
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed, spawn_key=(1000 + di,)))
-        clim = np.array([r.obs for r in history.records])
+        clim = history.obs
         clim_p0 = float((clim == 0).mean())
         clim_cdf = vf.empirical_cdf(clim)
 

@@ -1,5 +1,5 @@
-"""Dataset schema, CSV ingestion, descriptive statistics, and the
-synthetic-world generator used for validation.
+"""Columnar dataset, CSV ingestion and writing, and the synthetic-world
+generator used for validation.
 
 The CSV schema is ``site_id,x_km,y_km,date,obs_hundredths,fcst_hundredths``
 with ISO-8601 dates. Observations are quantized to whole hundredths of an
@@ -11,74 +11,110 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
-from operator import attrgetter
+import io
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fields as rf
 from . import transforms as tr
-from .errors import NoData, NotFound, ParseError, ValidationError
+from .errors import NotFound, ParseError, ValidationError
 
 CSV_HEADER = ["site_id", "x_km", "y_km", "date", "obs_hundredths", "fcst_hundredths"]
 
 
-@dataclass(frozen=True)
-class DailyRecord:
-    """One (site, date) observation/forecast pair."""
-
-    site_id: str
-    x: float
-    y: float
-    date: dt.date
-    obs: float
-    fcst: float
-
-    def __post_init__(self):
-        if self.obs < 0 or not np.isfinite(self.obs):
-            raise ValidationError(f"{self.site_id} {self.date}: obs must be >= 0")
-        if self.fcst < 0 or not np.isfinite(self.fcst):
-            raise ValidationError(f"{self.site_id} {self.date}: fcst must be >= 0")
-
-
-@dataclass
 class Dataset:
-    """Validated collection of daily records with a site registry."""
+    """Site-day pairs as numpy columns sorted by (date, site id).
 
-    records: list = field(default_factory=list)
+    ``sites`` and ``dates`` are the sorted distinct site ids and dates, and
+    the ``site`` and ``date`` columns index into them. The rows of
+    ``dates[i]`` are ``offsets[i]:offsets[i + 1]``. ``xy`` holds each row's
+    coordinates in km as an (n, 2) array; ``obs`` and ``fcst`` its
+    observation and forecast. Columns are read-only.
+    """
 
-    def __post_init__(self):
-        seen = set()
-        sites = {}
-        for rec in self.records:
-            key = (rec.site_id, rec.date)
-            if key in seen:
-                raise ValidationError(f"duplicate record for {key}")
-            seen.add(key)
-            xy = (rec.x, rec.y)
-            if sites.setdefault(rec.site_id, xy) != xy:
-                raise ValidationError(f"site {rec.site_id} has inconsistent coordinates")
-        self.sites = sites
-        self.dates = sorted({r.date for r in self.records})
-        self.records = sorted(self.records, key=lambda r: (r.date, r.site_id))
+    def __init__(self, site_id, x, y, date, obs, fcst):
+        """Validate and sort per-row columns: site ids, coordinates, dates,
+        observations and forecasts.
+
+        Raises :class:`ValidationError` naming the site and date of the first
+        offending row for a negative or non-finite value, non-finite or
+        inconsistent coordinates, and a duplicate (site, date).
+        """
+        site_id, date = list(site_id), list(date)
+        self.sites, site = _factorize(site_id)
+        self.dates, day = _factorize(date)
+        xy = np.column_stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
+        obs = np.asarray(obs, dtype=float)
+        fcst = np.asarray(fcst, dtype=float)
+
+        def reject(bad, message):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValidationError(message.format(site=site_id[i], date=date[i]))
+
+        reject(~(np.isfinite(obs) & (obs >= 0)), "{site} {date}: obs must be >= 0")
+        reject(~(np.isfinite(fcst) & (fcst >= 0)), "{site} {date}: fcst must be >= 0")
+        reject(~np.isfinite(xy).all(axis=1), "site {site} on {date}: coordinates must be finite")
+        first = np.unique(site, return_index=True)[1]
+        reject((xy != xy[first[site]]).any(axis=1),
+               "site {site} on {date}: coordinates differ from its first row")
+        key = day * len(self.sites) + site  # orders rows by date, then site
+        repeat = np.ones(len(key), dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
+        reject(repeat, "duplicate record for site {site} on {date}")
+
+        order = np.argsort(key)
+        counts = np.bincount(day, minlength=len(self.dates))
+        self._columns(np.concatenate([[0], np.cumsum(counts)]),
+                      site[order], day[order], xy[order], obs[order], fcst[order])
+
+    def _columns(self, offsets, site, date, xy, obs, fcst):
+        for name, col in (("offsets", offsets), ("site", site), ("date", date),
+                          ("xy", xy), ("obs", obs), ("fcst", fcst)):
+            col.flags.writeable = False
+            setattr(self, name, col)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.obs)
 
-    def _date_span(self, date):
-        """Index range [lo, hi) of the records on ``date``, by bisection of
-        the date-sorted records."""
-        lo = bisect.bisect_left(self.records, date, key=attrgetter("date"))
-        return lo, bisect.bisect_right(self.records, date, lo, key=attrgetter("date"))
+    def span(self, first, last):
+        """The rows of ``dates[first:last]``, as a view that is not validated
+        again; its ``site`` column indexes this dataset's ``sites``."""
+        view = Dataset.__new__(Dataset)
+        view.sites, view.dates = self.sites, self.dates[first:last]
+        lo, hi = self.offsets[first], self.offsets[last]
+        view._columns(self.offsets[first:last + 1] - lo, self.site[lo:hi],
+                      self.date[lo:hi] - first, self.xy[lo:hi], self.obs[lo:hi],
+                      self.fcst[lo:hi])
+        return view
 
-    def by_date(self, date):
-        lo, hi = self._date_span(date)
-        return self.records[lo:hi]
+
+def _factorize(labels):
+    """The sorted distinct labels, and each label's position among them."""
+    distinct = sorted(set(labels))
+    position = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(position.__getitem__, labels), np.intp, len(labels))
+
+
+def csv_field(text):
+    """``text`` quoted as ``csv.writer`` quotes a field inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def write_csv(path, header, columns):
+    """Write a header and equal-length columns of formatted fields as CSV
+    lines, the rows joined in one pass."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
 
 def load_dataset(path):
     """Load and validate a dataset CSV; row count is preserved."""
-    records = []
+    site_id, date, values = [], [], []
+    days = {}  # date string -> date, so each distinct string is parsed once
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -93,68 +129,45 @@ def load_dataset(path):
             if len(row) != len(CSV_HEADER):
                 raise ParseError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
             try:
-                rec = DailyRecord(
-                    site_id=row[0],
-                    x=float(row[1]),
-                    y=float(row[2]),
-                    date=dt.date.fromisoformat(row[3]),
-                    obs=float(row[4]),
-                    fcst=float(row[5]),
-                )
-            except ValidationError:
-                raise
+                values.append((float(row[1]), float(row[2]), float(row[4]), float(row[5])))
+                day = days.get(row[3]) or days.setdefault(row[3], dt.date.fromisoformat(row[3]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            records.append(rec)
-    return Dataset(records)
+            site_id.append(row[0])
+            date.append(day)
+    x, y, obs, fcst = np.reshape(values, (-1, 4)).T
+    return Dataset(site_id, x, y, date, obs, fcst)
 
 
 def save_dataset(ds, path):
     """Write a dataset in the canonical CSV schema (deterministic ordering)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec in ds.records:
-            writer.writerow(
-                [rec.site_id, repr(rec.x), repr(rec.y), rec.date.isoformat(),
-                 repr(rec.obs), repr(rec.fcst)]
-            )
+    ids = [csv_field(s) for s in ds.sites]
+    days = [d.isoformat() for d in ds.dates]
+    write_csv(path, CSV_HEADER, [
+        map(ids.__getitem__, ds.site.tolist()),
+        map(repr, ds.xy[:, 0].tolist()),
+        map(repr, ds.xy[:, 1].tolist()),
+        map(days.__getitem__, ds.date.tolist()),
+        map(repr, ds.obs.tolist()),
+        map(repr, ds.fcst.tolist()),
+    ])
 
 
 def day_arrays(ds, date):
     """The sites reporting on ``date`` with their aligned forecast and
     observation arrays; raises :class:`NotFound` when there are none."""
-    recs = ds.by_date(date)
-    if not recs:
-        raise NotFound(f"no records on {date}")
-    sites = [rf.Site(r.site_id, r.x, r.y) for r in recs]
-    return sites, np.array([r.fcst for r in recs]), np.array([r.obs for r in recs])
-
-
-def dataset_summary(ds):
-    """Forecast-vs-observation diagnostics: over-forecast fraction, mean
-    error (fcst - obs), nonzero-forecast fraction, nonzero-observation
-    fraction."""
-    if len(ds) == 0:
-        raise NoData("dataset is empty")
-    obs = np.array([r.obs for r in ds.records])
-    fcst = np.array([r.fcst for r in ds.records])
-    return {
-        "n_pairs": len(ds),
-        "over_forecast_fraction": float((fcst > obs).mean()),
-        "mean_error": float((fcst - obs).mean()),
-        "nonzero_forecast_fraction": float((fcst > 0).mean()),
-        "nonzero_observation_fraction": float((obs > 0).mean()),
-    }
+    _, day = split_by_date(ds, date)
+    sites = [rf.Site(ds.sites[k], x, y) for k, (x, y) in zip(day.site.tolist(), day.xy.tolist())]
+    return sites, day.fcst, day.obs
 
 
 def split_by_date(ds, valid_date):
-    """Split into (strict history, records on valid_date); exhaustive for
-    datasets whose dates do not extend past valid_date."""
-    lo, hi = ds._date_span(valid_date)
-    if lo == hi:
+    """Split into (strict history, rows on valid_date), two views; exhaustive
+    for datasets whose dates do not extend past valid_date."""
+    i = bisect.bisect_left(ds.dates, valid_date)
+    if i == len(ds.dates) or ds.dates[i] != valid_date:
         raise NotFound(f"date {valid_date} not present in dataset")
-    return Dataset(ds.records[:lo]), ds.records[lo:hi]
+    return ds.span(0, i), ds.span(i, i + 1)
 
 
 @dataclass
@@ -181,24 +194,12 @@ class SynthSpec:
     wet_bias_offset: float = 0.0
     sites: list = None  # explicit Site list overrides n_sites/extent_km
     seed: int = 0
-    clustered: bool = False
 
 
 def _synth_sites(spec, rng):
     if spec.sites is not None:
         return list(spec.sites)
-    if spec.clustered:
-        # Half the sites in a tight cluster, half spread out.
-        n_c = spec.n_sites // 2
-        center = rng.uniform(0.25, 0.75, size=2) * spec.extent_km
-        pts = np.vstack(
-            [
-                center + rng.normal(scale=0.05 * spec.extent_km, size=(n_c, 2)),
-                rng.uniform(0, spec.extent_km, size=(spec.n_sites - n_c, 2)),
-            ]
-        )
-    else:
-        pts = rng.uniform(0, spec.extent_km, size=(spec.n_sites, 2))
+    pts = rng.uniform(0, spec.extent_km, size=(spec.n_sites, 2))
     return [rf.Site(f"s{i:03d}", float(p[0]), float(p[1])) for i, p in enumerate(pts)]
 
 
@@ -230,12 +231,11 @@ def synth_generate(spec):
     threshold = 1.0 - spec.fcst_wet_fraction
 
     n = len(sites)
-    start = dt.date(2004, 1, 1)
-    records = []
+    dates = [dt.date(2004, 1, 1) + dt.timedelta(days=day) for day in range(spec.n_days)]
+    obs_days, fcst_days = [], []
     from scipy.special import ndtr
 
-    for day in range(spec.n_days):
-        date = start + dt.timedelta(days=day)
+    for _ in dates:
         # Forecast field: thresholded probit of a coherent unit field.
         g = chol_f @ rng.standard_normal(n)
         fcst_cr = spec.fcst_amp * np.maximum(0.0, ndtr(g) - threshold)
@@ -248,15 +248,15 @@ def synth_generate(spec):
         wet = w > 0
         alpha, beta = np.ones(n), np.ones(n)
         alpha[wet], beta[wet], _ = tr.gamma_marginals(coeffs, fcst_cr[wet], zero_flag[wet])
-        obs = quantize(tr.wet_amounts(w, z, alpha, beta))
+        obs_days.append(quantize(tr.wet_amounts(w, z, alpha, beta)))
         # Forecasts stay continuous (they come from a model grid, not gauges).
-        fcst_out = fcst + spec.wet_bias_offset
+        fcst_days.append(fcst + spec.wet_bias_offset)
 
-        for j, s in enumerate(sites):
-            records.append(
-                DailyRecord(s.id, s.x, s.y, date, float(obs[j]), float(fcst_out[j]))
-            )
-    return Dataset(records)
+    return Dataset([s.id for s in sites] * len(dates),
+                   np.tile([s.x for s in sites], len(dates)),
+                   np.tile([s.y for s in sites], len(dates)),
+                   [date for date in dates for _ in sites],
+                   np.ravel(obs_days), np.ravel(fcst_days))
 
 
 def truth_parameters(spec):

@@ -49,10 +49,6 @@ class NoTrainingData(PrecipError):
     """No history available before the requested valid date."""
 
 
-class NoData(PrecipError):
-    """Operation on an empty dataset."""
-
-
 class NotFound(PrecipError):
     """Requested key (e.g. a date) is absent."""
 

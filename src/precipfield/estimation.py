@@ -8,6 +8,7 @@ stage is a deterministic function of the window and the earlier stages.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from . import fields as rf
 from . import transforms as tr
 from .errors import (
     DegenerateOccurrence,
+    DomainError,
     InsufficientData,
     NonpositiveMean,
     NotFound,
@@ -124,19 +126,18 @@ class FittedModel:
 
 def make_window(dataset, valid_date, M):
     """The min(M, available) most recent dates strictly before valid_date."""
-    dates = [d for d in dataset.dates if d < valid_date]
-    if not dates:
+    if M < 1:
+        raise DomainError(f"window length must be at least 1 day, got {M}")
+    last = bisect.bisect_left(dataset.dates, valid_date)
+    if last == 0:
         raise NoTrainingData(f"no dates before {valid_date}")
-    chosen = dates[-M:]
+    first = max(last - M, 0)
     days = {}
-    for date in chosen:
-        recs = dataset.by_date(date)
-        days[date] = {
-            "xy": np.array([[r.x, r.y] for r in recs]),
-            "obs": np.array([r.obs for r in recs]),
-            "fcst": np.array([r.fcst for r in recs]),
-        }
-    return TrainingWindow(days=days, M=M, short=len(chosen) < M)
+    for i in range(first, last):
+        lo, hi = dataset.offsets[i], dataset.offsets[i + 1]
+        days[dataset.dates[i]] = {"xy": dataset.xy[lo:hi], "obs": dataset.obs[lo:hi],
+                                  "fcst": dataset.fcst[lo:hi]}
+    return TrainingWindow(days=days, M=M, short=last - first < M)
 
 
 def _probit_design(fcst_cr, zero_flag):

@@ -7,11 +7,12 @@ All of them draw members through one two-stage kernel, :func:`_draw_members`.
 
 from __future__ import annotations
 
-import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as dm
 from . import fields as rf
 from . import transforms as tr
 from .errors import DomainError
@@ -140,35 +141,31 @@ def areal_ensemble(model, sites, fcst_accum, n_members=DEFAULT_AREAL_MEMBERS, se
 
 def write_site_ensemble_csv(ens, path):
     """CSV rows ``member,site_id,value_hundredths_inch``, member-major."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["member", "site_id", "value_hundredths_inch"])
-        for i in range(ens.n_members):
-            for j, site in enumerate(ens.sites):
-                writer.writerow([i, site.id, repr(float(ens.members[i, j]))])
+    n, n_sites = ens.members.shape
+    ids = [dm.csv_field(site.id) for site in ens.sites]
+    dm.write_csv(path, ["member", "site_id", "value_hundredths_inch"], [
+        [str(i) for i in range(n) for _ in range(n_sites)],
+        ids * n,
+        map(repr, ens.members.ravel().tolist()),
+    ])
 
 
 def write_grid_ensemble_csvs(ens, outdir, prefix="member"):
     """One CSV per member with rows ``row,col,value_hundredths_inch``."""
-    import os
-
+    ny, nx = ens.grid.ny, ens.grid.nx
+    rows = [str(iy) for iy in range(ny) for _ in range(nx)]
+    cols = [str(ix) for ix in range(nx)] * ny
     paths = []
     for i in range(ens.n_members):
         path = os.path.join(outdir, f"{prefix}_{i:04d}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["row", "col", "value_hundredths_inch"])
-            for iy in range(ens.grid.ny):
-                for ix in range(ens.grid.nx):
-                    writer.writerow([iy, ix, repr(float(ens.members[i, iy, ix]))])
+        dm.write_csv(path, ["row", "col", "value_hundredths_inch"],
+                     [rows, cols, map(repr, ens.members[i].ravel().tolist())])
         paths.append(path)
     return paths
 
 
 def write_scalar_ensemble_csv(values, path):
     """CSV rows ``member,value_hundredths_inch`` for scalar ensembles."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["member", "value_hundredths_inch"])
-        for i, v in enumerate(np.asarray(values, dtype=float)):
-            writer.writerow([i, repr(float(v))])
+    values = np.asarray(values, dtype=float).ravel()
+    dm.write_csv(path, ["member", "value_hundredths_inch"],
+                 [map(str, range(values.size)), map(repr, values.tolist())])

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import dataset_from_rows, dataset_rows
 
 from precipfield import cli
 from precipfield import data as dm
@@ -140,6 +141,26 @@ class TestFit:
             "--out", str(tmp_path / "m.txt"),
         ])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_nonpositive_window_exits_2(self, synth_dir, tmp_path, runner, window):
+        # -M 0 used to train on all history and -M -2 to drop the oldest days.
+        out = tmp_path / "m.txt"
+        res = runner.invoke(cli.main, [
+            "fit", "--dataset", str(synth_dir / "dataset.csv"), "--date", "2004-01-16",
+            "-M", window, "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
+    def test_nonpositive_config_window_exits_2(self, synth_dir, tmp_path, runner):
+        out = tmp_path / "m.txt"
+        conf = tmp_path / "fit.conf"
+        conf.write_text(f"dataset = {synth_dir / 'dataset.csv'}\ndate = 2004-01-16\n"
+                        f"out = {out}\nwindow_days = 0\n")
+        res = runner.invoke(cli.main, ["fit", "--config", str(conf)])
+        assert res.exit_code == 2
+        assert "config key 'window_days'" in res.output
+        assert not out.exists()
 
 
 def full_grid_rows(ny, nx, value):
@@ -319,6 +340,23 @@ class TestForecast:
         assert res.exit_code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, args", [
+        ("site", []),
+        ("areal", ["--site-ids", "s000,s001"]),
+        ("grid", ["--grid-nx", "2", "--grid-ny", "2"]),
+    ])
+    def test_nonpositive_members_exits_2(self, fitted, tmp_path, runner, mode, args):
+        # --members 0 used to write a header-only or empty ensemble.
+        dataset, date, model = fitted
+        grid_csv = write_grid_csv(tmp_path / "grid.csv", full_grid_rows(2, 2, 8.0))
+        out = tmp_path / "ens"
+        res = runner.invoke(cli.main, [
+            "forecast", "--model", str(model), "--dataset", str(dataset),
+            "--date", date.isoformat(), "--grid-forecast", str(grid_csv),
+            "--mode", mode, *args, "--members", "0", "--seed", "1", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
     def test_missing_model_exits_2(self, tmp_path, runner):
         res = runner.invoke(cli.main, [
             "forecast", "--model", str(tmp_path / "nope.txt"), "--seed", "0",
@@ -347,6 +385,19 @@ class TestVerify:
             float(rows["nwp"]["crps"]), abs=1e-12
         )
 
+    @pytest.mark.parametrize("flag, value", [
+        ("-M", "0"), ("-M", "-2"), ("--members", "0"), ("--mst-members", "0"),
+    ])
+    def test_nonpositive_window_or_members_exits_2(self, synth_dir, tmp_path, runner,
+                                                    flag, value):
+        # -M 0 used to verify every date on all history, with exit 0.
+        out = tmp_path / "rep"
+        res = runner.invoke(cli.main, [
+            "verify", "--dataset", str(synth_dir / "dataset.csv"), flag, value,
+            "--dates", "1", "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
     def test_no_history_exits_3(self, tmp_path, runner):
         ds = dm.synth_generate(dm.SynthSpec(n_sites=4, n_days=1, seed=0))
         path = tmp_path / "one_day.csv"
@@ -361,10 +412,9 @@ class TestVerify:
     def test_skipped_date_warns_with_stage_and_error(self, tmp_path, runner, caplog):
         ds = dm.synth_generate(dm.SynthSpec(n_sites=4, n_days=2, seed=0))
         first = ds.dates[0]
-        dry = [dm.DailyRecord(r.site_id, r.x, r.y, r.date, 0.0, r.fcst)
-               if r.date == first else r for r in ds.records]
+        dry = [(*r[:4], 0.0, r[5]) if r[3] == first else r for r in dataset_rows(ds)]
         path = tmp_path / "dry_start.csv"
-        dm.save_dataset(dm.Dataset(dry), path)
+        dm.save_dataset(dataset_from_rows(dry), path)
         with caplog.at_level("WARNING", logger="precipfield"):
             res = runner.invoke(cli.main, [
                 "verify", "--dataset", str(path), "--seed", "0",

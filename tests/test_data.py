@@ -2,63 +2,92 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from conftest import csv_reference, dataset_from_rows, dataset_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from precipfield import data as dm
-from precipfield.errors import NoData, NotFound, ParseError, ValidationError
+from precipfield import estimation as est
+from precipfield.errors import NotFound, ParseError, ValidationError
 
 
-def make_record(site="a", x=0.0, y=0.0, day=1, obs=0.0, fcst=0.0):
-    return dm.DailyRecord(site, x, y, dt.date(2004, 1, day), obs, fcst)
+def make_row(site="a", x=0.0, y=0.0, day=1, obs=0.0, fcst=0.0):
+    return (site, x, y, dt.date(2004, 1, day), obs, fcst)
 
 
 class TestRecordValidation:
+    """Construction rejects a bad value and names its site and date."""
+
     def test_negative_obs_rejected(self):
-        with pytest.raises(ValidationError):
-            make_record(obs=-1.0)
+        with pytest.raises(ValidationError, match="^a 2004-01-01: obs"):
+            dataset_from_rows([make_row(obs=-1.0)])
 
     def test_negative_fcst_rejected(self):
-        with pytest.raises(ValidationError):
-            make_record(fcst=-0.5)
+        with pytest.raises(ValidationError, match="^b 2004-01-02: fcst"):
+            dataset_from_rows([make_row(), make_row(site="b", x=1.0, day=2, fcst=-0.5)])
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValidationError):
-            make_record(obs=np.nan)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="^a 2004-01-01: obs"):
+                dataset_from_rows([make_row(obs=bad)])
+
+    def test_first_bad_row_named(self):
+        rows = [make_row(site="c", x=2.0, day=3), make_row(site="b", x=1.0, day=2, obs=-1.0),
+                make_row(site="a", day=1, obs=-2.0)]
+        with pytest.raises(ValidationError, match="^b 2004-01-02"):
+            dataset_from_rows(rows)
+
+    def test_nonfinite_coordinates_rejected(self):
+        with pytest.raises(ValidationError, match="site a on 2004-01-01: coordinates"):
+            dataset_from_rows([make_row(y=np.nan)])
 
 
 class TestDataset:
     def test_duplicate_site_date_rejected(self):
-        with pytest.raises(ValidationError):
-            dm.Dataset([make_record(), make_record()])
+        rows = [make_row(day=2), make_row(site="b", x=1.0), make_row(day=2)]
+        with pytest.raises(ValidationError, match="site a on 2004-01-02"):
+            dataset_from_rows(rows)
 
     def test_inconsistent_coordinates_rejected(self):
-        with pytest.raises(ValidationError):
-            dm.Dataset([make_record(day=1, x=0.0), make_record(day=2, x=5.0)])
+        with pytest.raises(ValidationError, match="site a on 2004-01-02"):
+            dataset_from_rows([make_row(day=1, x=0.0), make_row(day=2, x=5.0)])
 
     def test_dates_sorted(self):
-        ds = dm.Dataset([make_record(day=3), make_record(day=1)])
+        ds = dataset_from_rows([make_row(day=3), make_row(day=1)])
         assert ds.dates == [dt.date(2004, 1, 1), dt.date(2004, 1, 3)]
 
     def test_by_date(self):
-        ds = dm.Dataset([make_record(day=1), make_record(site="b", x=1.0, day=1),
-                         make_record(day=2)])
-        assert len(ds.by_date(dt.date(2004, 1, 1))) == 2
+        ds = dataset_from_rows([make_row(day=1), make_row(site="b", x=1.0, day=1),
+                                make_row(day=2)])
+        assert ds.offsets.tolist() == [0, 2, 3]
+        assert len(dm.split_by_date(ds, dt.date(2004, 1, 1))[1]) == 2
+
+    def test_empty(self):
+        ds = dataset_from_rows([])
+        assert len(ds) == 0 and ds.dates == [] and ds.offsets.tolist() == [0]
+
+    def test_columns_read_only(self):
+        ds = dataset_from_rows([make_row(obs=3.0)])
+        _, current = dm.split_by_date(ds, dt.date(2004, 1, 1))
+        with pytest.raises(ValueError):
+            current.obs[0] = 0.0
 
 
 class TestLoadSave:
     def test_round_trip_bit_exact(self, tmp_path):
-        recs = [
-            make_record("a", 1.25, 2.5, 1, 0.0, 3.7),
-            make_record("b", 100.0, 0.125, 1, 12.0, 0.0),
-            make_record("a", 1.25, 2.5, 2, 7.0, 1.0000000001),
+        rows = [
+            make_row("a", 1.25, 2.5, 1, 0.0, 3.7),
+            make_row("b", 100.0, 0.125, 1, 12.0, 0.0),
+            make_row("a", 1.25, 2.5, 2, 7.0, 1.0000000001),
         ]
         path = tmp_path / "ds.csv"
-        dm.save_dataset(dm.Dataset(recs), path)
+        dm.save_dataset(dataset_from_rows(rows), path)
         loaded = dm.load_dataset(path)
-        assert loaded.records == sorted(recs, key=lambda r: (r.date, r.site_id))
+        assert dataset_rows(loaded) == sorted(rows, key=lambda r: (r[3], r[0]))
 
     def test_save_deterministic_bytes(self, tmp_path):
-        ds = dm.Dataset([make_record("b", 1.0, 2.0, 1, 3.0, 4.0), make_record("a")])
+        ds = dataset_from_rows([make_row("b", 1.0, 2.0, 1, 3.0, 4.0), make_row("a")])
         p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
         dm.save_dataset(ds, p1)
         dm.save_dataset(ds, p2)
@@ -74,7 +103,7 @@ class TestLoadSave:
         path.write_text(
             ",".join(dm.CSV_HEADER) + "\na,0,0,2004-01-01,-1,0\n"
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^a 2004-01-01: obs"):
             dm.load_dataset(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -85,6 +114,19 @@ class TestLoadSave:
         with pytest.raises(ParseError, match=":3"):
             dm.load_dataset(path)
 
+    @pytest.mark.parametrize("row, line", [
+        ("b,1,1,2004-01-01,1", ":4: expected 6 fields"),
+        ("b,1,x,2004-01-01,1,2", ":4: could not convert"),
+        ("b,1,1,2004-01-01,1,2e", ":4: could not convert"),
+        ("b,1,1,2004-02-30,1,2", ":4: day is out of range"),
+    ])
+    def test_parse_error_names_line(self, tmp_path, row, line):
+        path = tmp_path / "bad.csv"
+        # A blank line still counts: the bad row is line 4.
+        path.write_text(",".join(dm.CSV_HEADER) + "\na,0,0,2004-01-01,1,2\n\n" + row + "\n")
+        with pytest.raises(ParseError, match=line):
+            dm.load_dataset(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n")
@@ -92,48 +134,68 @@ class TestLoadSave:
             dm.load_dataset(path)
 
 
-class TestDatasetSummary:
-    def test_identical_pairs(self):
-        ds = dm.Dataset([make_record(obs=5.0, fcst=5.0),
-                         make_record(site="b", x=1.0, obs=5.0, fcst=5.0)])
-        s = dm.dataset_summary(ds)
-        assert s["over_forecast_fraction"] == 0.0
-        assert s["mean_error"] == 0.0
+SITE_IDS = st.one_of(
+    st.sampled_from(["a,b", 'q"uote', "né", "東京", " padded ", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"),
+            max_size=6),
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
-    def test_counting(self):
-        ds = dm.Dataset([make_record(obs=0.0, fcst=10.0),
-                         make_record(site="b", x=1.0, obs=0.0, fcst=0.0)])
-        s = dm.dataset_summary(ds)
-        assert s["over_forecast_fraction"] == 0.5
-        assert s["mean_error"] == 5.0
-        assert s["nonzero_forecast_fraction"] == 0.5
-        assert s["nonzero_observation_fraction"] == 0.0
 
-    def test_empty(self):
-        with pytest.raises(NoData):
-            dm.dataset_summary(dm.Dataset([]))
+@st.composite
+def datasets(draw):
+    """Rows of a valid dataset in random order: a few sites with fixed
+    coordinates, each reporting on a random subset of a few dates."""
+    coords = draw(st.dictionaries(SITE_IDS, st.tuples(FINITE, FINITE), min_size=1, max_size=4))
+    dates = [dt.date(2004, 1, 1) + dt.timedelta(days=d)
+             for d in draw(st.sets(st.integers(0, 400), min_size=1, max_size=4))]
+    keys = draw(st.lists(st.tuples(st.sampled_from(sorted(coords)), st.sampled_from(dates)),
+                         unique=True, max_size=12))
+    return [(site, *coords[site], date, draw(NONNEGATIVE), draw(NONNEGATIVE))
+            for site, date in keys]
+
+
+class TestColumnarRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=datasets())
+    def test_save_load_bit_exact(self, tmp_path_factory, rows):
+        ds = dataset_from_rows(rows)
+        path = tmp_path_factory.mktemp("rt") / "ds.csv"
+        dm.save_dataset(ds, path)
+        stored = sorted(rows, key=lambda r: (r[3], r[0]))
+        assert path.read_bytes() == csv_reference(
+            dm.CSV_HEADER, [(s, repr(x), repr(y), d.isoformat(), repr(o), repr(f))
+                            for s, x, y, d, o, f in stored])
+        loaded = dm.load_dataset(path)
+        assert loaded.sites == ds.sites and loaded.dates == ds.dates
+        for name in ("offsets", "site", "date"):
+            assert np.array_equal(getattr(loaded, name), getattr(ds, name))
+        for name in ("xy", "obs", "fcst"):
+            assert np.array_equal(getattr(loaded, name).view(np.uint64),
+                                  getattr(ds, name).view(np.uint64))
 
 
 class TestSplitByDate:
     def test_strict_history(self):
-        ds = dm.Dataset([make_record(day=d) for d in (1, 2, 3)])
+        ds = dataset_from_rows([make_row(day=d) for d in (1, 2, 3)])
         hist, current = dm.split_by_date(ds, dt.date(2004, 1, 2))
-        assert [r.date.day for r in hist.records] == [1]
-        assert [r.date.day for r in current] == [2]
+        assert [r[3].day for r in dataset_rows(hist)] == [1]
+        assert [r[3].day for r in dataset_rows(current)] == [2]
 
     def test_missing_date(self):
-        ds = dm.Dataset([make_record(day=1)])
+        ds = dataset_from_rows([make_row(day=1)])
         with pytest.raises(NotFound):
             dm.split_by_date(ds, dt.date(2004, 1, 9))
 
 
 class TestDateLookups:
-    """Bisection lookups agree with a plain scan of the sorted records."""
+    """Offset slices agree with a plain scan of the fixture's rows."""
 
     @pytest.fixture()
     def gappy(self):
         rng = np.random.default_rng(11)
-        recs = []
+        rows = []
         for day in range(1, 29):
             if day in (6, 7, 20):  # no records at all
                 continue
@@ -141,28 +203,57 @@ class TestDateLookups:
                 present = ["c"]
             else:  # some sites missing
                 present = [s for s in "abcde" if rng.random() < 0.7] or ["a"]
-            recs += [make_record(s, float(ord(s)), 0.0, day, obs=float(day))
-                     for s in present]
-        order = rng.permutation(len(recs))
-        return dm.Dataset([recs[i] for i in order])
+            rows += [make_row(s, float(ord(s)), 0.0, day, obs=float(day)) for s in present]
+        order = rng.permutation(len(rows))
+        return [rows[i] for i in order]
+
+    def scan(self, rows, keep):
+        return sorted((r for r in rows if keep(r[3])), key=lambda r: (r[3], r[0]))
 
     def test_by_date_matches_scan(self, gappy):
+        ds = dataset_from_rows(gappy)
         for day in range(1, 31):
             date = dt.date(2004, 1, day)
-            assert gappy.by_date(date) == [r for r in gappy.records if r.date == date]
-        assert gappy.by_date(dt.date(2004, 1, 7)) == []
-        assert gappy.by_date(dt.date(2003, 12, 31)) == []
+            expected = self.scan(gappy, lambda d: d == date)
+            if not expected:
+                with pytest.raises(NotFound):
+                    dm.day_arrays(ds, date)
+                continue
+            sites, fcst, obs = dm.day_arrays(ds, date)
+            assert [(s.id, s.x, s.y) for s in sites] == [r[:3] for r in expected]
+            assert fcst.tolist() == [r[5] for r in expected]
+            assert obs.tolist() == [r[4] for r in expected]
+        with pytest.raises(NotFound):
+            dm.day_arrays(ds, dt.date(2003, 12, 31))
 
     def test_split_matches_scan(self, gappy):
-        for date in gappy.dates:
-            hist, current = dm.split_by_date(gappy, date)
-            assert hist.records == [r for r in gappy.records if r.date < date]
-            assert current == [r for r in gappy.records if r.date == date]
+        ds = dataset_from_rows(gappy)
+        for date in ds.dates:
+            hist, current = dm.split_by_date(ds, date)
+            assert dataset_rows(hist) == self.scan(gappy, lambda d: d < date)
+            assert dataset_rows(current) == self.scan(gappy, lambda d: d == date)
+            assert len(hist) + len(current) == len(self.scan(gappy, lambda d: d <= date))
+
+    def test_window_matches_scan(self, gappy):
+        ds = dataset_from_rows(gappy)
+        for day in (1, 2, 8, 21, 31):
+            valid = dt.date(2004, 1, day)
+            dates = sorted({r[3] for r in gappy if r[3] < valid})
+            if not dates:
+                continue
+            window = est.make_window(ds, valid, 4)
+            assert list(window.days) == dates[-4:]
+            for date, arrays in window.days.items():
+                expected = self.scan(gappy, lambda d: d == date)
+                assert arrays["xy"].tolist() == [[r[1], r[2]] for r in expected]
+                assert arrays["obs"].tolist() == [r[4] for r in expected]
+                assert arrays["fcst"].tolist() == [r[5] for r in expected]
 
     def test_split_absent_date(self, gappy):
+        ds = dataset_from_rows(gappy)
         for day in (6, 20, 30):
             with pytest.raises(NotFound):
-                dm.split_by_date(gappy, dt.date(2004, 1, day))
+                dm.split_by_date(ds, dt.date(2004, 1, day))
 
 
 class TestQuantize:
@@ -183,29 +274,28 @@ class TestSynthGenerate:
         spec = dm.SynthSpec(n_sites=10, n_days=5, seed=3)
         a = dm.synth_generate(spec)
         b = dm.synth_generate(spec)
-        assert a.records == b.records
+        assert dataset_rows(a) == dataset_rows(b)
 
     def test_shape_and_invariants(self):
         spec = dm.SynthSpec(n_sites=12, n_days=7, seed=1)
         ds = dm.synth_generate(spec)
         assert len(ds) == 12 * 7
         assert len(ds.dates) == 7
-        for r in ds.records:
-            assert r.obs >= 0 and r.fcst >= 0
-            assert r.obs == int(r.obs)  # observations quantized
+        for r in dataset_rows(ds):
+            assert r[4] >= 0 and r[5] >= 0
+            assert r[4] == int(r[4])  # observations quantized
 
     def test_wet_bias_offset(self):
         spec = dm.SynthSpec(n_sites=40, n_days=250, seed=2, wet_bias_offset=30.0)
-        s = dm.dataset_summary(dm.synth_generate(spec))
-        assert s["over_forecast_fraction"] > 0.7
+        ds = dm.synth_generate(spec)
+        assert (ds.fcst > ds.obs).mean() > 0.7
 
     def test_occurrence_rate_matches_probit_oracle(self):
         # With the trend coefficients the wet probability at each site is
         # Phi(mu); the realized nonzero fraction must match its average.
         spec = dm.SynthSpec(n_sites=30, n_days=400, seed=5)
         ds = dm.synth_generate(spec)
-        obs = np.array([r.obs for r in ds.records])
-        fcst = np.array([r.fcst for r in ds.records])
+        obs, fcst = ds.obs, ds.fcst
         fcst_cr = np.cbrt(fcst)
         zero = fcst == 0.0
         mu = spec.gamma[0] + spec.gamma[1] * fcst_cr + spec.gamma[2] * zero

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dataset_from_rows
 from scipy import stats
 from scipy.special import ndtr
 
@@ -12,6 +13,7 @@ from precipfield import fields as rf
 from precipfield import transforms as tr
 from precipfield.errors import (
     DegenerateOccurrence,
+    DomainError,
     InsufficientData,
     NoTrainingData,
     PrecipError,
@@ -40,15 +42,13 @@ def pooled_window(obs, fcst):
 
 class TestMakeWindow:
     def _dataset(self, n_dates, n_sites=2):
-        recs = []
+        rows = []
         for d in range(n_dates):
             for s in range(n_sites):
-                recs.append(
-                    dm.DailyRecord(f"s{s}", float(s), 0.0,
-                                   dt.date(2004, 1, 1) + dt.timedelta(days=d),
-                                   float(d % 3), float(s))
-                )
-        return dm.Dataset(recs)
+                rows.append((f"s{s}", float(s), 0.0,
+                             dt.date(2004, 1, 1) + dt.timedelta(days=d),
+                             float(d % 3), float(s)))
+        return dataset_from_rows(rows)
 
     def test_most_recent_dates(self):
         ds = self._dataset(40)
@@ -69,6 +69,11 @@ class TestMakeWindow:
         ds = self._dataset(5)
         with pytest.raises(NoTrainingData):
             est.make_window(ds, dt.date(2003, 1, 1), 30)
+
+    @pytest.mark.parametrize("M", [0, -2])
+    def test_nonpositive_length_rejected(self, M):
+        with pytest.raises(DomainError):
+            est.make_window(self._dataset(5), dt.date(2004, 2, 1), M)
 
 
 class TestProbitTrend:
@@ -411,19 +416,23 @@ class TestWindowSweep:
 
     def test_skipped_cells_counted(self):
         # Valid date with only dry history: fit fails, cell is skipped.
-        recs = []
+        rows = []
         for d in range(12):
             for s in range(3):
-                recs.append(
-                    dm.DailyRecord(f"s{s}", float(s * 10), 0.0,
-                                   dt.date(2004, 1, 1) + dt.timedelta(days=d),
-                                   0.0, 2.0)
-                )
-        ds = dm.Dataset(recs)
+                rows.append((f"s{s}", float(s * 10), 0.0,
+                             dt.date(2004, 1, 1) + dt.timedelta(days=d), 0.0, 2.0))
+        ds = dataset_from_rows(rows)
         rows = est.window_sweep(ds, [dt.date(2004, 1, 12)], [10], 5, seed=0)
         assert rows[0]["n_skipped"] == 1
         assert rows[0]["n_cases"] == 0
         assert math.isnan(rows[0]["mean_crps"])
+
+    def test_nonpositive_length_skipped(self):
+        # make_window rejects M < 1, so no cell is scored on the wrong days.
+        ds = dm.synth_generate(dm.SynthSpec(n_sites=5, n_days=5, seed=0))
+        rows = est.window_sweep(ds, ds.dates[-2:], [0, -2], 5, seed=0)
+        assert [(r["n_cases"], r["n_skipped"]) for r in rows] == [(0, 2), (0, 2)]
+        assert all(math.isnan(r["mean_crps"]) for r in rows)
 
     def test_produces_scores(self):
         ds = dm.synth_generate(dm.SynthSpec(n_sites=15, n_days=20, seed=13))

@@ -2,6 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from conftest import csv_reference
 from scipy.special import ndtr
 
 from precipfield import data as dm
@@ -248,6 +249,33 @@ class TestEnsembleSerialization:
         lines = (tmp_path / "member_0000.csv").read_text().splitlines()
         assert lines[0] == "row,col,value_hundredths_inch"
         assert len(lines) == 17
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        model = toy_model()
+        sites = [rf.Site("plain", 0.0, 0.0), rf.Site('gauge "7", east', 30.0, 0.0),
+                 rf.Site("Zürich", 60.0, 0.0)]
+        ens = fc.generate_site_ensemble(model, sites, [8.0, 0.0, 3.0], 4, seed=5)
+        fc.write_site_ensemble_csv(ens, tmp_path / "site.csv")
+        assert (tmp_path / "site.csv").read_bytes() == csv_reference(
+            ["member", "site_id", "value_hundredths_inch"],
+            [[i, s.id, repr(float(ens.members[i, j]))]
+             for i in range(4) for j, s in enumerate(sites)])
+        assert b'"gauge ""7"", east"' in (tmp_path / "site.csv").read_bytes()
+
+        values = fc.areal_ensemble(model, sites, [8.0, 0.0, 3.0], 5, seed=6)
+        fc.write_scalar_ensemble_csv(values, tmp_path / "areal.csv")
+        assert (tmp_path / "areal.csv").read_bytes() == csv_reference(
+            ["member", "value_hundredths_inch"],
+            [[i, repr(float(v))] for i, v in enumerate(values)])
+
+        grid = rf.GridSpec(0.0, 0.0, 10.0, 3, 2)
+        ens = fc.generate_grid_ensemble(model, grid, np.arange(6.0).reshape(2, 3), 2, seed=7)
+        fc.write_grid_ensemble_csvs(ens, tmp_path)
+        for i in range(2):
+            assert (tmp_path / f"member_{i:04d}.csv").read_bytes() == csv_reference(
+                ["row", "col", "value_hundredths_inch"],
+                [[iy, ix, repr(float(ens.members[i, iy, ix]))]
+                 for iy in range(2) for ix in range(3)])
 
     def test_scalar_csv(self, tmp_path):
         path = tmp_path / "areal.csv"
