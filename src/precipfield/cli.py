@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import logging
 import os
 import sys
@@ -46,6 +45,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 POSITIVE = click.IntRange(min=1)
+SEED = click.IntRange(min=0)
+DATE = click.DateTime(formats=["%Y-%m-%d"])  # a datetime: callers take its .date()
 
 _DATA_ERRORS = (
     ParseError,
@@ -114,7 +115,7 @@ def main(verbose):
 
 @main.command()
 @click.option("--config", "config_path", type=str, default=None)
-@click.option("--seed", type=int, default=None, help="Master seed (required).")
+@click.option("--seed", type=SEED, default=None, help="Master seed (required).")
 @click.option("--out", "outdir", type=str, default=None, help="Output directory.")
 @click.option("--sites", "n_sites", type=int, default=None)
 @click.option("--days", "n_days", type=int, default=None)
@@ -123,7 +124,7 @@ def main(verbose):
 def synth(config_path, seed, outdir, n_sites, n_days, extent_km, wet_bias_offset):
     """Generate a synthetic dataset plus its truth-parameter file."""
     config = read_config(config_path) if config_path else {}
-    seed = _resolve(seed, config, "seed", cast=int)
+    seed = _resolve(seed, config, "seed", cast=SEED)
     outdir = _resolve(outdir, config, "out")
     if seed is None or outdir is None:
         _fail(EXIT_USAGE, "synth requires --seed and --out")
@@ -151,9 +152,9 @@ def synth(config_path, seed, outdir, n_sites, n_days, extent_km, wet_bias_offset
 @main.command()
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--dataset", "dataset_path", type=str, default=None)
-@click.option("--date", "valid_date", type=str, default=None, help="Valid date (ISO).")
+@click.option("--date", "valid_date", type=DATE, default=None, help="Valid date (ISO).")
 @click.option("--window-days", "-M", type=POSITIVE, default=None)
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=SEED, default=None,
               help="Accepted and ignored: the fit is deterministic.")
 @click.option("--out", "out_path", type=str, default=None, help="Model file path.")
 def fit(config_path, dataset_path, valid_date, window_days, seed, out_path):
@@ -161,14 +162,14 @@ def fit(config_path, dataset_path, valid_date, window_days, seed, out_path):
     del seed  # the fit draws no random numbers
     config = read_config(config_path) if config_path else {}
     dataset_path = _resolve(dataset_path, config, "dataset")
-    valid_date = _resolve(valid_date, config, "date")
+    valid_date = _resolve(valid_date, config, "date", cast=DATE)
     window_days = _resolve(window_days, config, "window_days", 30, POSITIVE)
     out_path = _resolve(out_path, config, "out")
     if None in (dataset_path, valid_date, out_path):
         _fail(EXIT_USAGE, "fit requires --dataset, --date and --out")
     try:
         ds = dm.load_dataset(dataset_path)
-        window = est.make_window(ds, dt.date.fromisoformat(valid_date), window_days)
+        window = est.make_window(ds, valid_date.date(), window_days)
         model = est.fit_model(window)
     except PrecipError as exc:
         _fail(_exit_for(exc), str(exc))
@@ -181,10 +182,10 @@ def fit(config_path, dataset_path, valid_date, window_days, seed, out_path):
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--model", "model_path", type=str, default=None)
 @click.option("--dataset", "dataset_path", type=str, default=None)
-@click.option("--date", "valid_date", type=str, default=None)
+@click.option("--date", "valid_date", type=DATE, default=None)
 @click.option("--mode", type=click.Choice(["site", "grid", "areal"]), default=None)
 @click.option("--members", type=POSITIVE, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--out", "out_path", type=str, default=None)
 @click.option("--site-ids", type=str, default=None, help="Areal-mode site subset.")
 @click.option("--grid-forecast", type=str, default=None,
@@ -201,9 +202,9 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
     config = read_config(config_path) if config_path else {}
     model_path = _resolve(model_path, config, "model")
     dataset_path = _resolve(dataset_path, config, "dataset")
-    valid_date = _resolve(valid_date, config, "date")
+    valid_date = _resolve(valid_date, config, "date", cast=DATE)
     mode = _resolve(mode, config, "mode", "site")
-    seed = _resolve(seed, config, "seed", cast=int)
+    seed = _resolve(seed, config, "seed", cast=SEED)
     out_path = _resolve(out_path, config, "out")
     site_ids = _resolve(site_ids, config, "site_ids")
     if None in (model_path, seed, out_path):
@@ -212,7 +213,7 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
     try:
         with open(model_path, encoding="utf-8") as fh:
             model = est.FittedModel.from_text(fh.read())
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, PrecipError) as exc:
         _fail(EXIT_USAGE, f"cannot read model file: {exc}")
 
     try:
@@ -239,8 +240,9 @@ def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
 
         if dataset_path is None or valid_date is None:
             _fail(EXIT_USAGE, f"{mode} mode requires --dataset and --date")
+        valid_date = valid_date.date()
         ds = dm.load_dataset(dataset_path)
-        sites, fcst, _ = dm.day_arrays(ds, dt.date.fromisoformat(valid_date))
+        sites, fcst, _ = dm.day_arrays(ds, valid_date)
         if mode == "areal":
             if site_ids:
                 wanted = set(site_ids.split(","))
@@ -303,9 +305,9 @@ def _read_grid_csv(path, grid):
 @click.option("--window-days", "-M", type=POSITIVE, default=None)
 @click.option("--members", type=POSITIVE, default=None, help="Scoring ensemble size.")
 @click.option("--mst-members", type=POSITIVE, default=None, help="Multi-site ensemble size.")
-@click.option("--dates", "n_dates", type=int, default=None,
+@click.option("--dates", "n_dates", type=POSITIVE, default=None,
               help="Verify only the last N eligible dates.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--out", "outdir", type=str, default=None)
 def verify(config_path, dataset_path, window_days, members, mst_members,
            n_dates, seed, outdir):
@@ -320,8 +322,8 @@ def verify(config_path, dataset_path, window_days, members, mst_members,
     members = _resolve(members, config, "members", 50, POSITIVE)
     mst_members = _resolve(mst_members, config, "mst_members",
                            fc.DEFAULT_MULTISITE_MEMBERS, POSITIVE)
-    n_dates = _resolve(n_dates, config, "dates", cast=int)
-    seed = _resolve(seed, config, "seed", cast=int)
+    n_dates = _resolve(n_dates, config, "dates", cast=POSITIVE)
+    seed = _resolve(seed, config, "seed", cast=SEED)
     outdir = _resolve(outdir, config, "out")
     if None in (dataset_path, seed, outdir):
         _fail(EXIT_USAGE, "verify requires --dataset, --seed and --out")
@@ -361,7 +363,7 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
             window = est.make_window(ds, valid_date, window_days)
             stage = "fit"
             model = est.fit_model(window)
-            est.warn_range_at_bound(model, valid_date, window_days)
+            est.warn_fit_diagnostics(model, valid_date, window_days)
             stage = "load"
             sites, fcst, obs = dm.day_arrays(ds, valid_date)
             stage = "forecast"
@@ -457,10 +459,10 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
 @click.option("--dataset", "dataset_path", type=str, default=None)
 @click.option("--window-days-list", "ms_text", type=str, default=None,
               help="Comma-separated window lengths (default 10,15,...,60).")
-@click.option("--dates", "n_dates", type=int, default=None,
+@click.option("--dates", "n_dates", type=POSITIVE, default=None,
               help="Score the last N eligible dates (default 10).")
 @click.option("--members", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--out", "out_path", type=str, default=None)
 def sweep(config_path, dataset_path, ms_text, n_dates, members, seed, out_path):
     """Mean CRPS as a function of the training-window length."""
@@ -468,9 +470,9 @@ def sweep(config_path, dataset_path, ms_text, n_dates, members, seed, out_path):
     dataset_path = _resolve(dataset_path, config, "dataset")
     ms_text = _resolve(ms_text, config, "window_days_list",
                        ",".join(str(m) for m in range(10, 61, 5)))
-    n_dates = _resolve(n_dates, config, "dates", 10, int)
+    n_dates = _resolve(n_dates, config, "dates", 10, POSITIVE)
     members = _resolve(members, config, "members", 50, int)
-    seed = _resolve(seed, config, "seed", cast=int)
+    seed = _resolve(seed, config, "seed", cast=SEED)
     out_path = _resolve(out_path, config, "out")
     if None in (dataset_path, seed, out_path):
         _fail(EXIT_USAGE, "sweep requires --dataset, --seed and --out")

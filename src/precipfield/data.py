@@ -98,10 +98,12 @@ def _factorize(labels):
 
 
 def csv_field(text):
-    """``text`` quoted as ``csv.writer`` quotes a field inside a row."""
+    """``text`` quoted as ``csv.writer`` quotes a field inside a row. The
+    writer's line terminator is "\r\n" so that a field holding a carriage
+    return is quoted too and reads back whole; lines still end in "\n"."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]
 
 
 def write_csv(path, header, columns):

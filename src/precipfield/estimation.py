@@ -3,7 +3,8 @@
 Stages, in order: probit occurrence trend, pairwise composite likelihood for
 the occurrence range, OLS for the Gamma mean, constrained ML for the Gamma
 variance, and a profile marginal likelihood for the amount range. Every
-stage is a deterministic function of the window and the earlier stages.
+stage is a deterministic function of the window and the earlier stages; all
+but the Gamma mean also return a dict of deterministic fit diagnostics.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     NonpositiveMean,
     NotFound,
     NoTrainingData,
+    NumericalError,
     PrecipError,
     RangeUnidentifiable,
     SeparationDetected,
@@ -35,7 +37,7 @@ RANGE_SEARCH_KM = (1.0, 2000.0)
 # Occurrence-range pairs: about three ranges at the 35 km synthetic truth,
 # where the correlation is below 0.05 and a pair carries little information.
 PAIR_CUTOFF_KM = 100.0
-_GOLDEN_TOL = 1e-3
+_RANGE_XTOL = 1e-3  # in log km
 _MIN_NU0 = 1e-6
 
 log = logging.getLogger("precipfield")
@@ -156,6 +158,7 @@ def fit_probit_trend(window):
     """Maximum-likelihood probit for occurrence on (1, fcst^1/3, zero flag).
 
     Fisher scoring with step halving; convergence at score norm 1e-8.
+    Returns the coefficients and ``{"probit_iterations": scoring steps}``.
     """
     obs, _, fcst_cr, zero_flag = window.pooled()
     wet = (obs > 0).astype(float)
@@ -196,31 +199,13 @@ def fit_probit_trend(window):
         if np.linalg.norm(beta) > 1e3:
             raise SeparationDetected("probit coefficients diverge")
     gamma2 = 0.0 if dropped else float(beta[2])
-    return tr.OccurrenceTrendParams(float(beta[0]), float(beta[1]), gamma2)
+    return (tr.OccurrenceTrendParams(float(beta[0]), float(beta[1]), gamma2),
+            {"probit_iterations": iteration})
 
 
 def _probit_loglik(beta, design, wet):
     eta = design @ beta
     return float(np.sum(wet * special.log_ndtr(eta) + (1 - wet) * special.log_ndtr(-eta)))
-
-
-def golden_section_max(objective, lo, hi, tol=_GOLDEN_TOL):
-    """Golden-section maximization on [lo, hi]; deterministic."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    return (a + b) / 2.0
 
 
 def _profile_range_objective(dev_by_group):
@@ -297,9 +282,9 @@ def fit_occurrence_range(window, trend):
     Each same-day pair of sites closer than PAIR_CUTOFF_KM contributes the
     probability of its observed wet (s = +1) and dry (s = -1) signs,
     Phi2(s_i mu_i, s_j mu_j; s_i s_j rho(d_ij)) with mu the probit trend
-    (Heagerty & Lele 1998). Golden-section search over the log range
-    maximizes the summed log probability.
-    """
+    (Heagerty & Lele 1998). Bounded Brent search over the log range
+    maximizes the summed log probability. Returns the range in km and
+    ``{"occurrence_pairs": n, "rho_evals": n}``."""
     if all(len(day["obs"]) < 2 for day in window.days.values()):
         raise RangeUnidentifiable("no day has two or more sites")
     first, second, dist = _close_pairs(window)
@@ -317,22 +302,28 @@ def fit_occurrence_range(window, trend):
         r = sign_product * np.exp(-dist / math.exp(log_range))
         return float(np.sum(np.log(np.maximum(bivariate_normal_cdf(h, k, r), tiny))))
 
-    return _maximize_range(objective)
+    rho, evals = _maximize_range(objective)
+    return rho, {"occurrence_pairs": int(dist.size), "rho_evals": evals}
 
 
 def _maximize_range(objective):
-    """Golden-section maximum of ``objective(log range)`` over RANGE_SEARCH_KM, in km."""
-    lo, hi = (math.log(b) for b in RANGE_SEARCH_KM)
-    return math.exp(golden_section_max(objective, lo, hi))
+    """Bounded Brent (Brent 1973) maximum of ``objective(log range)`` over
+    RANGE_SEARCH_KM to _RANGE_XTOL: the range in km and the evaluation count
+    (about a dozen; the 500 of scipy's cap would show a search that ran out)."""
+    res = optimize.minimize_scalar(lambda x: -objective(x), method="bounded",
+                                   bounds=[math.log(b) for b in RANGE_SEARCH_KM],
+                                   options={"xatol": _RANGE_XTOL})
+    if not math.isfinite(res.fun):
+        raise NumericalError(f"range likelihood is {-res.fun} at its optimum")
+    return math.exp(res.x), int(res.nfev)
 
 
 def _at_bound(range_km):
-    """Whether a fitted range lies within the golden-section tolerance of
-    either end of RANGE_SEARCH_KM, where a flat or monotone likelihood
-    leaves it."""
+    """Whether a fitted range lies within the search tolerance of either end
+    of RANGE_SEARCH_KM, where a flat or monotone likelihood leaves it."""
     lo, hi = (math.log(b) for b in RANGE_SEARCH_KM)
     x = math.log(range_km)
-    return x - lo <= _GOLDEN_TOL or hi - x <= _GOLDEN_TOL
+    return x - lo <= _RANGE_XTOL or hi - x <= _RANGE_XTOL
 
 
 def fit_gamma_mean(window):
@@ -356,29 +347,27 @@ def fit_gamma_mean(window):
 
 def _gamma_loglik(nu0, nu1, y, means, fcst_acc):
     """Independence log likelihood of wet cube-root amounts under the
-    moment-parameterized Gamma."""
+    moment-parameterized Gamma, and its gradient in (nu0, nu1). With variance
+    v = nu0 + nu1 * fcst, shape a = m^2 / v and scale b = v / m, each record
+    adds dl/dv = (a / v)(digamma(a) + log b - log y - 1) + y m / v^2."""
     var = nu0 + nu1 * fcst_acc
-    if np.any(var <= 0):
-        return -np.inf
     alpha = means ** 2 / var
-    beta = var / means
-    return float(
-        np.sum(
-            -special.gammaln(alpha)
-            - alpha * np.log(beta)
-            + (alpha - 1.0) * np.log(y)
-            - y / beta
-        )
-    )
+    log_beta = np.log(var / means)
+    log_y = np.log(y)
+    loglik = np.sum(-special.gammaln(alpha) - alpha * log_beta
+                    + (alpha - 1.0) * log_y - y * means / var)
+    dvar = alpha / var * (special.digamma(alpha) + log_beta - log_y - 1.0) + y * means / var ** 2
+    return float(loglik), np.array([dvar.sum(), dvar @ fcst_acc])
 
 
 def fit_gamma_variance(window, eta):
     """Constrained ML for the Gamma variance coefficients.
 
-    Maximizes the wet-record independence likelihood over nu0 > 0, nu1 >= 0
-    (projected Nelder-Mead with restarts); returns nu1 = 0 exactly when the
-    optimum sits on the boundary. Wet records with nonpositive implied mean
-    are excluded and counted in the second return value.
+    Maximizes the wet-record independence likelihood over nu0 >= _MIN_NU0,
+    nu1 >= 0 by one L-BFGS-B search (Byrd et al. 1995) over (log nu0, nu1)
+    from (residual variance, 0); nu1 = 0 exactly on that bound. Wet records
+    with nonpositive implied mean are excluded. Returns (nu0, nu1) and the
+    diagnostics variance_records_dropped, variance_evals, variance_converged.
     """
     obs, fcst, fcst_cr, zero_flag = window.pooled()
     wet = obs > 0
@@ -396,24 +385,16 @@ def fit_gamma_variance(window, eta):
 
     def neg(params):
         nu0 = math.exp(params[0])
-        nu1 = max(params[1], 0.0)
-        return -_gamma_loglik(nu0, nu1, y, means, fcst_acc)
+        loglik, grad = _gamma_loglik(nu0, params[1], y, means, fcst_acc)
+        return -loglik, -grad * (nu0, 1.0)
 
-    best = None
-    for start in (
-        (math.log(resid_var), 0.0),
-        (math.log(resid_var * 0.3), resid_var / max(fcst_acc.mean(), 1e-6)),
-        (math.log(resid_var * 3.0), 0.01),
-    ):
-        res = optimize.minimize(neg, start, method="Nelder-Mead",
-                                options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000})
-        if best is None or res.fun < best.fun:
-            best = res
-    nu0 = max(math.exp(best.x[0]), _MIN_NU0)
-    nu1 = max(float(best.x[1]), 0.0)
-    if best.x[1] <= 0.0:
-        nu1 = 0.0
-    return (float(nu0), nu1), n_dropped
+    res = optimize.minimize(neg, (math.log(resid_var), 0.0), jac=True, method="L-BFGS-B",
+                            bounds=[(math.log(_MIN_NU0), None), (0.0, None)])
+    if not (np.isfinite(res.fun) and np.all(np.isfinite(res.x))):
+        raise NumericalError(f"variance likelihood is {-res.fun} at {res.x}")
+    nu = (max(math.exp(res.x[0]), _MIN_NU0), float(res.x[1]))
+    return nu, {"variance_records_dropped": n_dropped, "variance_evals": int(res.nfev),
+                "variance_converged": bool(res.success)}
 
 
 def fit_amount_range(window, eta, nu):
@@ -422,8 +403,8 @@ def fit_amount_range(window, eta, nu):
     Transforms wet cube-root amounts to Gaussian scores through the
     site-specific anamorphosis and maximizes the summed zero-mean MVN log
     density over the range. The Jacobian factors of the transformed-data
-    likelihood do not depend on the range and are omitted.
-    """
+    likelihood do not depend on the range and are omitted. Returns the
+    range in km and ``{"r_evals": n}``."""
     coeffs = tr.GammaCoeffs(*eta, *nu)
     groups = {}  # days with the same wet-site geometry share each Cholesky
     for day in window.days.values():
@@ -440,7 +421,8 @@ def fit_amount_range(window, eta, nu):
     if not groups:
         raise RangeUnidentifiable("no day has two or more wet sites")
     dev_by_group = [(xy, np.array(devs)) for xy, devs in groups.values()]
-    return _maximize_range(_profile_range_objective(dev_by_group))
+    r_hat, evals = _maximize_range(_profile_range_objective(dev_by_group))
+    return r_hat, {"r_evals": evals}
 
 
 def _stage(name, fit, *args):
@@ -453,18 +435,13 @@ def _stage(name, fit, *args):
 
 def fit_model(window):
     """Run the full staged fit; atomic (raises on any stage failure)."""
-    trend = _stage("probit", fit_probit_trend, window)
-    rho = _stage("occurrence_range", fit_occurrence_range, window, trend)
+    trend, probit_diag = _stage("probit", fit_probit_trend, window)
+    rho, rho_diag = _stage("occurrence_range", fit_occurrence_range, window, trend)
     eta = _stage("gamma_mean", fit_gamma_mean, window)
-    nu, n_dropped = _stage("gamma_variance", fit_gamma_variance, window, eta)
-    r_hat = _stage("amount_range", fit_amount_range, window, eta, nu)
-    diagnostics = {
-        "probit_converged": True,
-        "occurrence_pairs": int(_close_pairs(window)[2].size),
-        "variance_records_dropped": n_dropped,
-        "rho_at_bound": _at_bound(rho),
-        "r_at_bound": _at_bound(r_hat),
-    }
+    nu, nu_diag = _stage("gamma_variance", fit_gamma_variance, window, eta)
+    r_hat, r_diag = _stage("amount_range", fit_amount_range, window, eta, nu)
+    diagnostics = {**probit_diag, **rho_diag, **nu_diag, **r_diag,
+                   "rho_at_bound": _at_bound(rho), "r_at_bound": _at_bound(r_hat)}
 
     # Smallest positive implied training mean: the forecast-time fallback
     # when a site's implied mean goes nonpositive.
@@ -484,16 +461,22 @@ def fit_model(window):
     )
 
 
-def warn_range_at_bound(model, valid_date, M):
-    """Log one WARNING when a range fitted for ``valid_date`` with window
-    length ``M`` stopped at an end of ``RANGE_SEARCH_KM``."""
+def warn_fit_diagnostics(model, valid_date, M):
+    """Log a WARNING when a range fitted for ``valid_date`` with window
+    length ``M`` stopped at an end of ``RANGE_SEARCH_KM``, and one when its
+    variance search did not converge."""
+    diag = model.diagnostics
     hits = [f"{name} = {corr.range_km!r}"
             for name, corr, flag in (("rho_km", model.rho, "rho_at_bound"),
                                      ("r_km", model.r, "r_at_bound"))
-            if model.diagnostics.get(flag)]
+            if diag.get(flag)]
     if hits:
         log.warning("%s M=%d: %s at the search bound %s km; scoring it anyway",
                     valid_date, M, ", ".join(hits), RANGE_SEARCH_KM)
+    if not diag.get("variance_converged", True):
+        log.warning("%s M=%d: the Gamma variance search stopped unconverged after %d "
+                    "evaluations at nu0 = %r, nu1 = %r; scoring it anyway", valid_date, M,
+                    diag["variance_evals"], model.amount.nu0, model.amount.nu1)
 
 
 def window_sweep(dataset, valid_dates, Ms, n_members, seed):
@@ -518,7 +501,7 @@ def window_sweep(dataset, valid_dates, Ms, n_members, seed):
             except PrecipError:
                 n_skipped += 1
                 continue
-            warn_range_at_bound(model, valid_date, M)
+            warn_fit_diagnostics(model, valid_date, M)
             try:
                 sites, fcst, obs = dm.day_arrays(dataset, valid_date)
             except NotFound:

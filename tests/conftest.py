@@ -33,10 +33,13 @@ def dataset_rows(ds):
 
 
 def csv_reference(header, rows):
-    """What ``csv.writer`` writes for ``rows``, as bytes: the reference the
-    bulk CSV writers must match byte for byte."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+    """What ``csv.writer`` writes for ``rows``, one row at a time, as bytes:
+    the reference the bulk CSV writers must match byte for byte. Each row is
+    written with a "\r\n" terminator, which also quotes a field holding a
+    carriage return, and ends in "\n"."""
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")

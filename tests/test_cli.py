@@ -162,6 +162,36 @@ class TestFit:
         assert "config key 'window_days'" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_bad_date_exits_2(self, synth_dir, tmp_path, runner, where):
+        # Used to end in a ValueError traceback.
+        out = tmp_path / "m.txt"
+        conf = tmp_path / "fit.conf"
+        conf.write_text("date = 2004-13-45\n")
+        args = ["--date", "2004-13-45"] if where == "flag" else ["--config", str(conf)]
+        res = runner.invoke(cli.main, [
+            "fit", "--dataset", str(synth_dir / "dataset.csv"), *args, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "'2004-13-45' does not match the format" in res.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "forecast", "verify", "sweep"])
+def test_negative_seed_exits_2(synth_dir, tmp_path, runner, command):
+    # Used to end in a ValueError traceback from SeedSequence.
+    dataset = str(synth_dir / "dataset.csv")
+    args = {
+        "synth": ["--out", str(tmp_path)],
+        "fit": ["--dataset", dataset, "--date", "2004-01-16", "--out", str(tmp_path / "m")],
+        "forecast": ["--model", str(tmp_path / "m"), "--dataset", dataset,
+                     "--date", "2004-01-16", "--out", str(tmp_path / "e.csv")],
+        "verify": ["--dataset", dataset, "--out", str(tmp_path / "rep")],
+        "sweep": ["--dataset", dataset, "--out", str(tmp_path / "s.csv")],
+    }[command]
+    res = runner.invoke(cli.main, [command, *args, "--seed", "-1"])
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+
 
 def full_grid_rows(ny, nx, value):
     return [[iy, ix, value] for iy in range(ny) for ix in range(nx)]
@@ -364,6 +394,19 @@ class TestForecast:
         ])
         assert res.exit_code == 2
 
+    def test_invalid_model_parameter_exits_2(self, fitted, tmp_path, runner):
+        # A model file with a negative range used to end in a DomainError traceback.
+        dataset, date, model = fitted
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text("".join(f"rho_km = -5\n" if line.startswith("rho_km") else line
+                               for line in model.read_text().splitlines(keepends=True)))
+        out = tmp_path / "e.csv"
+        res = runner.invoke(cli.main, [
+            "forecast", "--model", str(bad), "--dataset", str(dataset),
+            "--date", date.isoformat(), "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
 
 class TestVerify:
     def test_report_files_and_point_forecast_identity(self, synth_dir,
@@ -395,6 +438,20 @@ class TestVerify:
         res = runner.invoke(cli.main, [
             "verify", "--dataset", str(synth_dir / "dataset.csv"), flag, value,
             "--dates", "1", "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--dates", "0"], ["--dates", "-2"], ["config"]])
+    def test_nonpositive_dates_exits_2(self, synth_dir, tmp_path, runner, args):
+        # --dates 0 and --dates -2 used to verify every date but one, with exit 0.
+        out = tmp_path / "rep"
+        if args == ["config"]:
+            conf = tmp_path / "verify.conf"
+            conf.write_text("dates = 0\n")
+            args = ["--config", str(conf)]
+        res = runner.invoke(cli.main, [
+            "verify", "--dataset", str(synth_dir / "dataset.csv"), "-M", "5", *args,
+            "--seed", "0", "--out", str(out)])
         assert res.exit_code == 2
         assert not out.exists()
 
@@ -477,6 +534,15 @@ class TestSweep:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("dates", ["0", "-2"])
+    def test_nonpositive_dates_exits_2(self, synth_dir, tmp_path, runner, dates):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(cli.main, [
+            "sweep", "--dataset", str(synth_dir / "dataset.csv"), "--window-days-list", "5",
+            "--dates", dates, "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
 
     def test_insufficient_history_exits_3(self, synth_dir, tmp_path, runner):
         res = runner.invoke(cli.main, [

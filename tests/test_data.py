@@ -135,8 +135,8 @@ class TestLoadSave:
 
 
 SITE_IDS = st.one_of(
-    st.sampled_from(["a,b", 'q"uote', "né", "東京", " padded ", ""]),
-    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"),
+    st.sampled_from(["a,b", 'q"uote', "né", "東京", " padded ", "", "a\rb", "\r\n"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
             max_size=6),
 )
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

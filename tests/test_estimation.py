@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from conftest import dataset_from_rows
-from scipy import stats
+from scipy import optimize, stats
 from scipy.special import ndtr
 
 from precipfield import data as dm
@@ -83,7 +83,7 @@ class TestProbitTrend:
         fcst = rng.gamma(2.0, 5.0, size=n)
         fcst[rng.random(n) < 0.4] = 0.0
         obs = (rng.random(n) < 0.5).astype(float)  # independent of fcst
-        params = est.fit_probit_trend(pooled_window(obs, fcst))
+        params, _ = est.fit_probit_trend(pooled_window(obs, fcst))
         assert abs(params.gamma0) < 0.05
         assert abs(params.gamma1) < 0.05
         assert abs(params.gamma2) < 0.05
@@ -97,7 +97,7 @@ class TestProbitTrend:
         mu = 0.2 + 0.8 * fcst_cr - 0.5 * zero
         wet = rng.standard_normal(n) + mu > 0
         obs = np.where(wet, 1.0, 0.0)
-        params = est.fit_probit_trend(pooled_window(obs, fcst_cr ** 3))
+        params, _ = est.fit_probit_trend(pooled_window(obs, fcst_cr ** 3))
         assert params.gamma0 == pytest.approx(0.2, abs=0.07)
         assert params.gamma1 == pytest.approx(0.8, abs=0.07)
         assert params.gamma2 == pytest.approx(-0.5, abs=0.07)
@@ -113,18 +113,8 @@ class TestProbitTrend:
         n = 2000
         fcst_cr = rng.gamma(2.0, 1.0, size=n) + 0.1
         wet = rng.standard_normal(n) + 0.5 * fcst_cr - 0.3 > 0
-        params = est.fit_probit_trend(pooled_window(wet.astype(float), fcst_cr ** 3))
+        params, _ = est.fit_probit_trend(pooled_window(wet.astype(float), fcst_cr ** 3))
         assert params.gamma2 == 0.0
-
-
-class TestGoldenSection:
-    def test_quadratic_maximum(self):
-        opt = est.golden_section_max(lambda x: -(x - 2.3) ** 2, 0.0, 10.0, tol=1e-6)
-        assert opt == pytest.approx(2.3, abs=1e-5)
-
-    def test_boundary_maximum(self):
-        opt = est.golden_section_max(lambda x: x, 0.0, 1.0, tol=1e-6)
-        assert opt == pytest.approx(1.0, abs=1e-3)
 
 
 class TestBivariateNormalCdf:
@@ -190,7 +180,7 @@ class TestOccurrenceRange:
         days = [(xy, (rng.random(4) < 0.5).astype(float), rng.gamma(2.0, 5.0, 4))
                 for _ in range(20)]
         trend = tr.OccurrenceTrendParams(0.0, 0.1, 0.0)
-        rho = est.fit_occurrence_range(window_from_days(days), trend)
+        rho, _ = est.fit_occurrence_range(window_from_days(days), trend)
         assert est.RANGE_SEARCH_KM[0] <= rho <= est.RANGE_SEARCH_KM[1]
 
     def test_recovers_generating_range(self):
@@ -198,7 +188,7 @@ class TestOccurrenceRange:
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 30)
         trend = tr.OccurrenceTrendParams(*spec.gamma)
-        rho = est.fit_occurrence_range(w, trend)
+        rho, _ = est.fit_occurrence_range(w, trend)
         assert abs(rho - 60.0) / 60.0 < 0.30
 
     def test_shuffled_pattern_shrinks_range(self):
@@ -206,12 +196,12 @@ class TestOccurrenceRange:
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 25)
         trend = tr.OccurrenceTrendParams(*spec.gamma)
-        rho = est.fit_occurrence_range(w, trend)
+        rho, _ = est.fit_occurrence_range(w, trend)
         rng = np.random.default_rng(0)
         shuffled = window_from_days(
             [(d["xy"], rng.permutation(d["obs"]), d["fcst"]) for d in w.days.values()]
         )
-        rho_shuf = est.fit_occurrence_range(shuffled, trend)
+        rho_shuf, _ = est.fit_occurrence_range(shuffled, trend)
         assert rho_shuf < rho
 
 
@@ -252,6 +242,50 @@ class TestGammaMean:
                                              np.ones(4)))
 
 
+def variance_data(window, eta):
+    """The wet cube-root amounts, implied means and forecasts that
+    fit_gamma_variance fits, records with a nonpositive mean left out."""
+    obs, fcst, fcst_cr, zero_flag = window.pooled()
+    wet = obs > 0
+    y = np.cbrt(obs[wet])
+    means = tr.gamma_mean(eta, fcst_cr[wet], zero_flag[wet])
+    usable = means > 0
+    return y[usable], means[usable], fcst[wet][usable]
+
+
+def nelder_mead_variance(y, means, fcst_acc):
+    """Three-restart projected Nelder-Mead over (log nu0, nu1): the search
+    fit_gamma_variance ran before L-BFGS-B, kept as the reference it must
+    match or beat."""
+    resid_var = max(float(np.var(y - means)), est._MIN_NU0 * 10)
+
+    def neg(params):
+        return -est._gamma_loglik(math.exp(params[0]), max(params[1], 0.0),
+                                  y, means, fcst_acc)[0]
+
+    best = None
+    for start in (
+        (math.log(resid_var), 0.0),
+        (math.log(resid_var * 0.3), resid_var / max(fcst_acc.mean(), 1e-6)),
+        (math.log(resid_var * 3.0), 0.01),
+    ):
+        res = optimize.minimize(neg, start, method="Nelder-Mead",
+                                options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000})
+        if best is None or res.fun < best.fun:
+            best = res
+    return max(math.exp(best.x[0]), est._MIN_NU0), max(float(best.x[1]), 0.0)
+
+
+def decreasing_variance_window(seed, n=2000):
+    """Pooled window whose sample variance shrinks as the forecast grows, so
+    the constrained optimum sits at nu1 = 0."""
+    rng = np.random.default_rng(seed)
+    fcst_cr = np.where(rng.random(n) < 0.5, 1.0, 3.0)
+    v = np.where(fcst_cr > 2.0, 0.05, 0.6)
+    y = rng.gamma(2.0 ** 2 / v, v / 2.0)
+    return pooled_window(y ** 3, fcst_cr ** 3)
+
+
 class TestGammaVariance:
     def test_constant_forecast_matches_grid_search(self):
         # nu1 is unidentified under a constant forecast; compare the fitted
@@ -262,10 +296,10 @@ class TestGammaVariance:
         y = rng.gamma(m ** 2 / v, v / m, size=n)
         fcst = np.full(n, 8.0)
         w = pooled_window(y ** 3, fcst)
-        (nu0, nu1), n_dropped = est.fit_gamma_variance(w, (2.0, 0.0, 0.0))
-        assert n_dropped == 0
+        (nu0, nu1), diag = est.fit_gamma_variance(w, (2.0, 0.0, 0.0))
+        assert diag["variance_records_dropped"] == 0
         grid = np.linspace(0.2, 0.8, 601)
-        lls = [est._gamma_loglik(g, 0.0, y, np.full(n, m), fcst) for g in grid]
+        lls = [est._gamma_loglik(g, 0.0, y, np.full(n, m), fcst)[0] for g in grid]
         v_grid = grid[int(np.argmax(lls))]
         # Only the implied total variance nu0 + nu1 * fcst is identified.
         assert abs((nu0 + nu1 * 8.0) - v_grid) / v_grid < 0.05
@@ -273,19 +307,13 @@ class TestGammaVariance:
     def test_decreasing_variance_hits_boundary(self):
         # Sample variance decreasing in the forecast: the constrained
         # optimum sits at nu1 = 0 exactly.
-        rng = np.random.default_rng(5)
-        n = 2000
-        fcst_cr = np.where(rng.random(n) < 0.5, 1.0, 3.0)
-        v = np.where(fcst_cr > 2.0, 0.05, 0.6)  # variance shrinks with fcst
-        m = 2.0
-        y = rng.gamma(m ** 2 / v, v / m)
-        w = pooled_window(y ** 3, fcst_cr ** 3)
-        (nu0, nu1), _ = est.fit_gamma_variance(w, (m, 0.0, 0.0))
+        w = decreasing_variance_window(5)
+        (nu0, nu1), _ = est.fit_gamma_variance(w, (2.0, 0.0, 0.0))
         assert nu1 == 0.0
         # Grid-search confirmation that the boundary is optimal.
-        means = np.full(n, m)
-        ll_boundary = est._gamma_loglik(nu0, 0.0, y, means, fcst_cr ** 3)
-        ll_interior = est._gamma_loglik(nu0, 0.01, y, means, fcst_cr ** 3)
+        data = variance_data(w, (2.0, 0.0, 0.0))
+        ll_boundary, _ = est._gamma_loglik(nu0, 0.0, *data)
+        ll_interior, _ = est._gamma_loglik(nu0, 0.01, *data)
         assert ll_boundary > ll_interior
 
     def test_recovers_generating_parameters(self):
@@ -301,6 +329,92 @@ class TestGammaVariance:
         assert abs(nu1 - 0.15) / 0.15 < 0.20
 
 
+class TestVarianceSearch:
+    @pytest.mark.parametrize("case", [*range(20), "nu1_boundary"])
+    def test_matches_nelder_mead_oracle(self, case):
+        if case == "nu1_boundary":
+            w, eta = decreasing_variance_window(5), (2.0, 0.0, 0.0)
+        else:
+            spec = dm.SynthSpec(n_sites=20, n_days=15, seed=100 + case,
+                                nu=(0.15, 0.05 * (case % 4)))  # nu1 = 0 in every fourth world
+            ds = dm.synth_generate(spec)
+            w = est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), 15)
+            eta = est.fit_gamma_mean(w)
+        data = variance_data(w, eta)
+        nu, diag = est.fit_gamma_variance(w, eta)
+        assert diag["variance_converged"] is True
+        assert 0 < diag["variance_evals"] < 100
+        loglik, _ = est._gamma_loglik(*nu, *data)
+        oracle_loglik, _ = est._gamma_loglik(*nelder_mead_variance(*data), *data)
+        assert loglik >= oracle_loglik - 1e-6
+
+    @pytest.mark.parametrize("nu", [(0.3, 0.0), (0.12, 0.04), (0.02, 0.3)])
+    def test_gradient_matches_central_differences(self, nu):
+        spec = dm.SynthSpec(n_sites=20, n_days=15, seed=7)
+        w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 15)
+        data = variance_data(w, spec.eta)
+        _, grad = est._gamma_loglik(*nu, *data)
+        for i in range(2):
+            step = 1e-6 * np.eye(2)[i]
+            up = est._gamma_loglik(*(np.array(nu) + step), *data)[0]
+            down = est._gamma_loglik(*(np.array(nu) - step), *data)[0]
+            assert grad[i] == pytest.approx((up - down) / 2e-6, rel=1e-6, abs=1e-4)
+
+
+class TestRangeSearch:
+    @staticmethod
+    def _grid_argmax(objective):
+        """Arg max of objective over log RANGE_SEARCH_KM: a 400-point grid,
+        then a 1e-4 grid around its best point."""
+        lo, hi = (math.log(b) for b in est.RANGE_SEARCH_KM)
+        coarse = np.linspace(lo, hi, 400)
+        best = coarse[int(np.argmax([objective(x) for x in coarse]))]
+        step = coarse[1] - coarse[0]
+        fine = np.arange(max(best - step, lo), min(best + step, hi), 1e-4)
+        return fine[int(np.argmax([objective(x) for x in fine]))]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fits_land_on_dense_grid_maximum(self, monkeypatch, seed):
+        objectives = []
+        search = est._maximize_range
+
+        def recording(objective):
+            objectives.append(objective)
+            return search(objective)
+
+        monkeypatch.setattr(est, "_maximize_range", recording)
+        spec = dm.SynthSpec(n_sites=20, n_days=12, seed=200 + seed)
+        w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
+        trend, _ = est.fit_probit_trend(w)
+        rho, rho_diag = est.fit_occurrence_range(w, trend)
+        r_hat, r_diag = est.fit_amount_range(w, spec.eta, spec.nu)
+        for fitted, objective, evals in ((rho, objectives[0], rho_diag["rho_evals"]),
+                                         (r_hat, objectives[1], r_diag["r_evals"])):
+            assert abs(math.log(fitted) - self._grid_argmax(objective)) <= est._RANGE_XTOL
+            assert 0 < evals < 40
+
+
+class TestFitWarnings:
+    def test_unconverged_variance_warns(self, caplog):
+        model = est.FittedModel.from_text(
+            "gamma0 = 0\ngamma1 = 0.4\ngamma2 = -0.4\nrho_km = 30\neta0 = 1.5\n"
+            "eta1 = 0.8\neta2 = 0.4\nnu0 = 0.15\nnu1 = 0.05\nr_km = 20\n"
+            "diag.variance_converged = False\ndiag.variance_evals = 57\n")
+        with caplog.at_level("WARNING", logger="precipfield"):
+            est.warn_fit_diagnostics(model, dt.date(2004, 2, 1), 10)
+        [record] = caplog.records
+        assert record.getMessage().startswith("2004-02-01 M=10: the Gamma variance search")
+        assert "after 57 evaluations" in record.getMessage()
+
+    def test_converged_fit_is_quiet(self, caplog):
+        spec = dm.SynthSpec(n_sites=20, n_days=15, seed=12)
+        ds = dm.synth_generate(spec)
+        model = est.fit_model(est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), 15))
+        with caplog.at_level("WARNING", logger="precipfield"):
+            est.warn_fit_diagnostics(model, ds.dates[-1], 15)
+        assert not caplog.records
+
+
 class TestAmountRange:
     def test_no_multiwet_day_rejected(self):
         w = window_from_days(
@@ -313,19 +427,19 @@ class TestAmountRange:
         spec = dm.SynthSpec(n_sites=50, n_days=30, r_km=40.0, seed=9)
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 30)
-        r_hat = est.fit_amount_range(w, spec.eta, spec.nu)
+        r_hat, _ = est.fit_amount_range(w, spec.eta, spec.nu)
         assert abs(r_hat - 40.0) / 40.0 < 0.25
 
     def test_shuffled_amounts_shrink_range(self):
         spec = dm.SynthSpec(n_sites=40, n_days=25, r_km=40.0, seed=10)
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 25)
-        r_hat = est.fit_amount_range(w, spec.eta, spec.nu)
+        r_hat, _ = est.fit_amount_range(w, spec.eta, spec.nu)
         rng = np.random.default_rng(0)
         shuffled = window_from_days(
             [(d["xy"], rng.permutation(d["obs"]), d["fcst"]) for d in w.days.values()]
         )
-        r_shuf = est.fit_amount_range(shuffled, spec.eta, spec.nu)
+        r_shuf, _ = est.fit_amount_range(shuffled, spec.eta, spec.nu)
         assert r_shuf < r_hat
 
 
@@ -348,10 +462,12 @@ class TestFitModel:
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 15)
         model = est.fit_model(w)
-        assert model.diagnostics["probit_converged"] is True
-        assert model.diagnostics["min_training_mean"] > 0
-        assert model.diagnostics["n_wet_records"] > 0
-
+        diag = model.diagnostics
+        for key in ("probit_iterations", "rho_evals", "r_evals", "variance_evals"):
+            assert isinstance(diag[key], int) and diag[key] > 0
+        assert diag["variance_converged"] is True
+        assert diag["min_training_mean"] > 0
+        assert diag["n_wet_records"] > 0
 
     def test_diagnostics_round_trip(self):
         spec = dm.SynthSpec(n_sites=20, n_days=15, seed=12)
@@ -365,7 +481,8 @@ class TestFitModel:
         assert back.diagnostics["occurrence_pairs"] == diag["occurrence_pairs"]
         assert back.diagnostics["rho_at_bound"] is False
         assert back.diagnostics["r_at_bound"] is False
-        assert back.diagnostics["probit_converged"] is True
+        assert back.diagnostics["variance_converged"] is True
+        assert back.diagnostics["probit_iterations"] == diag["probit_iterations"]
         assert back.to_text() == model.to_text()
 
     def test_range_at_search_bound_flagged(self):
