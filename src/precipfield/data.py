@@ -1,5 +1,5 @@
-"""Columnar dataset, CSV ingestion and writing, and the synthetic-world
-generator used for validation.
+"""Columnar dataset, CSV ingestion and writing, gridded forecast reading,
+and the synthetic-world generator used for validation.
 
 The CSV schema is ``site_id,x_km,y_km,date,obs_hundredths,fcst_hundredths``
 with ISO-8601 dates. Observations are quantized to whole hundredths of an
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fields as rf
 from . import transforms as tr
-from .errors import NotFound, ParseError, ValidationError
+from .errors import DomainError, NotFound, ParseError, ValidationError
 
 CSV_HEADER = ["site_id", "x_km", "y_km", "date", "obs_hundredths", "fcst_hundredths"]
 
@@ -141,6 +141,38 @@ def load_dataset(path):
     return Dataset(site_id, x, y, date, obs, fcst)
 
 
+def load_grid_field(path, grid):
+    """Gridded forecast CSV ``row,col,value_hundredths_inch`` with exactly
+    one finite, nonnegative value per cell of ``grid``, as a (ny, nx) array."""
+    field = np.full((grid.ny, grid.nx), np.nan)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["row", "col", "value_hundredths_inch"]:
+            raise ParseError(f"{path}: expected header row,col,value_hundredths_inch")
+        lineno = 1
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                iy, ix, value = int(row[0]), int(row[1]), float(row[2])
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not (0 <= iy < grid.ny and 0 <= ix < grid.nx):
+                raise ParseError(f"{path}:{lineno}: cell ({iy}, {ix}) outside the "
+                                 f"{grid.ny}x{grid.nx} grid")
+            if not (np.isfinite(value) and value >= 0):
+                raise ParseError(f"{path}:{lineno}: value {value!r} is not a finite "
+                                 "nonnegative accumulation")
+            if not np.isnan(field[iy, ix]):
+                raise ParseError(f"{path}:{lineno}: duplicate cell ({iy}, {ix})")
+            field[iy, ix] = value
+    missing = np.argwhere(np.isnan(field))
+    if missing.size:
+        iy, ix = missing[0]
+        raise ParseError(f"{path}:{lineno + 1}: end of file with {len(missing)} "
+                         f"cells missing, first ({iy}, {ix})")
+    return field
+
+
 def save_dataset(ds, path):
     """Write a dataset in the canonical CSV schema (deterministic ordering)."""
     ids = [csv_field(s) for s in ds.sites]
@@ -219,6 +251,8 @@ def synth_generate(spec):
     build observations through the site-specific anamorphosis. Observations
     are quantized to whole hundredths. Deterministic given the seed.
     """
+    if not (np.isfinite(spec.extent_km) and spec.extent_km > 0):
+        raise DomainError(f"extent must be positive and finite, got {spec.extent_km!r} km")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     sites = _synth_sites(spec, rng)
     corr_f = rf.correlation_matrix(sites, rf.ExpCorrelation(spec.fcst_range_km))

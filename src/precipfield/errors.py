@@ -25,10 +25,6 @@ class EmbeddingFailure(NumericalError):
     """Circulant embedding stayed indefinite after maximum enlargement."""
 
 
-class OutOfDomain(DomainError):
-    """Point lies outside the interpolation hull of a grid."""
-
-
 class SeparationDetected(PrecipError):
     """Probit likelihood diverges: classes are perfectly separable."""
 
@@ -59,6 +55,10 @@ class ParseError(PrecipError):
 
 class ValidationError(PrecipError):
     """Input violates a dataset invariant."""
+
+
+class UsageError(PrecipError):
+    """A command's flags or config file are missing, malformed or inconsistent."""
 
 
 class DegenerateMatrixWarning(UserWarning):

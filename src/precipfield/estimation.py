@@ -15,17 +15,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, optimize, special
+from scipy import optimize, special
 
 from . import data as dm
 from . import fields as rf
+from . import forecasting as fc
 from . import transforms as tr
 from .errors import (
     DegenerateOccurrence,
     DomainError,
     InsufficientData,
     NonpositiveMean,
-    NotFound,
     NoTrainingData,
     NumericalError,
     PrecipError,
@@ -98,6 +98,9 @@ class FittedModel:
 
     @classmethod
     def from_text(cls, text):
+        """Parse :meth:`to_text` output. A missing parameter or one that is
+        not a number raises :class:`DomainError` naming the key; a diagnostic
+        reads back as a bool, an int, a float or else a string."""
         kv = {}
         diag = {}
         for line in text.splitlines():
@@ -108,22 +111,33 @@ class FittedModel:
             key = key.strip()
             val = val.strip()
             if key.startswith("diag."):
-                if val in ("True", "False"):
-                    diag[key[5:]] = val == "True"
-                    continue
-                try:
-                    diag[key[5:]] = float(val)
-                except ValueError:
-                    diag[key[5:]] = val
-            else:
+                diag[key[5:]] = _diagnostic_value(val)
+                continue
+            try:
                 kv[key] = float(val)
-        return cls(
-            occurrence=tr.OccurrenceTrendParams(kv["gamma0"], kv["gamma1"], kv["gamma2"]),
-            rho=rf.ExpCorrelation(kv["rho_km"]),
-            amount=tr.GammaCoeffs(kv["eta0"], kv["eta1"], kv["eta2"], kv["nu0"], kv["nu1"]),
-            r=rf.ExpCorrelation(kv["r_km"]),
-            diagnostics=diag,
-        )
+            except ValueError:
+                raise DomainError(f"model key {key!r}: {val!r} is not a number") from None
+        try:
+            return cls(
+                occurrence=tr.OccurrenceTrendParams(kv["gamma0"], kv["gamma1"], kv["gamma2"]),
+                rho=rf.ExpCorrelation(kv["rho_km"]),
+                amount=tr.GammaCoeffs(kv["eta0"], kv["eta1"], kv["eta2"], kv["nu0"], kv["nu1"]),
+                r=rf.ExpCorrelation(kv["r_km"]),
+                diagnostics=diag,
+            )
+        except KeyError as exc:
+            raise DomainError(f"model file lacks key {exc.args[0]!r}") from None
+
+
+def _diagnostic_value(val):
+    if val in ("True", "False"):
+        return val == "True"
+    for cast in (int, float):
+        try:
+            return cast(val)
+        except ValueError:
+            pass
+    return val
 
 
 def make_window(dataset, valid_date, M):
@@ -218,17 +232,8 @@ def _profile_range_objective(dev_by_group):
 
     def objective(log_range):
         range_km = math.exp(log_range)
-        total = 0.0
-        for d, (_, dev) in zip(dists, dev_by_group):
-            corr = np.exp(-d / range_km)
-            chol = rf.cholesky_pd(corr)
-            sol = linalg.solve_triangular(chol, dev.T, lower=True)
-            logdet = 2.0 * np.log(np.diag(chol)).sum()
-            n_days, k = dev.shape
-            total += -0.5 * (
-                n_days * (k * math.log(2 * math.pi) + logdet) + np.sum(sol ** 2)
-            )
-        return total
+        return sum(rf.mvn_log_density(dev, rf.exp_correlation(d, range_km))
+                   for d, (_, dev) in zip(dists, dev_by_group))
 
     return objective
 
@@ -299,7 +304,7 @@ def fit_occurrence_range(window, trend):
     tiny = np.finfo(float).tiny  # a pair impossible at every range (co-located, discordant)
 
     def objective(log_range):
-        r = sign_product * np.exp(-dist / math.exp(log_range))
+        r = sign_product * rf.exp_correlation(dist, math.exp(log_range))
         return float(np.sum(np.log(np.maximum(bivariate_normal_cdf(h, k, r), tiny))))
 
     rho, evals = _maximize_range(objective)
@@ -479,14 +484,36 @@ def warn_fit_diagnostics(model, valid_date, M):
                     diag["variance_evals"], model.amount.nu0, model.amount.nu1)
 
 
+def date_step(dataset, valid_date, M, forecast):
+    """One step of rolling verification: fit on the ``M`` days before
+    ``valid_date`` (warning about its diagnostics), look up that date's
+    sites, forecasts and observations, and draw ``forecast(model, sites,
+    fcst)``. Returns ``(sites, fcst, obs, drawn)``, or None when a stage
+    raises a PrecipError: the date is then skipped with a WARNING naming
+    the stage (window, fit, load or forecast) and the error."""
+    stage = "window"
+    try:
+        window = make_window(dataset, valid_date, M)
+        stage = "fit"
+        model = fit_model(window)
+        warn_fit_diagnostics(model, valid_date, M)
+        stage = "load"
+        sites, fcst, obs = dm.day_arrays(dataset, valid_date)
+        stage = "forecast"
+        return sites, fcst, obs, forecast(model, sites, fcst)
+    except PrecipError as exc:
+        log.warning("skip %s at stage %s: %s: %s",
+                    valid_date, stage, type(exc).__name__, exc)
+        return None
+
+
 def window_sweep(dataset, valid_dates, Ms, n_members, seed):
     """Mean site-level ensemble CRPS per training-window length.
 
-    Returns a list of rows {M, mean_crps, n_cases, n_skipped}; fit failures
-    skip the (M, date) cell and are counted.
+    Returns a list of rows {M, mean_crps, se_crps, n_cases, n_skipped}; a
+    (M, date) cell that :func:`date_step` skips is counted in n_skipped.
     """
-    from . import forecasting as fc
-    from . import verification as vf
+    from . import verification as vf  # verification imports this module
 
     if not valid_dates:
         return []
@@ -495,21 +522,16 @@ def window_sweep(dataset, valid_dates, Ms, n_members, seed):
         scores = []
         n_skipped = 0
         for di, valid_date in enumerate(valid_dates):
-            try:
-                window = make_window(dataset, valid_date, M)
-                model = fit_model(window)
-            except PrecipError:
+            def draw(model, sites, fcst):
+                member_seed = np.random.SeedSequence(entropy=seed, spawn_key=(M, di))
+                return fc.generate_site_ensemble(model, sites, fcst, n_members, member_seed)
+
+            step = date_step(dataset, valid_date, M, draw)
+            if step is None:
                 n_skipped += 1
                 continue
-            warn_fit_diagnostics(model, valid_date, M)
-            try:
-                sites, fcst, obs = dm.day_arrays(dataset, valid_date)
-            except NotFound:
-                n_skipped += 1
-                continue
-            member_seed = np.random.SeedSequence(entropy=seed, spawn_key=(M, di))
-            ens = fc.generate_site_ensemble(model, sites, fcst, n_members, member_seed)
-            for j in range(len(sites)):
+            _, _, obs, ens = step
+            for j in range(len(obs)):
                 scores.append(vf.crps_ensemble(ens.members[:, j], obs[j]))
         rows.append(
             {

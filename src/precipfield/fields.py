@@ -2,8 +2,7 @@
 
 Exponential correlations, dense-covariance sampling at scattered sites,
 exact grid simulation via circulant embedding, multivariate normal density
-evaluation, truncated-MVN Gibbs sampling, and bilinear interpolation of
-gridded fields to sites.
+evaluation and truncated-MVN Gibbs sampling.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .errors import (
     DomainError,
     EmbeddingFailure,
     NumericalError,
-    OutOfDomain,
 )
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -61,6 +59,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x0, self.y0, self.cell_km])):
+            raise DomainError("grid origin and cell size must be finite")
         if self.cell_km <= 0:
             raise DomainError("cell size must be positive")
         if self.nx < 1 or self.ny < 1:
@@ -83,7 +83,7 @@ def as_generator(seed):
 def exp_correlation(d, range_km):
     """Exponential correlation at distance ``d`` km."""
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
+    if (d < 0).any():  # cheaper than np.any(): the range fits call this in their inner loops
         raise DomainError("distance must be nonnegative")
     if range_km <= 0:
         raise DomainError("range must be positive")
@@ -125,16 +125,18 @@ def cholesky_pd(mat):
         raise NumericalError("matrix is not positive definite") from exc
 
 
-def mvn_log_density(x, mean, corr_matrix):
-    """Log density of a multivariate normal with the given correlation."""
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    if x.shape != mean.shape or corr_matrix.shape != (x.size, x.size):
+def mvn_log_density(dev, corr_matrix):
+    """Summed log density of deviations from the mean under a multivariate
+    normal with the given correlation; ``dev`` is one (k,) vector or (n, k)
+    rows, which share one Cholesky factor."""
+    dev = np.atleast_2d(np.asarray(dev, dtype=float))
+    n, k = dev.shape
+    if corr_matrix.shape != (k, k):
         raise DomainError("dimension mismatch")
     chol = cholesky_pd(corr_matrix)
-    dev = linalg.solve_triangular(chol, x - mean, lower=True)
+    sol = linalg.solve_triangular(chol, dev.T, lower=True)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return float(-0.5 * (x.size * _LOG2PI + logdet + dev @ dev))
+    return float(-0.5 * (n * (k * _LOG2PI + logdet) + np.sum(sol ** 2)))
 
 
 def sample_mvn(mean, corr_matrix, seed, n_samples=1):
@@ -174,7 +176,8 @@ class CirculantEmbedding:
                 break
             if factor >= 4:
                 raise EmbeddingFailure(
-                    "circulant embedding stayed indefinite after 4x enlargement"
+                    "circulant embedding stayed indefinite after 4x enlargement "
+                    "(try a smaller grid, or dense site-mode sampling)"
                 )
             factor *= 2
         self._mx, self._my = mx, my
@@ -185,8 +188,7 @@ class CirculantEmbedding:
         kx = np.minimum(np.arange(mx), mx - np.arange(mx)) * cell
         ky = np.minimum(np.arange(my), my - np.arange(my)) * cell
         d = np.sqrt(kx[None, :] ** 2 + ky[:, None] ** 2)
-        c = np.exp(-d / self.corr.range_km)
-        return np.fft.fft2(c).real
+        return np.fft.fft2(exp_correlation(d, self.corr.range_km)).real
 
     def sample(self, rng, n_fields=1):
         """Draw ``n_fields`` independent fields of shape (ny, nx)."""
@@ -286,29 +288,3 @@ def sample_truncated_mvn(mean, corr_matrix, signs, n_samples, burn_in, seed):
         out[i] = sampler.sweep(rng)[0]
     return out
 
-
-def bilinear_interpolate(field, grid, site):
-    """Bilinear interpolation of a (ny, nx) field at a site inside the grid."""
-    field = np.asarray(field, dtype=float)
-    if field.shape != (grid.ny, grid.nx):
-        raise DomainError("field shape does not match grid")
-    fx = (site.x - grid.x0) / grid.cell_km
-    fy = (site.y - grid.y0) / grid.cell_km
-    if not (0.0 <= fx <= grid.nx - 1 and 0.0 <= fy <= grid.ny - 1):
-        raise OutOfDomain(f"site {site.id} lies outside the grid hull")
-    ix = min(int(fx), grid.nx - 2) if grid.nx > 1 else 0
-    iy = min(int(fy), grid.ny - 2) if grid.ny > 1 else 0
-    tx = fx - ix
-    ty = fy - iy
-    if grid.nx == 1:
-        tx = 0.0
-    if grid.ny == 1:
-        ty = 0.0
-    ix1 = min(ix + 1, grid.nx - 1)
-    iy1 = min(iy + 1, grid.ny - 1)
-    return float(
-        field[iy, ix] * (1 - tx) * (1 - ty)
-        + field[iy, ix1] * tx * (1 - ty)
-        + field[iy1, ix] * (1 - tx) * ty
-        + field[iy1, ix1] * tx * ty
-    )

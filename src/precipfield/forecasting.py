@@ -37,8 +37,10 @@ class ForecastEnsemble:
         return self.members.shape[0]
 
 
-def _two_stage_params(model, fcst_accum):
-    """Occurrence trend and Gamma marginals implied by a forecast array.
+def two_stage_params(model, fcst_accum):
+    """Occurrence trend and Gamma marginals implied by a forecast array:
+    ``(mu, alpha, beta, fell_back)``, where ``ndtr(mu)`` is each site's
+    probability of precipitation.
 
     Sites whose implied mean is nonpositive get the smallest valid mean
     seen in training (forecasts must still be emitted); they are flagged in
@@ -85,7 +87,7 @@ def _site_ensemble(model, sites, fcst_accum, n_members, seed, draw_w, draw_z):
     if len(sites) < 1:
         raise DomainError("need at least one site")
     fcst_accum = np.atleast_1d(np.asarray(fcst_accum, dtype=float))
-    mu, alpha, beta, fell_back = _two_stage_params(model, fcst_accum)
+    mu, alpha, beta, fell_back = two_stage_params(model, fcst_accum)
     members = _draw_members(mu, alpha, beta, draw_w, draw_z, n_members, seed)
     return ForecastEnsemble(members=members, sites=list(sites), seed=seed,
                             fallback_sites=np.flatnonzero(fell_back).tolist())
@@ -127,7 +129,7 @@ def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):
         raise DomainError("forecast field shape does not match grid")
     emb_w = rf.CirculantEmbedding(grid, model.rho)
     emb_z = rf.CirculantEmbedding(grid, model.r)
-    mu, alpha, beta, fell_back = _two_stage_params(model, fcst_field)
+    mu, alpha, beta, fell_back = two_stage_params(model, fcst_field)
     members = _draw_members(mu, alpha, beta, emb_w.sample, emb_z.sample, n_members, seed)
     return ForecastEnsemble(members=members, grid=grid, seed=seed,
                             fallback_sites=np.flatnonzero(fell_back).tolist())

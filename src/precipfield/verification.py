@@ -1,18 +1,25 @@
-"""Proper scores and calibration diagnostics.
+"""Proper scores, calibration diagnostics and rolling verification.
 
 CRPS (ensemble and numeric forms), MAE of the predictive median, Brier
 score, energy score, verification-rank / PIT / minimum-spanning-tree rank
-histograms with point-mass randomization, and reliability tables.
+histograms with point-mass randomization, and reliability tables;
+:func:`run_verification` refits, forecasts and scores each valid date.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import os
 
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtr
 
+from . import data as dm
+from . import estimation as est
+from . import forecasting as fc
+from . import transforms as tr
 from .errors import DomainError, NumericalError
 
 
@@ -137,13 +144,11 @@ def pit_value(p0, marginal, obs, rng):
     A zero observation draws uniformly over the CDF's jump [0, p0]; a
     positive observation evaluates the mixture CDF.
     """
-    from .transforms import mixed_cdf
-
     if not (0.0 <= p0 <= 1.0):
         raise DomainError("p0 must lie in [0, 1]")
     if obs == 0.0:
         return float(rng.uniform(0.0, p0))
-    return float(mixed_cdf(p0, marginal, obs))
+    return float(tr.mixed_cdf(p0, marginal, obs))
 
 
 def _mst_length(dist):
@@ -311,3 +316,107 @@ class VerificationReport:
                     val = row.get(key, "")
                     out[key] = repr(val) if isinstance(val, float) else val
                 writer.writerow(out)
+
+
+def _scoring_forecasts(model, sites, fcst, members, mst_members, seeds):
+    """What :func:`run_verification` scores on one date: the spatial and
+    independence ensembles of ``members`` and of ``mst_members`` members,
+    each site's probability of precipitation, and its Gamma shape and scale."""
+    mu, alpha, beta, _ = fc.two_stage_params(model, fcst)
+    return (fc.generate_site_ensemble(model, sites, fcst, members, seeds[0]),
+            fc.independence_baseline_ensemble(model, sites, fcst, members, seeds[1]),
+            fc.generate_site_ensemble(model, sites, fcst, mst_members, seeds[2]),
+            fc.independence_baseline_ensemble(model, sites, fcst, mst_members, seeds[3]),
+            ndtr(mu), alpha, beta)
+
+
+def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
+    """Rolling verification over ``valid_dates``: each date is refitted and
+    forecast by :func:`estimation.date_step`, which may skip it, then scored
+    for empirical climatology, the raw NWP point forecast, the
+    no-spatial-correlation baseline and the two-stage spatial model.
+    Returns the report and the number of dates skipped."""
+    report = VerificationReport()
+    rank_bins = {m: [] for m in ("climatology", "independence", "spatial")}
+    pit_vals = {m: [] for m in ("climatology", "spatial")}
+    mst_ranks = {"independence": [], "spatial": []}
+    rel = {m: ([], []) for m in ("climatology", "nwp", "independence", "spatial")}
+    n_skipped = 0
+
+    for di, valid_date in enumerate(valid_dates):
+        seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(di, k)) for k in range(4)]
+        step = est.date_step(ds, valid_date, window_days, functools.partial(
+            _scoring_forecasts, members=members, mst_members=mst_members, seeds=seeds))
+        if step is None:
+            n_skipped += 1
+            continue
+        sites, fcst, obs, (ens_sp, ens_in, sp19, in19, p_wet, alpha, beta) = step
+
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(1000 + di,)))
+        clim = dm.split_by_date(ds, valid_date)[0].obs
+        clim_p0 = float((clim == 0).mean())
+        clim_cdf = empirical_cdf(clim)
+
+        for j in range(len(sites)):
+            o = float(obs[j])
+            occurred = o > 0
+            # Climatology.
+            report.add_case("climatology", valid_date, site_id=sites[j].id,
+                            mae=mae_of_median(clim, o),
+                            crps=crps_ensemble(clim, o),
+                            bs=brier_score(1.0 - clim_p0, occurred))
+            if o == 0.0:
+                pit_vals["climatology"].append(rng.uniform(0.0, clim_p0))
+            else:
+                pit_vals["climatology"].append(clim_cdf(o))
+            rel["climatology"][0].append(1.0 - clim_p0)
+            rel["climatology"][1].append(occurred)
+            # Raw NWP point forecast: CRPS reduces to absolute error.
+            f = float(fcst[j])
+            report.add_case("nwp", valid_date, site_id=sites[j].id,
+                            mae=abs(f - o), crps=abs(f - o),
+                            bs=brier_score(float(f > 0), occurred))
+            rel["nwp"][0].append(float(f > 0))
+            rel["nwp"][1].append(occurred)
+            # Statistical ensembles.
+            p = float(p_wet[j])
+            for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
+                mem = ens.members[:, j]
+                report.add_case(name, valid_date, site_id=sites[j].id,
+                                mae=mae_of_median(mem, o),
+                                crps=crps_ensemble(mem, o),
+                                bs=brier_score(p, occurred))
+                rank_bins[name].append(verification_rank(mem, o, rng))
+                rel[name][0].append(p)
+                rel[name][1].append(occurred)
+            # Climatology ranks scale to [0, 1] (the history is large).
+            clim_rank = verification_rank(clim, o, rng)
+            rank_bins["climatology"].append((clim_rank - 0.5) / (clim.size + 1))
+            marginal = tr.GammaMarginal(float(alpha[j]), float(beta[j]))
+            pit_vals["spatial"].append(pit_value(1.0 - p, marginal, o, rng))
+
+        # Multivariate scores over the day's sites.
+        for name, ens in (("independence", in19), ("spatial", sp19)):
+            report.energy.setdefault(name, []).append(energy_score(ens.members, obs))
+            mst_ranks[name].append(mst_rank(ens.members, obs, rng))
+        report.energy.setdefault("nwp", []).append(float(np.linalg.norm(fcst - obs)))
+
+    for name, ranks in rank_bins.items():
+        if not ranks:
+            continue
+        if name == "climatology":
+            report.pit_hists["climatology_rank"] = pit_histogram(np.asarray(ranks))
+        else:
+            report.rank_hists[name] = rank_histogram(ranks, members + 1)
+    for name, vals in pit_vals.items():
+        if vals:
+            report.pit_hists[name] = pit_histogram(np.asarray(vals))
+    for name, ranks in mst_ranks.items():
+        if ranks:
+            report.mst_hists[name] = rank_histogram(ranks, mst_members + 1)
+    for name, (probs, outs) in rel.items():
+        if probs:
+            report.reliability[name] = reliability_table(
+                np.asarray(probs), np.asarray(outs, dtype=float))
+    return report, n_skipped

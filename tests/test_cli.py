@@ -10,7 +10,7 @@ from precipfield import data as dm
 from precipfield import estimation as est
 from precipfield import fields as rf
 from precipfield import transforms as tr
-from precipfield.errors import ParseError
+from precipfield.errors import ParseError, UsageError
 
 
 @pytest.fixture()
@@ -52,7 +52,7 @@ class TestConfig:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("seed 7\n")
-        with pytest.raises(ParseError, match=":1"):
+        with pytest.raises(UsageError, match=":1"):
             cli.read_config(path)
 
     def test_flags_win_over_config(self, tmp_path, runner):
@@ -94,6 +94,18 @@ class TestSynth:
     def test_missing_seed(self, tmp_path, runner):
         res = runner.invoke(cli.main, ["synth", "--out", str(tmp_path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sites", "0"), ("--sites", "-2"), ("--days", "0"), ("--extent-km", "0"),
+        ("--extent-km", "-5"), ("--extent-km", "nan"), ("--extent-km", "inf"),
+    ])
+    def test_bad_size_or_extent_exits_2(self, tmp_path, runner, flag, value):
+        # --days 0 used to write an empty dataset with exit 0; the rest ended
+        # in tracebacks.
+        res = runner.invoke(cli.main, ["synth", "--seed", "1", "--out", str(tmp_path),
+                                       "--sites", "3", "--days", "2", flag, value])
+        assert res.exit_code == 2
+        assert not (tmp_path / "dataset.csv").exists()
 
 
 class TestFit:
@@ -346,7 +358,7 @@ class TestForecast:
         model_path.write_text(toy_model_text())
         grid_csv = write_grid_csv(tmp_path / "g.csv", rows)
         with pytest.raises(ParseError, match=line):
-            cli._read_grid_csv(grid_csv, rf.GridSpec(0.0, 0.0, 10.0, 3, 3))
+            dm.load_grid_field(grid_csv, rf.GridSpec(0.0, 0.0, 10.0, 3, 3))
         res = runner.invoke(cli.main, [
             "forecast", "--model", str(model_path), "--mode", "grid",
             "--grid-forecast", str(grid_csv), "--grid-cell-km", "10",
@@ -541,6 +553,21 @@ class TestSweep:
         res = runner.invoke(cli.main, [
             "sweep", "--dataset", str(synth_dir / "dataset.csv"), "--window-days-list", "5",
             "--dates", dates, "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--members", "0"], ["--members", "-3"], ["config"]])
+    def test_nonpositive_members_exits_2(self, synth_dir, tmp_path, runner, args):
+        # --members -3 used to end in a traceback, and 0 exited only after
+        # every fit had run.
+        out = tmp_path / "s.csv"
+        if args == ["config"]:
+            conf = tmp_path / "sweep.conf"
+            conf.write_text("members = 0\n")
+            args = ["--config", str(conf)]
+        res = runner.invoke(cli.main, [
+            "sweep", "--dataset", str(synth_dir / "dataset.csv"), "--window-days-list", "5",
+            "--dates", "1", *args, "--seed", "0", "--out", str(out)])
         assert res.exit_code == 2
         assert not out.exists()
 

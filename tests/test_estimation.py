@@ -483,6 +483,9 @@ class TestFitModel:
         assert back.diagnostics["r_at_bound"] is False
         assert back.diagnostics["variance_converged"] is True
         assert back.diagnostics["probit_iterations"] == diag["probit_iterations"]
+        for key in ("probit_iterations", "variance_evals", "occurrence_pairs"):
+            assert type(back.diagnostics[key]) is int, key
+        assert type(back.diagnostics["min_training_mean"]) is float
         assert back.to_text() == model.to_text()
 
     def test_range_at_search_bound_flagged(self):

@@ -9,8 +9,17 @@ from precipfield.errors import (
     DegenerateMatrixWarning,
     DomainError,
     NumericalError,
-    OutOfDomain,
 )
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("field", ["x0", "y0", "cell_km"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_geometry_rejected(self, field, value):
+        # A nan or inf cell size used to reach the embedding and fail there.
+        geometry = {"x0": 0.0, "y0": 0.0, "cell_km": 10.0, "nx": 3, "ny": 3, field: value}
+        with pytest.raises(DomainError, match="finite"):
+            fd.GridSpec(**geometry)
 
 
 class TestExpCorrelation:
@@ -86,7 +95,7 @@ class TestCholesky:
 class TestMvnLogDensity:
     def test_standard_normal_origin(self):
         # Independent oracle: -0.5 * log(2 pi) per dimension at the mean.
-        val = fd.mvn_log_density(np.zeros(3), np.zeros(3), np.eye(3))
+        val = fd.mvn_log_density(np.zeros(3), np.eye(3))
         assert val == pytest.approx(-1.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_against_scipy(self):
@@ -96,11 +105,18 @@ class TestMvnLogDensity:
         x = rng.standard_normal(5)
         mean = rng.standard_normal(5)
         expected = stats.multivariate_normal.logpdf(x, mean=mean, cov=corr)
-        assert fd.mvn_log_density(x, mean, corr) == pytest.approx(expected, abs=1e-10)
+        assert fd.mvn_log_density(x - mean, corr) == pytest.approx(expected, abs=1e-10)
+
+    def test_rows_sum_their_densities(self):
+        rng = np.random.default_rng(9)
+        corr = fd.correlation_matrix(rng.uniform(0, 100, size=(4, 2)), fd.ExpCorrelation(30.0))
+        dev = rng.standard_normal((6, 4))
+        expected = stats.multivariate_normal.logpdf(dev, cov=corr).sum()
+        assert fd.mvn_log_density(dev, corr) == pytest.approx(expected, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            fd.mvn_log_density(np.zeros(2), np.zeros(3), np.eye(3))
+            fd.mvn_log_density(np.zeros(2), np.eye(3))
 
 
 class TestSampleMvn:
@@ -232,35 +248,6 @@ class TestGibbsTruncatedMVN:
             np.zeros(2), np.eye(2), np.ones(2), n_samples=50_000, burn_in=50, seed=2
         )
         assert draws.mean() == pytest.approx(np.sqrt(2.0 / np.pi), abs=0.01)
-
-
-class TestBilinearInterpolate:
-    def test_node_values_exact(self):
-        grid = fd.GridSpec(0.0, 0.0, 10.0, 3, 3)
-        field = np.arange(9.0).reshape(3, 3)
-        assert fd.bilinear_interpolate(field, grid, fd.Site("a", 10.0, 20.0)) == 7.0
-
-    def test_cell_center(self):
-        grid = fd.GridSpec(0.0, 0.0, 10.0, 2, 2)
-        field = np.array([[0.0, 1.0], [2.0, 3.0]])
-        val = fd.bilinear_interpolate(field, grid, fd.Site("c", 5.0, 5.0))
-        assert val == pytest.approx(1.5)
-
-    def test_recovers_linear_functions(self):
-        grid = fd.GridSpec(-5.0, 2.0, 4.0, 6, 7)
-        gx, gy = grid.node_xy()
-        field = 0.3 * gx - 1.1 * gy + 2.0
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            x = rng.uniform(-5.0, -5.0 + 4.0 * 5)
-            y = rng.uniform(2.0, 2.0 + 4.0 * 6)
-            val = fd.bilinear_interpolate(field, grid, fd.Site("p", x, y))
-            assert val == pytest.approx(0.3 * x - 1.1 * y + 2.0, abs=1e-10)
-
-    def test_outside_hull_rejected(self):
-        grid = fd.GridSpec(0.0, 0.0, 10.0, 3, 3)
-        with pytest.raises(OutOfDomain):
-            fd.bilinear_interpolate(np.zeros((3, 3)), grid, fd.Site("z", -0.1, 5.0))
 
 
 @settings(max_examples=25, deadline=None)
