@@ -9,9 +9,11 @@ inch, with anything below one hundredth recorded as zero.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,12 +115,26 @@ def write_csv(path, header, columns):
         fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
 
+@contextlib.contextmanager
+def _csv_reader(path):
+    """A ``csv.reader`` over a UTF-8 text file. Malformed CSV raises
+    :class:`ParseError` naming the line, and bytes that are not UTF-8 one
+    naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_dataset(path):
     """Load and validate a dataset CSV; row count is preserved."""
     site_id, date, values = [], [], []
     days = {}  # date string -> date, so each distinct string is parsed once
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -145,8 +161,7 @@ def load_grid_field(path, grid):
     """Gridded forecast CSV ``row,col,value_hundredths_inch`` with exactly
     one finite, nonnegative value per cell of ``grid``, as a (ny, nx) array."""
     field = np.full((grid.ny, grid.nx), np.nan)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["row", "col", "value_hundredths_inch"]:
             raise ParseError(f"{path}: expected header row,col,value_hundredths_inch")
@@ -159,10 +174,10 @@ def load_grid_field(path, grid):
             if not (0 <= iy < grid.ny and 0 <= ix < grid.nx):
                 raise ParseError(f"{path}:{lineno}: cell ({iy}, {ix}) outside the "
                                  f"{grid.ny}x{grid.nx} grid")
-            if not (np.isfinite(value) and value >= 0):
+            if not (math.isfinite(value) and value >= 0):
                 raise ParseError(f"{path}:{lineno}: value {value!r} is not a finite "
                                  "nonnegative accumulation")
-            if not np.isnan(field[iy, ix]):
+            if not math.isnan(field[iy, ix]):
                 raise ParseError(f"{path}:{lineno}: duplicate cell ({iy}, {ix})")
             field[iy, ix] = value
     missing = np.argwhere(np.isnan(field))
@@ -177,10 +192,15 @@ def save_dataset(ds, path):
     """Write a dataset in the canonical CSV schema (deterministic ordering)."""
     ids = [csv_field(s) for s in ds.sites]
     days = [d.isoformat() for d in ds.dates]
+    # Coordinates repeat once per date: format each distinct bit pattern once
+    # (by bits, not value, so a -0.0 row keeps its sign next to a 0.0 row).
+    bits, inverse = np.unique(ds.xy.view(np.int64).ravel(), return_inverse=True)
+    coords = list(map(repr, bits.view(np.float64).tolist()))
+    inverse = inverse.reshape(-1, 2)
     write_csv(path, CSV_HEADER, [
         map(ids.__getitem__, ds.site.tolist()),
-        map(repr, ds.xy[:, 0].tolist()),
-        map(repr, ds.xy[:, 1].tolist()),
+        map(coords.__getitem__, inverse[:, 0].tolist()),
+        map(coords.__getitem__, inverse[:, 1].tolist()),
         map(days.__getitem__, ds.date.tolist()),
         map(repr, ds.obs.tolist()),
         map(repr, ds.fcst.tolist()),

@@ -2,7 +2,9 @@
 
 Site ensembles, gridded field ensembles via circulant embedding, areal
 averages, and the no-spatial-correlation baseline with identical marginals.
-All of them draw members through one two-stage kernel, :func:`_draw_members`.
+All of them draw members through one two-stage kernel, :func:`_draw_members`,
+which draws each member's latent fields from its own Generator and then
+thresholds and transforms the whole ensemble as one block.
 """
 
 from __future__ import annotations
@@ -72,15 +74,21 @@ def _draw_members(mu, alpha, beta, draw_w, draw_z, n_members, seed):
     ``draw_w`` and ``draw_z`` map a Generator to a standard-normal field of
     the shape of ``mu`` with the occurrence and amount correlations. Each
     member draws both fields from its own Generator, spawned from the master
-    seed, so results do not depend on how members are scheduled.
+    seed, so results do not depend on how members are scheduled: the first
+    k members of an n-member ensemble are the k-member ensemble. The draws
+    fill ``(n_members, ...)`` blocks, and the trend, threshold and
+    anamorphosis then run once over the whole block, so an ensemble holds a
+    few float arrays of that shape in memory.
     """
-    members = np.zeros((n_members,) + np.shape(mu))
+    w = np.empty((n_members,) + np.shape(mu))
+    z = np.empty_like(w)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for i, child in enumerate(seq.spawn(n_members)):
         rng = np.random.default_rng(child)
-        w = mu + draw_w(rng)
-        members[i] = tr.wet_amounts(w, draw_z(rng), alpha, beta)
-    return members
+        w[i] = draw_w(rng)
+        z[i] = draw_z(rng)
+    w += mu
+    return tr.wet_amounts(w, z, alpha, beta)
 
 
 def _site_ensemble(model, sites, fcst_accum, n_members, seed, draw_w, draw_z):
@@ -146,7 +154,7 @@ def write_site_ensemble_csv(ens, path):
     n, n_sites = ens.members.shape
     ids = [dm.csv_field(site.id) for site in ens.sites]
     dm.write_csv(path, ["member", "site_id", "value_hundredths_inch"], [
-        [str(i) for i in range(n) for _ in range(n_sites)],
+        [member for member in map(str, range(n)) for _ in range(n_sites)],
         ids * n,
         map(repr, ens.members.ravel().tolist()),
     ])

@@ -146,15 +146,17 @@ def gamma_marginal(coeffs, fcst_cuberoot, zero_flag):
 
 
 def wet_amounts(w, z, alpha, beta):
-    """Accumulations of one two-stage draw.
+    """Accumulations of two-stage draws, element-wise.
 
     Zero where the occurrence field ``w`` is nonpositive; elsewhere the cube
     of the Gamma(``alpha``, ``beta``) anamorphosis of the amount field ``z``.
-    All four arrays share one shape.
+    ``z`` has the shape of ``w``; ``alpha`` and ``beta`` broadcast against
+    it, so one call covers a block of draws with shared marginals.
     """
     out = np.zeros(np.shape(w))
     wet = w > 0
     if wet.any():
+        alpha, beta = np.broadcast_to(alpha, out.shape), np.broadcast_to(beta, out.shape)
         out[wet] = _gamma_quantile(z[wet], alpha[wet], beta[wet]) ** 3
     return out
 

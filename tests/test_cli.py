@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,47 @@ def test_negative_seed_exits_2(synth_dir, tmp_path, runner, command):
     res = runner.invoke(cli.main, [command, *args, "--seed", "-1"])
     assert res.exit_code == 2
     assert "--seed" in res.output
+
+
+OVERSIZED_FIELD = "x" * 200_000  # over the csv module's 131,072-character field limit
+UNREADABLE = {
+    "dataset oversized": (",".join(dm.CSV_HEADER) + "\na,0,0,2004-01-01,1,2\n"
+                          + OVERSIZED_FIELD + ",0,0,2004-01-02,1,2\n").encode(),
+    "grid oversized": ("row,col,value_hundredths_inch\n0,0,1\n0,1," + OVERSIZED_FIELD
+                       + "\n").encode(),
+    "dataset binary": bytes(range(256)) * 4,
+    "grid binary": bytes(range(256)) * 4,
+}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("dataset oversized", r"input\.csv:3: field larger than field limit"),
+    ("grid oversized", r"input\.csv:3: field larger than field limit"),
+    ("dataset binary", r"input\.csv: not UTF-8 text"),
+    ("grid binary", r"input\.csv: not UTF-8 text"),
+])
+def test_unreadable_input_exits_3(tmp_path, runner, caplog, case, message):
+    # Both used to end in a traceback (csv.Error, exit 1) or a message that
+    # did not name the file (UnicodeDecodeError).
+    path = tmp_path / "input.csv"
+    path.write_bytes(UNREADABLE[case])
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(toy_model_text())
+    if case.startswith("dataset"):
+        args = ["fit", "--dataset", str(path), "--date", "2004-01-02",
+                "--out", str(tmp_path / "m.txt")]
+    else:
+        args = ["forecast", "--model", str(model_path), "--mode", "grid",
+                "--grid-forecast", str(path), "--grid-nx", "2", "--grid-ny", "2",
+                "--seed", "0", "--out", str(tmp_path / "members")]
+    with caplog.at_level("ERROR", logger="precipfield"):
+        res = runner.invoke(cli.main, args)
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert re.search(message, errors[0])
 
 
 def full_grid_rows(ny, nx, value):

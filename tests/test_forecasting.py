@@ -176,6 +176,56 @@ class TestGridEnsemble:
         assert np.max(np.abs(wet_grid - wet_site)) < 0.03
 
 
+def member_loop(mu, alpha, beta, draw_w, draw_z, n_members, seed):
+    """Reference for ``fc._draw_members``: one member at a time, each
+    thresholded and transformed on its own."""
+    members = np.zeros((n_members,) + np.shape(mu))
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for i, child in enumerate(seq.spawn(n_members)):
+        rng = np.random.default_rng(child)
+        w = mu + draw_w(rng)
+        members[i] = tr.wet_amounts(w, draw_z(rng), alpha, beta)
+    return members
+
+
+ORACLE_SITES = spread_sites(5, spacing=12.0)
+ORACLE_FCST = [0.0, 3.0, 8.0, 64.0, 27.0]
+ORACLE_GRID = rf.GridSpec(0.0, 0.0, 10.0, 8, 8)
+ORACLE_FIELD = np.resize([0.0, 3.0, 8.0, 27.0, 64.0, 0.0, 0.5, 125.0, 8.0], (8, 8))
+
+
+class TestBlockKernel:
+    """The ensemble drawn as one block equals the member-by-member loop bit
+    for bit, and its first members do not depend on the member count."""
+
+    @pytest.mark.parametrize("make", [
+        lambda model, n, seed: fc.generate_site_ensemble(
+            model, ORACLE_SITES, ORACLE_FCST, n, seed),
+        lambda model, n, seed: fc.independence_baseline_ensemble(
+            model, ORACLE_SITES, ORACLE_FCST, n, seed),
+        lambda model, n, seed: fc.generate_grid_ensemble(
+            model, ORACLE_GRID, ORACLE_FIELD, n, seed),
+    ], ids=["site", "baseline", "grid"])
+    @pytest.mark.parametrize("model", [
+        toy_model(eta=(-1.0, 1.0, 0.4)),  # zero forecasts fall back
+        toy_model(gamma=(-40.0, 0.0, 0.0)),  # every site dry in every member
+    ], ids=["mixed", "all_dry"])
+    def test_matches_member_loop(self, monkeypatch, make, model):
+        block = make(model, 60, 21).members
+        prefix = make(model, 7, 21).members
+        with monkeypatch.context() as m:
+            m.setattr(fc, "_draw_members", member_loop)
+            loop = make(model, 60, 21).members
+        assert np.array_equal(block.view(np.uint64), loop.view(np.uint64))
+        assert np.array_equal(prefix.view(np.uint64), block[:7].view(np.uint64))
+
+    def test_mixed_case_has_wet_and_dry_members(self):
+        ens = fc.generate_site_ensemble(toy_model(eta=(-1.0, 1.0, 0.4)), ORACLE_SITES,
+                                        ORACLE_FCST, 60, 21)
+        assert 0 < np.count_nonzero(ens.members) < ens.members.size
+        assert ens.fallback_sites == [0]
+
+
 class TestArealForecasts:
     def test_average_all_zero(self):
         model = toy_model(gamma=(-40.0, 0.0, 0.0))
