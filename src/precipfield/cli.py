@@ -9,7 +9,6 @@ error or input that is not UTF-8, 4 numerical failure.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import sys
@@ -76,8 +75,6 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except PrecipError as exc:
             code, message = _exit_for(exc), str(exc)
-        except UnicodeDecodeError as exc:
-            code, message = EXIT_DATA, f"input is not UTF-8 text: {exc}"
         except OSError as exc:
             code, message = EXIT_USAGE, str(exc)
         log.error(message)
@@ -87,29 +84,40 @@ class _Main(click.Group):
 def read_config(path):
     """Line-oriented ``key = value`` config with ``#`` comments."""
     conf = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            conf[key.strip()] = val.strip()
+    for lineno, line in enumerate(dm.read_text(path).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        conf[key.strip()] = val.strip()
     return conf
 
 
-def _resolve(flag_value, config, key, default=None, cast=str):
-    """Flags win over config values, which win over defaults."""
-    if flag_value is not None:
-        return flag_value
-    if config and key in config:
+def _load_config(ctx, param, path):
+    """Make the ``--config`` file the command's ``default_map``, so that a
+    flag wins over a config value, which wins over the option's default.
+    Each key must name one of the command's options, and each value must
+    pass that option's type, whether or not a flag overrides it."""
+    if path is None:
+        return
+    config = read_config(path)
+    options = {p.name: p for p in ctx.command.params if p is not param}
+    for key, value in config.items():
+        if key not in options:
+            raise click.UsageError(f"{path}: unknown config key {key!r}", ctx)
         try:
-            return cast(config[key])
+            options[key].type(value, options[key], ctx)
         except click.BadParameter as exc:
             exc.param_hint = f"config key {key!r}"
             raise
-    return default
+    ctx.default_map = config
+
+
+config_option = click.option(
+    "--config", is_eager=True, expose_value=False, callback=_load_config,
+    help="File of 'key = value' lines; a key is the long flag name with '-' as '_'.")
 
 
 @click.group(cls=_Main)
@@ -123,224 +131,159 @@ def main(verbose):
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--seed", type=SEED, default=None, help="Master seed (required).")
-@click.option("--out", "outdir", type=str, default=None, help="Output directory.")
-@click.option("--sites", "n_sites", type=POSITIVE, default=None)
-@click.option("--days", "n_days", type=POSITIVE, default=None)
-@click.option("--extent-km", type=float, default=None)
-@click.option("--wet-bias-offset", type=float, default=None)
-def synth(config_path, seed, outdir, n_sites, n_days, extent_km, wet_bias_offset):
+@config_option
+@click.option("--seed", type=SEED, required=True, help="Master seed.")
+@click.option("--out", required=True, help="Output directory.")
+@click.option("--sites", type=POSITIVE, default=50)
+@click.option("--days", type=POSITIVE, default=60)
+@click.option("--extent-km", type=float, default=300.0)
+@click.option("--wet-bias-offset", type=float, default=0.0)
+def synth(seed, out, sites, days, extent_km, wet_bias_offset):
     """Generate a synthetic dataset plus its truth-parameter file."""
-    config = read_config(config_path) if config_path else {}
-    seed = _resolve(seed, config, "seed", cast=SEED)
-    outdir = _resolve(outdir, config, "out")
-    if seed is None or outdir is None:
-        raise UsageError("synth requires --seed and --out")
-    spec = dm.SynthSpec(
-        n_sites=_resolve(n_sites, config, "sites", 50, POSITIVE),
-        n_days=_resolve(n_days, config, "days", 60, POSITIVE),
-        extent_km=_resolve(extent_km, config, "extent_km", 300.0, click.FLOAT),
-        wet_bias_offset=_resolve(wet_bias_offset, config, "wet_bias_offset", 0.0, click.FLOAT),
-        seed=seed,
-    )
+    spec = dm.SynthSpec(n_sites=sites, n_days=days, extent_km=extent_km,
+                        wet_bias_offset=wet_bias_offset, seed=seed)
     ds = dm.synth_generate(spec)
-    dm.save_dataset(ds, os.path.join(outdir, "dataset.csv"))
+    dm.save_dataset(ds, os.path.join(out, "dataset.csv"))
     truth = dm.truth_parameters(spec)
-    with open(os.path.join(outdir, "truth.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "truth.txt"), "w", encoding="utf-8") as fh:
         for key, val in truth.items():
             fh.write(f"{key} = {val:.15g}\n")
-    log.info("wrote %d records to %s", len(ds), outdir)
+    log.info("wrote %d records to %s", len(ds), out)
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--dataset", "dataset_path", type=str, default=None)
-@click.option("--date", "valid_date", type=DATE, default=None, help="Valid date (ISO).")
-@click.option("--window-days", "-M", type=POSITIVE, default=None)
-@click.option("--seed", type=SEED, default=None,
-              help="Accepted and ignored: the fit is deterministic.")
-@click.option("--out", "out_path", type=str, default=None, help="Model file path.")
-def fit(config_path, dataset_path, valid_date, window_days, seed, out_path):
+@config_option
+@click.option("--dataset", required=True)
+@click.option("--date", type=DATE, required=True, help="Valid date (ISO).")
+@click.option("--window-days", "-M", type=POSITIVE, default=30)
+@click.option("--seed", type=SEED, help="Accepted and ignored: the fit is deterministic.")
+@click.option("--out", required=True, help="Model file path.")
+def fit(dataset, date, window_days, seed, out):
     """Fit the two-stage spatial model on a sliding training window."""
     del seed  # the fit draws no random numbers
-    config = read_config(config_path) if config_path else {}
-    dataset_path = _resolve(dataset_path, config, "dataset")
-    valid_date = _resolve(valid_date, config, "date", cast=DATE)
-    window_days = _resolve(window_days, config, "window_days", 30, POSITIVE)
-    out_path = _resolve(out_path, config, "out")
-    if None in (dataset_path, valid_date, out_path):
-        raise UsageError("fit requires --dataset, --date and --out")
-    ds = dm.load_dataset(dataset_path)
-    model = est.fit_model(est.make_window(ds, valid_date.date(), window_days))
-    with open(out_path, "w", encoding="utf-8") as fh:
+    ds = dm.load_dataset(dataset)
+    model = est.fit_model(est.make_window(ds, date.date(), window_days))
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(model.to_text())
-    log.info("wrote model to %s", out_path)
+    log.info("wrote model to %s", out)
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--model", "model_path", type=str, default=None)
-@click.option("--dataset", "dataset_path", type=str, default=None)
-@click.option("--date", "valid_date", type=DATE, default=None)
-@click.option("--mode", type=MODE, default=None)
-@click.option("--members", type=POSITIVE, default=None)
-@click.option("--seed", type=SEED, default=None)
-@click.option("--out", "out_path", type=str, default=None)
-@click.option("--site-ids", type=str, default=None, help="Areal-mode site subset.")
-@click.option("--grid-forecast", type=str, default=None,
+@config_option
+@click.option("--model", required=True)
+@click.option("--dataset")
+@click.option("--date", type=DATE)
+@click.option("--mode", type=MODE, default="site")
+@click.option("--members", type=POSITIVE, help="Ensemble size (default set by --mode).")
+@click.option("--seed", type=SEED, required=True)
+@click.option("--out", required=True)
+@click.option("--site-ids", help="Areal-mode site subset.")
+@click.option("--grid-forecast",
               help="Grid-mode forecast CSV (row,col,value_hundredths_inch).")
-@click.option("--grid-x0", type=float, default=None)
-@click.option("--grid-y0", type=float, default=None)
-@click.option("--grid-cell-km", type=float, default=None)
-@click.option("--grid-nx", type=int, default=None)
-@click.option("--grid-ny", type=int, default=None)
-def forecast(config_path, model_path, dataset_path, valid_date, mode, members,
-             seed, out_path, site_ids, grid_forecast, grid_x0, grid_y0,
-             grid_cell_km, grid_nx, grid_ny):
+@click.option("--grid-x0", type=float, default=0.0)
+@click.option("--grid-y0", type=float, default=0.0)
+@click.option("--grid-cell-km", type=float, default=12.0)
+@click.option("--grid-nx", type=int)
+@click.option("--grid-ny", type=int)
+def forecast(model, dataset, date, mode, members, seed, out, site_ids, grid_forecast,
+             grid_x0, grid_y0, grid_cell_km, grid_nx, grid_ny):
     """Emit a forecast ensemble CSV in site, grid, or areal mode."""
-    config = read_config(config_path) if config_path else {}
-    model_path = _resolve(model_path, config, "model")
-    dataset_path = _resolve(dataset_path, config, "dataset")
-    valid_date = _resolve(valid_date, config, "date", cast=DATE)
-    mode = _resolve(mode, config, "mode", "site", MODE)
-    seed = _resolve(seed, config, "seed", cast=SEED)
-    out_path = _resolve(out_path, config, "out")
-    site_ids = _resolve(site_ids, config, "site_ids")
-    if None in (model_path, seed, out_path):
-        raise UsageError("forecast requires --model, --seed and --out")
-    with open(model_path, encoding="utf-8") as fh:
-        model = est.FittedModel.from_text(fh.read())
+    fitted = est.FittedModel.from_text(dm.read_text(model))
 
     if mode == "grid":
-        grid_forecast = _resolve(grid_forecast, config, "grid_forecast")
-        grid_nx = _resolve(grid_nx, config, "grid_nx", cast=click.INT)
-        grid_ny = _resolve(grid_ny, config, "grid_ny", cast=click.INT)
         if None in (grid_forecast, grid_nx, grid_ny):
             raise UsageError("grid mode requires --grid-forecast, --grid-nx and --grid-ny")
-        grid = rf.GridSpec(
-            x0=_resolve(grid_x0, config, "grid_x0", 0.0, click.FLOAT),
-            y0=_resolve(grid_y0, config, "grid_y0", 0.0, click.FLOAT),
-            cell_km=_resolve(grid_cell_km, config, "grid_cell_km", 12.0, click.FLOAT),
-            nx=grid_nx,
-            ny=grid_ny,
-        )
+        grid = rf.GridSpec(x0=grid_x0, y0=grid_y0, cell_km=grid_cell_km, nx=grid_nx, ny=grid_ny)
         field = dm.load_grid_field(grid_forecast, grid)
-        n = _resolve(members, config, "members", fc.DEFAULT_GRID_MEMBERS, POSITIVE)
-        ens = fc.generate_grid_ensemble(model, grid, field, n, seed)
-        os.makedirs(out_path, exist_ok=True)
-        fc.write_grid_ensemble_csvs(ens, out_path)
-        log.info("wrote %d grid members to %s", n, out_path)
+        n = members or fc.DEFAULT_GRID_MEMBERS
+        ens = fc.generate_grid_ensemble(fitted, grid, field, n, seed)
+        os.makedirs(out, exist_ok=True)
+        fc.write_grid_ensemble_csvs(ens, out)
+        log.info("wrote %d grid members to %s", n, out)
         return
 
-    if dataset_path is None or valid_date is None:
+    if dataset is None or date is None:
         raise UsageError(f"{mode} mode requires --dataset and --date")
-    valid_date = valid_date.date()
-    sites, fcst, _ = dm.day_arrays(dm.load_dataset(dataset_path), valid_date)
+    date = date.date()
+    sites, fcst, _ = dm.day_arrays(dm.load_dataset(dataset), date)
     if mode == "areal":
         if site_ids:
             wanted = set(site_ids.split(","))
             absent = sorted(wanted - {s.id for s in sites})
             if absent:
-                raise UsageError(f"site ids absent on {valid_date}: {','.join(absent)}")
+                raise UsageError(f"site ids absent on {date}: {','.join(absent)}")
             keep = [i for i, s in enumerate(sites) if s.id in wanted]
             sites = [sites[i] for i in keep]
             fcst = fcst[keep]
-        n = _resolve(members, config, "members", fc.DEFAULT_AREAL_MEMBERS, POSITIVE)
-        values = fc.areal_ensemble(model, sites, fcst, n, seed)
-        fc.write_scalar_ensemble_csv(values, out_path)
-        log.info("wrote %d areal members to %s", n, out_path)
+        n = members or fc.DEFAULT_AREAL_MEMBERS
+        values = fc.areal_ensemble(fitted, sites, fcst, n, seed)
+        fc.write_scalar_ensemble_csv(values, out)
+        log.info("wrote %d areal members to %s", n, out)
     else:
-        n = _resolve(members, config, "members", fc.DEFAULT_MULTISITE_MEMBERS, POSITIVE)
-        ens = fc.generate_site_ensemble(model, sites, fcst, n, seed)
-        fc.write_site_ensemble_csv(ens, out_path)
-        log.info("wrote %d site members to %s", n, out_path)
+        n = members or fc.DEFAULT_MULTISITE_MEMBERS
+        ens = fc.generate_site_ensemble(fitted, sites, fcst, n, seed)
+        fc.write_site_ensemble_csv(ens, out)
+        log.info("wrote %d site members to %s", n, out)
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--dataset", "dataset_path", type=str, default=None)
-@click.option("--window-days", "-M", type=POSITIVE, default=None)
-@click.option("--members", type=POSITIVE, default=None, help="Scoring ensemble size.")
-@click.option("--mst-members", type=POSITIVE, default=None, help="Multi-site ensemble size.")
-@click.option("--dates", "n_dates", type=POSITIVE, default=None,
-              help="Verify only the last N eligible dates.")
-@click.option("--seed", type=SEED, default=None)
-@click.option("--out", "outdir", type=str, default=None)
-def verify(config_path, dataset_path, window_days, members, mst_members,
-           n_dates, seed, outdir):
+@config_option
+@click.option("--dataset", required=True)
+@click.option("--window-days", "-M", type=POSITIVE, default=30)
+@click.option("--members", type=POSITIVE, default=50, help="Scoring ensemble size.")
+@click.option("--mst-members", type=POSITIVE, default=fc.DEFAULT_MULTISITE_MEMBERS,
+              help="Multi-site ensemble size.")
+@click.option("--dates", type=POSITIVE, help="Verify only the last N eligible dates.")
+@click.option("--seed", type=SEED, required=True)
+@click.option("--out", required=True)
+def verify(dataset, window_days, members, mst_members, dates, seed, out):
     """Fit, forecast and score each eligible date; write report CSVs.
 
     Methods scored: empirical climatology, raw NWP point forecast, the
     no-spatial-correlation baseline, and the two-stage spatial model.
     """
-    config = read_config(config_path) if config_path else {}
-    dataset_path = _resolve(dataset_path, config, "dataset")
-    window_days = _resolve(window_days, config, "window_days", 30, POSITIVE)
-    members = _resolve(members, config, "members", 50, POSITIVE)
-    mst_members = _resolve(mst_members, config, "mst_members",
-                           fc.DEFAULT_MULTISITE_MEMBERS, POSITIVE)
-    n_dates = _resolve(n_dates, config, "dates", cast=POSITIVE)
-    seed = _resolve(seed, config, "seed", cast=SEED)
-    outdir = _resolve(outdir, config, "out")
-    if None in (dataset_path, seed, outdir):
-        raise UsageError("verify requires --dataset, --seed and --out")
-
-    ds = dm.load_dataset(dataset_path)
+    ds = dm.load_dataset(dataset)
     eligible = ds.dates[1:]  # sorted and unique: every later date has history
-    if n_dates:
-        eligible = eligible[-n_dates:]
+    if dates:
+        eligible = eligible[-dates:]
     if not eligible:
         raise NoTrainingData("no date has any history to train on")
     report, n_skipped = run_verification(
         ds, eligible, window_days, members, mst_members, seed)
     if n_skipped == len(eligible):
         raise InsufficientData("every date failed to fit or had no matching records")
-    report.write(outdir)
+    report.write(out)
     log.info("verified %d dates (%d skipped); report in %s",
-             len(eligible) - n_skipped, n_skipped, outdir)
+             len(eligible) - n_skipped, n_skipped, out)
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--dataset", "dataset_path", type=str, default=None)
-@click.option("--window-days-list", "ms_text", type=str, default=None,
+@config_option
+@click.option("--dataset", required=True)
+@click.option("--window-days-list",
+              default=",".join(str(m) for m in range(10, 61, 5)),
               help="Comma-separated window lengths (default 10,15,...,60).")
-@click.option("--dates", "n_dates", type=POSITIVE, default=None,
+@click.option("--dates", type=POSITIVE, default=10,
               help="Score the last N eligible dates (default 10).")
-@click.option("--members", type=POSITIVE, default=None)
-@click.option("--seed", type=SEED, default=None)
-@click.option("--out", "out_path", type=str, default=None)
-def sweep(config_path, dataset_path, ms_text, n_dates, members, seed, out_path):
+@click.option("--members", type=POSITIVE, default=50)
+@click.option("--seed", type=SEED, required=True)
+@click.option("--out", required=True)
+def sweep(dataset, window_days_list, dates, members, seed, out):
     """Mean CRPS as a function of the training-window length."""
-    config = read_config(config_path) if config_path else {}
-    dataset_path = _resolve(dataset_path, config, "dataset")
-    ms_text = _resolve(ms_text, config, "window_days_list",
-                       ",".join(str(m) for m in range(10, 61, 5)))
-    n_dates = _resolve(n_dates, config, "dates", 10, POSITIVE)
-    members = _resolve(members, config, "members", 50, POSITIVE)
-    seed = _resolve(seed, config, "seed", cast=SEED)
-    out_path = _resolve(out_path, config, "out")
-    if None in (dataset_path, seed, out_path):
-        raise UsageError("sweep requires --dataset, --seed and --out")
     try:
-        ms = [int(tok) for tok in ms_text.split(",") if tok.strip()]
+        ms = [int(tok) for tok in window_days_list.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"bad window list {ms_text!r}") from None
+        raise UsageError(f"bad window list {window_days_list!r}") from None
     if not ms or min(ms) < 1:
-        raise UsageError(f"window lengths must be positive, got {ms_text!r}")
-    ds = dm.load_dataset(dataset_path)
+        raise UsageError(f"window lengths must be positive, got {window_days_list!r}")
+    ds = dm.load_dataset(dataset)
     eligible = ds.dates[max(ms):]  # sorted and unique: dates with max(ms) earlier days
     if not eligible:
         raise NoTrainingData(f"not enough history for M={max(ms)}")
-    rows = est.window_sweep(ds, eligible[-n_dates:], ms, members, seed)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["M", "mean_crps", "se_crps", "n_cases", "n_skipped"])
-        for row in rows:
-            writer.writerow([row["M"], repr(row["mean_crps"]), repr(row["se_crps"]),
-                             row["n_cases"], row["n_skipped"]])
-    log.info("wrote sweep table to %s", out_path)
+    rows = est.window_sweep(ds, eligible[-dates:], ms, members, seed)
+    header = ["M", "mean_crps", "se_crps", "n_cases", "n_skipped"]
+    dm.write_csv(out, header, [[str(row[key]) for row in rows] for key in header])
+    log.info("wrote sweep table to %s", out)
 
 
 if __name__ == "__main__":

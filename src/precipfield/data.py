@@ -115,11 +115,22 @@ def write_csv(path, header, columns):
         fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
 
+def read_text(path):
+    """The whole of a UTF-8 text file; bytes that are not UTF-8 raise
+    :class:`ParseError` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 @contextlib.contextmanager
 def _csv_reader(path):
     """A ``csv.reader`` over a UTF-8 text file. Malformed CSV raises
     :class:`ParseError` naming the line, and bytes that are not UTF-8 one
-    naming the file."""
+    naming the file. ``reader.line_num`` is the physical line last read, so
+    a message stays right after a quoted field that holds a newline."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -141,16 +152,16 @@ def load_dataset(path):
             raise ParseError(f"{path}: empty file, expected header") from None
         if [h.strip() for h in header] != CSV_HEADER:
             raise ParseError(f"{path}:1: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(CSV_HEADER):
-                raise ParseError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
+                raise ParseError(f"{path}:{reader.line_num}: expected {len(CSV_HEADER)} fields")
             try:
                 values.append((float(row[1]), float(row[2]), float(row[4]), float(row[5])))
                 day = days.get(row[3]) or days.setdefault(row[3], dt.date.fromisoformat(row[3]))
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
             site_id.append(row[0])
             date.append(day)
     x, y, obs, fcst = np.reshape(values, (-1, 4)).T
@@ -165,8 +176,8 @@ def load_grid_field(path, grid):
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["row", "col", "value_hundredths_inch"]:
             raise ParseError(f"{path}: expected header row,col,value_hundredths_inch")
-        lineno = 1
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             try:
                 iy, ix, value = int(row[0]), int(row[1]), float(row[2])
             except (ValueError, IndexError) as exc:
@@ -180,11 +191,11 @@ def load_grid_field(path, grid):
             if not math.isnan(field[iy, ix]):
                 raise ParseError(f"{path}:{lineno}: duplicate cell ({iy}, {ix})")
             field[iy, ix] = value
-    missing = np.argwhere(np.isnan(field))
-    if missing.size:
-        iy, ix = missing[0]
-        raise ParseError(f"{path}:{lineno + 1}: end of file with {len(missing)} "
-                         f"cells missing, first ({iy}, {ix})")
+        missing = np.argwhere(np.isnan(field))
+        if missing.size:
+            iy, ix = missing[0]
+            raise ParseError(f"{path}:{reader.line_num + 1}: end of file with {len(missing)} "
+                             f"cells missing, first ({iy}, {ix})")
     return field
 
 

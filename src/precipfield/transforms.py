@@ -139,12 +139,6 @@ def gamma_marginals(coeffs, fcst_cuberoot, zero_flag, fallback_mean=None):
     return alpha, beta, fell_back
 
 
-def gamma_marginal(coeffs, fcst_cuberoot, zero_flag):
-    """Scalar case of :func:`gamma_marginals`, without a fallback mean."""
-    alpha, beta, _ = gamma_marginals(coeffs, float(fcst_cuberoot), bool(zero_flag))
-    return GammaMarginal(alpha=float(alpha), beta=float(beta))
-
-
 def wet_amounts(w, z, alpha, beta):
     """Accumulations of two-stage draws, element-wise.
 

@@ -68,6 +68,24 @@ class TestConfig:
         assert len(ds.sites) == 4
 
 
+    @pytest.mark.parametrize("command, line", [
+        ("fit", "window-days = 10"),  # the flag's spelling, not the key's
+        ("verify", "mode = site"),  # a key of another command
+    ])
+    def test_unknown_key_exits_2(self, synth_dir, tmp_path, runner, command, line):
+        # Unknown keys used to be ignored: this fit trained on the default 30
+        # days and exited 0.
+        out = tmp_path / "out"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"dataset = {synth_dir / 'dataset.csv'}\nout = {out}\n{line}\n")
+        args = {"fit": ["--date", "2004-01-16"],
+                "verify": ["-M", "5", "--dates", "1", "--seed", "0"]}[command]
+        res = runner.invoke(cli.main, [command, "--config", str(conf), *args])
+        assert res.exit_code == 2
+        assert f"{conf}: unknown config key '{line.split()[0]}'" in res.output
+        assert not out.exists()
+
+
 class TestSynth:
     def test_outputs_reload(self, synth_dir):
         ds = dm.load_dataset(synth_dir / "dataset.csv")
@@ -245,6 +263,25 @@ def test_unreadable_input_exits_3(tmp_path, runner, caplog, case, message):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1
     assert re.search(message, errors[0])
+
+
+@pytest.mark.parametrize("command", ["forecast", "fit"])
+def test_not_utf8_model_or_config_exits_3(synth_dir, tmp_path, runner, caplog, command):
+    # Both used to exit 3 with a message that did not name the file.
+    path = tmp_path / "binary.txt"
+    path.write_bytes(UNREADABLE["dataset binary"])
+    args = {
+        "forecast": ["forecast", "--model", str(path), "--dataset",
+                     str(synth_dir / "dataset.csv"), "--date", "2004-01-16",
+                     "--seed", "0", "--out", str(tmp_path / "e.csv")],
+        "fit": ["fit", "--config", str(path)],
+    }[command]
+    with caplog.at_level("ERROR", logger="precipfield"):
+        res = runner.invoke(cli.main, args)
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{path}: not UTF-8 text (invalid start byte)"]
 
 
 def full_grid_rows(ny, nx, value):
@@ -620,3 +657,57 @@ class TestSweep:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert res.exit_code == 3
+
+
+FORECAST_OPTIONS = ["--model", "{model}", "--dataset", "{dataset}", "--date", "{date}",
+                    "--members", "6", "--seed", "5", "--out", "{out}",
+                    "--site-ids", "s000,s002,s005", "--grid-forecast", "{grid}",
+                    "--grid-x0", "3", "--grid-y0", "-2", "--grid-cell-km", "20",
+                    "--grid-nx", "3", "--grid-ny", "2"]
+# Each command with every one of its options, as long flags.
+EVERY_OPTION = {
+    "synth": ["synth", "--seed", "4", "--out", "{out}", "--sites", "5", "--days", "6",
+              "--extent-km", "120", "--wet-bias-offset", "0.3"],
+    "fit": ["fit", "--dataset", "{dataset}", "--date", "{date}", "--window-days", "12",
+            "--seed", "3", "--out", "{out}"],
+    **{f"forecast {mode}": ["forecast", "--mode", mode, *FORECAST_OPTIONS]
+       for mode in ("site", "areal", "grid")},
+    "verify": ["verify", "--dataset", "{dataset}", "--window-days", "8", "--members", "6",
+               "--mst-members", "5", "--dates", "1", "--seed", "2", "--out", "{out}"],
+    "sweep": ["sweep", "--dataset", "{dataset}", "--window-days-list", "5,7",
+              "--dates", "1", "--members", "5", "--seed", "2", "--out", "{out}"],
+}
+
+
+def output_bytes(out):
+    """A file's bytes, or each file's bytes under a directory by name."""
+    if out.is_file():
+        return out.read_bytes()
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))}
+
+
+@pytest.mark.parametrize("case", sorted(EVERY_OPTION))
+def test_config_file_matches_flags(fitted, tmp_path, runner, case):
+    # A config key is the long flag name with '-' as '_', for every option.
+    dataset, date, model = fitted
+    grid = write_grid_csv(tmp_path / "grid.csv", full_grid_rows(2, 3, 8.0))
+    command, *args = EVERY_OPTION[case]
+    keys = [flag[2:].replace("-", "_") for flag in args[::2]]
+    assert sorted(keys) == sorted(p.name for p in cli.main.commands[command].params
+                                  if p.name != "config")
+    outputs = []
+    for how in ("flags", "config"):
+        out = tmp_path / how
+        if command == "synth":
+            out.mkdir()
+        values = [arg.format(dataset=dataset, date=date.isoformat(), model=model,
+                             grid=grid, out=out) for arg in args]
+        if how == "flags":
+            res = run(runner, [command, *values])
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text("".join(f"{key} = {val}\n" for key, val in zip(keys, values[1::2])))
+            res = run(runner, [command, "--config", str(conf)])
+        assert res.exit_code == 0
+        outputs.append(output_bytes(out))
+    assert outputs[0] == outputs[1]

@@ -9,6 +9,7 @@ from scipy.special import ndtr
 
 from precipfield import data as dm
 from precipfield import estimation as est
+from precipfield import fields as rf
 from precipfield.errors import NotFound, ParseError, ValidationError
 
 
@@ -126,6 +127,28 @@ class TestLoadSave:
         path.write_text(",".join(dm.CSV_HEADER) + "\na,0,0,2004-01-01,1,2\n\n" + row + "\n")
         with pytest.raises(ParseError, match=line):
             dm.load_dataset(path)
+
+    def test_parse_error_counts_physical_lines(self, tmp_path):
+        # A site id holding a newline spans lines 2-3, so the bad date is on
+        # line 4; counting CSV records used to report line 3.
+        path = tmp_path / "nl.csv"
+        path.write_text(",".join(dm.CSV_HEADER) + '\n"a\nb",0,0,2004-01-01,1,2\n'
+                        "c,1,1,2004-01-0x,1,2\n")
+        with pytest.raises(ParseError, match=r"nl\.csv:4: Invalid isoformat"):
+            dm.load_dataset(path)
+
+    def test_grid_error_counts_physical_lines(self, tmp_path):
+        # Record 2 spans lines 2-3: the out-of-range cell is on line 4, and
+        # the end of the file, short of the fourth cell, is line 6.
+        grid = rf.GridSpec(0.0, 0.0, 10.0, 2, 2)
+        head = 'row,col,value_hundredths_inch\n"0\n",0,1\n'
+        path = tmp_path / "g.csv"
+        path.write_text(head + "0,5,1\n")
+        with pytest.raises(ParseError, match=r"g\.csv:4: cell \(0, 5\) outside"):
+            dm.load_grid_field(path, grid)
+        path.write_text(head + "0,1,1\n1,0,1\n")
+        with pytest.raises(ParseError, match=r"g\.csv:6: end of file with 1 cells"):
+            dm.load_grid_field(path, grid)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

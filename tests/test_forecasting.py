@@ -64,7 +64,7 @@ class TestSiteEnsemble:
         # draws from the site Gamma (on the cube-root scale).
         model = toy_model()
         fcst = 27.0
-        marg = tr.gamma_marginal(model.amount, 3.0, False)
+        marg = tr.GammaMarginal(*tr.gamma_marginals(model.amount, 3.0, False)[:2])
         ens = fc.generate_site_ensemble(model, spread_sites(1), [fcst], 40_000, seed=3)
         wet = ens.members[:, 0][ens.members[:, 0] > 0]
         cr = np.cbrt(wet)

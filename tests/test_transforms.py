@@ -62,19 +62,19 @@ class TestOccurrenceTrend:
 class TestGammaMarginal:
     def test_moment_inversion(self):
         c = tr.GammaCoeffs(2.0, 0.0, 0.0, 1.0, 0.0)
-        m = tr.gamma_marginal(c, 0.7, False)
-        assert m.alpha == pytest.approx(4.0)
-        assert m.beta == pytest.approx(0.5)
+        alpha, beta, _ = tr.gamma_marginals(c, 0.7, False)
+        assert alpha == pytest.approx(4.0)
+        assert beta == pytest.approx(0.5)
 
     def test_unit_mean_variance(self):
         c = tr.GammaCoeffs(1.0, 0.0, 0.0, 1.0, 0.0)
-        m = tr.gamma_marginal(c, 5.0, False)
-        assert (m.alpha, m.beta) == (pytest.approx(1.0), pytest.approx(1.0))
+        alpha, beta, _ = tr.gamma_marginals(c, 5.0, False)
+        assert (alpha, beta) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_nonpositive_mean(self):
         c = tr.GammaCoeffs(-1.0, 0.0, 0.0, 1.0, 0.0)
         with pytest.raises(NonpositiveMean):
-            tr.gamma_marginal(c, 0.5, False)
+            tr.gamma_marginals(c, 0.5, False)
 
     def test_nonpositive_variance_guarded_by_type(self):
         with pytest.raises(DomainError):
@@ -87,7 +87,7 @@ class TestGammaMarginal:
     )
     def test_moment_consistency(self, eta0, nu0, fcst_cr):
         c = tr.GammaCoeffs(eta0, 0.5, 0.0, nu0, 0.1)
-        m = tr.gamma_marginal(c, fcst_cr, False)
+        m = tr.GammaMarginal(*tr.gamma_marginals(c, fcst_cr, False)[:2])
         assert m.mean == pytest.approx(eta0 + 0.5 * fcst_cr, rel=1e-12)
         assert m.variance == pytest.approx(nu0 + 0.1 * fcst_cr ** 3, rel=1e-12)
 
@@ -95,7 +95,7 @@ class TestGammaMarginal:
         # nu0 = 0 is allowed by the type but yields v = 0 for zero forecast
         c = tr.GammaCoeffs(1.0, 0.0, 0.0, 0.0, 1.0)
         with pytest.raises(NonpositiveVariance):
-            tr.gamma_marginal(c, 0.0, True)
+            tr.gamma_marginals(c, 0.0, True)
 
 
 class TestGammaMarginals:
@@ -105,8 +105,7 @@ class TestGammaMarginals:
         flag = cr == 0.0
         alpha, beta, fell_back = tr.gamma_marginals(c, cr, flag)
         for j in range(cr.size):
-            m = tr.gamma_marginal(c, cr[j], flag[j])
-            assert (alpha[j], beta[j]) == (m.alpha, m.beta)
+            assert (alpha[j], beta[j]) == tr.gamma_marginals(c, cr[j], flag[j])[:2]
         assert not fell_back.any()
 
     def test_fallback_replaces_nonpositive_means_only(self):
