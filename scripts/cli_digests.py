@@ -72,9 +72,12 @@ def produce(cli, top, seed):
               "--grid-forecast", grid_fcst, "--grid-cell-km", 15,
               "--grid-nx", GRID_NX, "--grid-ny", GRID_NY,
               "--out", os.path.join(out, "grid")])
-    run(cli, ["verify", "--dataset", dataset, "-M", 10, "--members", 15,
-              "--mst-members", 9, "--dates", 2, "--seed", seed,
-              "--out", os.path.join(out, "verify")])
+    # An odd and an even ensemble size: the median of an even one is the
+    # midpoint of its two middle members.
+    for members, name in ((15, "verify"), (16, "verify16")):
+        run(cli, ["verify", "--dataset", dataset, "-M", 10, "--members", members,
+                  "--mst-members", 9, "--dates", 2, "--seed", seed,
+                  "--out", os.path.join(out, name)])
     run(cli, ["sweep", "--dataset", dataset, "--window-days-list", "6,10",
               "--dates", 2, "--members", 10, "--seed", seed,
               "--out", os.path.join(out, "sweep.csv")])

@@ -115,6 +115,15 @@ def _load_config(ctx, param, path):
     ctx.default_map = config
 
 
+def _comma_list(text, what):
+    """The tokens of a comma-separated list, blank ones skipped; a list that
+    names nothing is a usage error."""
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise UsageError(f"{what} names nothing: {text!r}")
+    return tokens
+
+
 config_option = click.option(
     "--config", is_eager=True, expose_value=False, callback=_load_config,
     help="File of 'key = value' lines; a key is the long flag name with '-' as '_'.")
@@ -207,8 +216,8 @@ def forecast(model, dataset, date, mode, members, seed, out, site_ids, grid_fore
     date = date.date()
     sites, fcst, _ = dm.day_arrays(dm.load_dataset(dataset), date)
     if mode == "areal":
-        if site_ids:
-            wanted = set(site_ids.split(","))
+        if site_ids is not None:
+            wanted = set(_comma_list(site_ids, "--site-ids"))
             absent = sorted(wanted - {s.id for s in sites})
             if absent:
                 raise UsageError(f"site ids absent on {date}: {','.join(absent)}")
@@ -271,10 +280,10 @@ def verify(dataset, window_days, members, mst_members, dates, seed, out):
 def sweep(dataset, window_days_list, dates, members, seed, out):
     """Mean CRPS as a function of the training-window length."""
     try:
-        ms = [int(tok) for tok in window_days_list.split(",") if tok.strip()]
+        ms = [int(tok) for tok in _comma_list(window_days_list, "--window-days-list")]
     except ValueError:
         raise UsageError(f"bad window list {window_days_list!r}") from None
-    if not ms or min(ms) < 1:
+    if min(ms) < 1:
         raise UsageError(f"window lengths must be positive, got {window_days_list!r}")
     ds = dm.load_dataset(dataset)
     eligible = ds.dates[max(ms):]  # sorted and unique: dates with max(ms) earlier days

@@ -531,8 +531,7 @@ def window_sweep(dataset, valid_dates, Ms, n_members, seed):
                 n_skipped += 1
                 continue
             _, _, obs, ens = step
-            for j in range(len(obs)):
-                scores.append(vf.crps_ensemble(ens.members[:, j], obs[j]))
+            scores.extend(vf.crps_ensemble(ens.members.T, obs))
         rows.append(
             {
                 "M": M,

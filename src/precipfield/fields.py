@@ -207,84 +207,56 @@ class CirculantEmbedding:
         return out[0] if n_fields == 1 else out
 
 
-def _trunc_norm_lower(rng, mean, sd, lower=0.0):
-    """Inverse-CDF draw from N(mean, sd) truncated to (lower, inf).
+def _trunc_norm_draw(rng, mean, sd, sign):
+    """Inverse-CDF draw from N(mean, sd) restricted to x > 0 (sign=+1) or
+    x <= 0 (sign=-1); vectorized over ``mean`` and ``sign``.
 
-    Works in log-survival space so that far-tail truncations stay accurate.
-    Vectorized over ``mean``.
-    """
-    t = (lower - mean) / sd
-    u = np.maximum(rng.random(np.shape(mean)), np.finfo(float).tiny)
-    log_s = special.log_ndtr(-t) + np.log(u)
-    z = -special.ndtri_exp(log_s)
-    return mean + sd * z
-
-
-def truncated_normal_draw(rng, mean, sd, sign):
-    """Draw from N(mean, sd) restricted to x > 0 (sign=+1) or x <= 0 (sign=-1).
-
-    Vectorized; uses the reflection N(mean) restricted to x <= 0 being the
-    negation of N(-mean) restricted to x >= 0.
+    N(mean) restricted to x <= 0 is the negation of N(-mean) restricted to
+    x >= 0. The draw works in log-survival space so that far-tail
+    truncations stay accurate.
     """
     sign = np.asarray(sign, dtype=float)
-    return sign * _trunc_norm_lower(rng, sign * np.asarray(mean, dtype=float), sd)
+    mean = sign * np.asarray(mean, dtype=float)
+    u = np.maximum(rng.random(np.shape(mean)), np.finfo(float).tiny)
+    log_s = special.log_ndtr(mean / sd) + np.log(u)
+    return sign * (mean - sd * special.ndtri_exp(log_s))
 
 
-class GibbsTruncatedMVN:
-    """Systematic-scan Gibbs sampler for orthant-truncated MVNs.
-
-    Runs ``n_chains`` independent chains sharing one correlation matrix;
-    each chain has its own mean vector and per-coordinate sign pattern
-    (+1 for positive, -1 for nonpositive). Drives :func:`sample_truncated_mvn`.
-    """
-
-    def __init__(self, means, corr_matrix, signs):
-        means = np.atleast_2d(np.asarray(means, dtype=float))
-        signs = np.atleast_2d(np.asarray(signs, dtype=float))
-        if means.shape != signs.shape:
-            raise DomainError("means and signs must have matching shapes")
-        self.means = means
-        self.signs = signs
-        self.dim = means.shape[1]
-        chol = cholesky_pd(corr_matrix)
-        ident = np.eye(self.dim)
-        inv_chol = linalg.solve_triangular(chol, ident, lower=True)
-        self.precision = inv_chol.T @ inv_chol
-        self.cond_sd = 1.0 / np.sqrt(np.diag(self.precision))
-        # Start feasible: mean pushed to the right side of zero.
-        state = np.where(signs > 0, np.maximum(means, 0.5), np.minimum(means, -0.5))
-        self.state = state
-
-    def sweep(self, rng, n_sweeps=1):
-        """Advance every chain by ``n_sweeps`` full coordinate scans."""
-        q = self.precision
-        for _ in range(n_sweeps):
-            dev = self.state - self.means
-            for j in range(self.dim):
-                # Conditional mean of coordinate j given the others.
-                resid = dev @ q[:, j] - dev[:, j] * q[j, j]
-                m_cond = self.means[:, j] - resid / q[j, j]
-                draw = truncated_normal_draw(rng, m_cond, self.cond_sd[j], self.signs[:, j])
-                self.state[:, j] = draw
-                dev[:, j] = draw - self.means[:, j]
-        return self.state
+def _gibbs_scan(rng, state, mean, precision, cond_sd, signs):
+    """One systematic scan of the Gibbs sampler, updating ``state`` in
+    place: each coordinate is drawn from its truncated conditional given
+    the others."""
+    dev = state - mean
+    for j in range(state.size):
+        resid = dev @ precision[:, j] - dev[j] * precision[j, j]
+        draw = _trunc_norm_draw(rng, mean[j] - resid / precision[j, j], cond_sd[j], signs[j])
+        state[j] = draw
+        dev[j] = draw - mean[j]
 
 
 def sample_truncated_mvn(mean, corr_matrix, signs, n_samples, burn_in, seed):
     """Gibbs samples from an orthant-truncated multivariate normal.
 
     ``signs`` holds +1 for coordinates constrained positive and -1 for
-    nonpositive. Returns an (n_samples, dim) array; every emitted sample
+    nonpositive. One chain is scanned ``burn_in`` times, then once per
+    sample. Returns an (n_samples, dim) array; every emitted sample
     satisfies the constraint. Deterministic given ``seed``.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    signs = np.atleast_1d(np.asarray(signs, dtype=float))
+    if mean.ndim != 1 or mean.shape != signs.shape:
+        raise DomainError("mean and signs must be vectors of equal length")
     rng = as_generator(seed)
-    sampler = GibbsTruncatedMVN(mean, corr_matrix, signs)
-    sampler.sweep(rng, burn_in)
-    dim = sampler.dim
-    out = np.empty((n_samples, dim))
-    for i in range(n_samples):
-        out[i] = sampler.sweep(rng)[0]
+    inv_chol = linalg.solve_triangular(cholesky_pd(corr_matrix), np.eye(mean.size), lower=True)
+    precision = inv_chol.T @ inv_chol
+    cond_sd = 1.0 / np.sqrt(np.diag(precision))
+    # Start feasible: mean pushed to the right side of zero.
+    state = np.where(signs > 0, np.maximum(mean, 0.5), np.minimum(mean, -0.5))
+    out = np.empty((n_samples, mean.size))
+    for i in range(-burn_in, n_samples):
+        _gibbs_scan(rng, state, mean, precision, cond_sd, signs)
+        if i >= 0:
+            out[i] = state
     return out
-

@@ -8,7 +8,6 @@ histograms with point-mass randomization, and reliability tables;
 
 from __future__ import annotations
 
-import csv
 import functools
 import os
 
@@ -22,22 +21,48 @@ from . import forecasting as fc
 from . import transforms as tr
 from .errors import DomainError, NumericalError
 
+METHODS = ("climatology", "nwp", "independence", "spatial")
+SCORE_KEYS = ("mae", "crps", "bs")
+
+
+def _float_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _ensembles(members):
+    """Members as a C-contiguous float array with the ensemble on the last
+    axis, so that each ensemble reduces as one contiguous row: a row sums
+    in the same order as the 1-D call on that ensemble alone."""
+    x = np.ascontiguousarray(np.atleast_1d(members), dtype=float)
+    if x.shape[-1] < 1:
+        raise DomainError("empty ensemble")
+    return x
+
+
+def _half_spread(x):
+    """Half the mean absolute member spread of each ensemble in ``x``.
+
+    Over the sorted members x_(1) <= ... <= x_(m) it is
+    sum_i (2i - m - 1) x_(i) / m^2 (Gneiting & Raftery 2007), so one sort
+    replaces the m x m pair matrix. As a stacked (1, m) @ (m, 1) product each
+    row takes the dot kernel of a 1-D ``np.dot``; a block gemv would not.
+    """
+    m = x.shape[-1]
+    coef = np.arange(1 - m, m, 2, dtype=float)[:, None]
+    return (np.sort(x)[..., None, :] @ coef)[..., 0, 0] / (m * m)
+
 
 def crps_ensemble(members, obs):
-    """CRPS of an ensemble forecast against a scalar observation.
+    """CRPS of ensemble forecasts against observations.
 
-    Mean absolute member error minus half the mean absolute member spread.
-    Over the sorted members x_(1) <= ... <= x_(m), half the mean spread is
-    sum_i (2i - m - 1) x_(i) / m^2 (Gneiting & Raftery 2007), so one sort
-    replaces the m x m pair matrix: O(m log m) time, O(m) memory.
+    Mean absolute member error minus half the mean absolute member spread,
+    over the last axis of ``members``: O(m log m) time and O(m) memory per
+    ensemble. A 1-D ensemble and a scalar observation give a float; a
+    (sites, members) block and one observation per site give an array.
     """
-    x = np.asarray(members, dtype=float)
-    if x.size < 1:
-        raise DomainError("empty ensemble")
-    m = x.size
-    term1 = np.abs(x - obs).mean()
-    term2 = np.dot(np.arange(1 - m, m, 2), np.sort(x)) / (m * m)
-    return float(term1 - term2)
+    x = _ensembles(members)
+    term1 = np.abs(x - np.asarray(obs, dtype=float)[..., None]).mean(axis=-1)
+    return _float_or_array(term1 - _half_spread(x))
 
 
 def crps_numeric(cdf, obs, xi_max=None, tol=1e-8):
@@ -90,18 +115,22 @@ def empirical_cdf(members):
 
 
 def mae_of_median(members, obs):
-    """Absolute error of the ensemble median (midpoint rule for even m)."""
-    x = np.asarray(members, dtype=float)
-    if x.size < 1:
-        raise DomainError("empty ensemble")
-    return float(abs(np.median(x) - obs))
+    """Absolute error of the ensemble median (midpoint rule for even m),
+    over the last axis of ``members`` as in :func:`crps_ensemble`."""
+    return _float_or_array(np.abs(np.median(_ensembles(members), axis=-1) - obs))
 
 
 def brier_score(prob, occurred):
-    """Quadratic score of a probability forecast for a binary event."""
-    if not (0.0 <= prob <= 1.0):
+    """Quadratic score of probability forecasts for binary events.
+
+    ``float_power`` squares with the C library's ``pow``, as Python's float
+    ``**`` does; numpy's ``**`` multiplies, which differs in the last bit
+    for some values.
+    """
+    prob = np.asarray(prob, dtype=float)
+    if not np.all((prob >= 0.0) & (prob <= 1.0)):
         raise DomainError("probability must lie in [0, 1]")
-    return float((prob - float(bool(occurred))) ** 2)
+    return _float_or_array(np.float_power(prob - np.asarray(occurred, dtype=bool), 2))
 
 
 def energy_score(members, obs):
@@ -244,78 +273,79 @@ def chi_square_uniform(counts):
     return float(((counts - expected) ** 2 / expected).sum())
 
 
+def _mean(values):
+    return float(np.mean(values)) if len(values) else float("nan")
+
+
 class VerificationReport:
-    """Accumulates case-level scores and writes the report CSV set."""
+    """Per-method score columns and calibration tables; writes the report
+    CSV set.
+
+    ``dates`` and ``site_ids`` hold one entry per verified (date, site)
+    case, and ``scores[method][key]`` that method's ``mae``, ``crps`` or
+    ``bs`` of each case, in the same order.
+    """
 
     def __init__(self):
-        self.cases = []  # dicts: method, date, kind, mae, crps, bs
+        self.dates = []
+        self.site_ids = []
+        self.scores = {}  # method -> key -> list of floats, one per case
         self.rank_hists = {}  # method -> counts
         self.pit_hists = {}
         self.mst_hists = {}
         self.reliability = {}  # method -> rows
         self.energy = {}  # method -> list of ES values
 
-    def add_case(self, method, date, **scores):
-        self.cases.append({"method": method, "date": str(date), **scores})
+    def add_date(self, date, site_ids, scores):
+        """Append one date's cases: ``scores`` maps each method to its mae,
+        crps and bs arrays over ``site_ids``."""
+        self.dates += [str(date)] * len(site_ids)
+        self.site_ids += site_ids
+        for method, values in scores.items():
+            columns = self.scores.setdefault(method, {key: [] for key in SCORE_KEYS})
+            for key, value in zip(SCORE_KEYS, values):
+                columns[key] += value.tolist()
 
     def summary(self):
-        methods = sorted({c["method"] for c in self.cases} | set(self.energy))
-        rows = []
-        for method in methods:
-            cases = [c for c in self.cases if c["method"] == method]
-            row = {"method": method, "n_cases": len(cases)}
-            for key in ("mae", "crps", "bs"):
-                vals = [c[key] for c in cases if key in c]
-                row[key] = float(np.mean(vals)) if vals else float("nan")
-            es_vals = self.energy.get(method, [])
-            row["es"] = float(np.mean(es_vals)) if es_vals else float("nan")
-            rows.append(row)
-        return rows
+        """One row per scored method: its number of cases and its mean
+        scores, and its mean energy score (nan when it has none)."""
+        return [{"method": method, "n_cases": len(columns["mae"]),
+                 **{key: _mean(columns[key]) for key in SCORE_KEYS},
+                 "es": _mean(self.energy.get(method, ()))}
+                for method, columns in sorted(self.scores.items())]
 
     def write(self, outdir):
+        """Write scores.csv, one row per case and method with the methods in
+        the order they were added; summary.csv; the rank, PIT and MST
+        histograms; and reliability.csv. Site ids are quoted as in a
+        dataset CSV."""
         os.makedirs(outdir, exist_ok=True)
-        self._write_csv(
-            os.path.join(outdir, "scores.csv"),
-            ["method", "date", "site_id", "mae", "crps", "bs"],
-            self.cases,
-        )
-        self._write_csv(
-            os.path.join(outdir, "summary.csv"),
-            ["method", "n_cases", "mae", "crps", "bs", "es"],
-            self.summary(),
-        )
-        for name, hists in (
-            ("rank_hist.csv", self.rank_hists),
-            ("pit_hist.csv", self.pit_hists),
-            ("mst_hist.csv", self.mst_hists),
-        ):
-            rows = []
-            for method in sorted(hists):
-                for b, count in enumerate(hists[method], start=1):
-                    rows.append({"method": method, "bin": b, "count": int(count)})
-            self._write_csv(os.path.join(outdir, name), ["method", "bin", "count"], rows)
-        rows = []
-        for method in sorted(self.reliability):
-            for entry in self.reliability[method]:
-                rows.append({"method": method, **entry})
-        self._write_csv(
-            os.path.join(outdir, "reliability.csv"),
-            ["method", "bin_center", "mean_forecast_prob", "observed_frequency", "count"],
-            rows,
-        )
-
-    @staticmethod
-    def _write_csv(path, header, rows):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n",
-                                    extrasaction="ignore", restval="")
-            writer.writeheader()
-            for row in rows:
-                out = {}
-                for key in header:
-                    val = row.get(key, "")
-                    out[key] = repr(val) if isinstance(val, float) else val
-                writer.writerow(out)
+        path = functools.partial(os.path.join, outdir)
+        methods = list(self.scores)
+        ids = [dm.csv_field(site_id) for site_id in self.site_ids]
+        dm.write_csv(path("scores.csv"), ["method", "date", "site_id", *SCORE_KEYS], [
+            methods * len(ids),
+            [date for date in self.dates for _ in methods],
+            [site_id for site_id in ids for _ in methods],
+            *([repr(v) for case in zip(*(self.scores[m][key] for m in methods)) for v in case]
+              for key in SCORE_KEYS),
+        ])
+        tables = {
+            "summary.csv": (["method", "n_cases", *SCORE_KEYS, "es"], self.summary()),
+            "reliability.csv": (
+                ["method", "bin_center", "mean_forecast_prob", "observed_frequency", "count"],
+                [{"method": method, **entry}
+                 for method in sorted(self.reliability) for entry in self.reliability[method]]),
+        }
+        for name, hists in (("rank_hist.csv", self.rank_hists), ("pit_hist.csv", self.pit_hists),
+                            ("mst_hist.csv", self.mst_hists)):
+            tables[name] = (["method", "bin", "count"], [
+                {"method": method, "bin": b, "count": int(count)}
+                for method in sorted(hists) for b, count in enumerate(hists[method], start=1)])
+        for name, (header, rows) in tables.items():  # floats by repr, the rest by str
+            dm.write_csv(path(name), header, [
+                [repr(v) if isinstance(v, float) else str(v) for v in (row[key] for row in rows)]
+                for key in header])
 
 
 def _scoring_forecasts(model, sites, fcst, members, mst_members, seeds):
@@ -337,10 +367,11 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
     no-spatial-correlation baseline and the two-stage spatial model.
     Returns the report and the number of dates skipped."""
     report = VerificationReport()
-    rank_bins = {m: [] for m in ("climatology", "independence", "spatial")}
-    pit_vals = {m: [] for m in ("climatology", "spatial")}
+    ranks = {"independence": [], "spatial": []}
+    pit_vals = {"climatology": [], "climatology_rank": [], "spatial": []}
     mst_ranks = {"independence": [], "spatial": []}
-    rel = {m: ([], []) for m in ("climatology", "nwp", "independence", "spatial")}
+    rel = {m: [] for m in METHODS}  # forecast probabilities, one array per date
+    outcomes = []
     n_skipped = 0
 
     for di, valid_date in enumerate(valid_dates):
@@ -358,43 +389,37 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
         clim_p0 = float((clim == 0).mean())
         clim_cdf = empirical_cdf(clim)
 
-        for j in range(len(sites)):
-            o = float(obs[j])
-            occurred = o > 0
-            # Climatology.
-            report.add_case("climatology", valid_date, site_id=sites[j].id,
-                            mae=mae_of_median(clim, o),
-                            crps=crps_ensemble(clim, o),
-                            bs=brier_score(1.0 - clim_p0, occurred))
-            if o == 0.0:
-                pit_vals["climatology"].append(rng.uniform(0.0, clim_p0))
-            else:
-                pit_vals["climatology"].append(clim_cdf(o))
-            rel["climatology"][0].append(1.0 - clim_p0)
-            rel["climatology"][1].append(occurred)
-            # Raw NWP point forecast: CRPS reduces to absolute error.
-            f = float(fcst[j])
-            report.add_case("nwp", valid_date, site_id=sites[j].id,
-                            mae=abs(f - o), crps=abs(f - o),
-                            bs=brier_score(float(f > 0), occurred))
-            rel["nwp"][0].append(float(f > 0))
-            rel["nwp"][1].append(occurred)
-            # Statistical ensembles.
-            p = float(p_wet[j])
+        # Every site's scores at once. The history is one ensemble shared by
+        # all sites: its spread term is taken once, and its absolute errors
+        # one site at a time, so that memory stays O(history). The raw NWP
+        # point forecast's CRPS reduces to its absolute error.
+        occurred = obs > 0
+        prob = {"climatology": np.full(len(obs), 1.0 - clim_p0),
+                "nwp": (fcst > 0).astype(float), "independence": p_wet, "spatial": p_wet}
+        clim_crps = (np.array([np.abs(clim - o).mean() for o in obs.tolist()])
+                     - _half_spread(_ensembles(clim)))
+        nwp_error = np.abs(fcst - obs)
+        scores = {"climatology": (mae_of_median(clim, obs), clim_crps),
+                  "nwp": (nwp_error, nwp_error)}
+        for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
+            scores[name] = (mae_of_median(ens.members.T, obs), crps_ensemble(ens.members.T, obs))
+        report.add_date(valid_date, [s.id for s in sites], {
+            m: (*scores[m], brier_score(prob[m], occurred)) for m in METHODS})
+        for m in METHODS:
+            rel[m].append(prob[m])
+        outcomes.append(occurred)
+
+        # The random draws, one site at a time in a fixed order, so that the
+        # random stream stays the same.
+        for j, o in enumerate(obs.tolist()):
+            pit_vals["climatology"].append(rng.uniform(0.0, clim_p0) if o == 0.0 else clim_cdf(o))
             for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
-                mem = ens.members[:, j]
-                report.add_case(name, valid_date, site_id=sites[j].id,
-                                mae=mae_of_median(mem, o),
-                                crps=crps_ensemble(mem, o),
-                                bs=brier_score(p, occurred))
-                rank_bins[name].append(verification_rank(mem, o, rng))
-                rel[name][0].append(p)
-                rel[name][1].append(occurred)
+                ranks[name].append(verification_rank(ens.members[:, j], o, rng))
             # Climatology ranks scale to [0, 1] (the history is large).
-            clim_rank = verification_rank(clim, o, rng)
-            rank_bins["climatology"].append((clim_rank - 0.5) / (clim.size + 1))
+            pit_vals["climatology_rank"].append(
+                (verification_rank(clim, o, rng) - 0.5) / (clim.size + 1))
             marginal = tr.GammaMarginal(float(alpha[j]), float(beta[j]))
-            pit_vals["spatial"].append(pit_value(1.0 - p, marginal, o, rng))
+            pit_vals["spatial"].append(pit_value(1.0 - float(p_wet[j]), marginal, o, rng))
 
         # Multivariate scores over the day's sites.
         for name, ens in (("independence", in19), ("spatial", sp19)):
@@ -402,21 +427,15 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
             mst_ranks[name].append(mst_rank(ens.members, obs, rng))
         report.energy.setdefault("nwp", []).append(float(np.linalg.norm(fcst - obs)))
 
-    for name, ranks in rank_bins.items():
-        if not ranks:
-            continue
-        if name == "climatology":
-            report.pit_hists["climatology_rank"] = pit_histogram(np.asarray(ranks))
-        else:
-            report.rank_hists[name] = rank_histogram(ranks, members + 1)
+    if not outcomes:  # every date was skipped
+        return report, n_skipped
+    for name, vals in ranks.items():
+        report.rank_hists[name] = rank_histogram(vals, members + 1)
     for name, vals in pit_vals.items():
-        if vals:
-            report.pit_hists[name] = pit_histogram(np.asarray(vals))
-    for name, ranks in mst_ranks.items():
-        if ranks:
-            report.mst_hists[name] = rank_histogram(ranks, mst_members + 1)
-    for name, (probs, outs) in rel.items():
-        if probs:
-            report.reliability[name] = reliability_table(
-                np.asarray(probs), np.asarray(outs, dtype=float))
+        report.pit_hists[name] = pit_histogram(vals)
+    for name, vals in mst_ranks.items():
+        report.mst_hists[name] = rank_histogram(vals, mst_members + 1)
+    occurred = np.concatenate(outcomes).astype(float)
+    for name, probs in rel.items():
+        report.reliability[name] = reliability_table(np.concatenate(probs), occurred)
     return report, n_skipped

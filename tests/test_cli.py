@@ -356,6 +356,33 @@ class TestForecast:
         message = caplog.records[-1].getMessage()
         assert "nonsense,s999" in message and "s000" not in message
 
+    def test_areal_site_ids_skip_empty_tokens(self, fitted, tmp_path, runner):
+        # "s000," used to exit 2 naming an empty id as absent.
+        dataset, date, model = fitted
+        blobs = []
+        for name, ids in (("one.csv", "s000"), ("trailing.csv", "s000,"),
+                          ("blanks.csv", ",s000, ,")):
+            out = tmp_path / name
+            res = run(runner, ["forecast", "--model", str(model), "--dataset", str(dataset),
+                               "--date", date.isoformat(), "--mode", "areal",
+                               "--members", "50", "--seed", "1", "--site-ids", ids,
+                               "--out", str(out)])
+            assert res.exit_code == 0
+            blobs.append(out.read_bytes())
+        assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+    @pytest.mark.parametrize("ids", ["", ",", " , "])
+    def test_areal_site_ids_naming_nothing_exit_2(self, fitted, tmp_path, runner, ids):
+        # An empty --site-ids used to forecast every site, with exit 0.
+        dataset, date, model = fitted
+        out = tmp_path / "areal.csv"
+        res = runner.invoke(cli.main, [
+            "forecast", "--model", str(model), "--dataset", str(dataset),
+            "--date", date.isoformat(), "--mode", "areal", "--seed", "1",
+            "--site-ids", ids, "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
     def test_deterministic(self, fitted, tmp_path, runner):
         dataset, date, model = fitted
         blobs = []
@@ -519,6 +546,23 @@ class TestVerify:
             float(rows["nwp"]["crps"]), abs=1e-12
         )
 
+    def test_site_id_with_carriage_return_reads_back_whole(self, tmp_path, runner):
+        # The report's own CSV writer left such an id unquoted, so the row
+        # read back split in two at the carriage return.
+        ds = dm.synth_generate(dm.SynthSpec(n_sites=6, n_days=12, seed=1))
+        rows = [("s\r000" if r[0] == "s000" else r[0], *r[1:]) for r in dataset_rows(ds)]
+        path = tmp_path / "cr.csv"
+        dm.save_dataset(dataset_from_rows(rows), path)
+        out = tmp_path / "rep"
+        res = run(runner, ["verify", "--dataset", str(path), "-M", "5", "--members", "10",
+                           "--dates", "2", "--seed", "1", "--out", str(out)])
+        assert res.exit_code == 0
+        with open(out / "scores.csv", newline="", encoding="utf-8") as fh:
+            scores = list(csv.reader(fh))
+        assert len(scores) == 1 + 2 * 6 * 4
+        assert all(len(row) == 6 for row in scores)
+        assert sum(row[2] == "s\r000" for row in scores) == 2 * 4
+
     @pytest.mark.parametrize("flag, value", [
         ("-M", "0"), ("-M", "-2"), ("--members", "0"), ("--mst-members", "0"),
     ])
@@ -625,6 +669,15 @@ class TestSweep:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("windows", ["", ",", " , "])
+    def test_window_list_naming_nothing_exits_2(self, synth_dir, tmp_path, runner, windows):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(cli.main, [
+            "sweep", "--dataset", str(synth_dir / "dataset.csv"),
+            "--window-days-list", windows, "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("dates", ["0", "-2"])
     def test_nonpositive_dates_exits_2(self, synth_dir, tmp_path, runner, dates):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import time
 
@@ -109,6 +110,52 @@ class TestCrpsEnsemble:
         score = vf.crps_ensemble(members, 4.0)
         assert time.perf_counter() - start < 0.5
         assert np.isfinite(score) and score > 0
+
+
+class TestBlockForms:
+    """One call on a (sites, members) block gives, bit for bit, the 1-D call
+    on each site's ensemble."""
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 16, 301])
+    def test_block_equals_per_site_calls(self, m):
+        rng = np.random.default_rng(m)
+        n_sites = 40
+        members = rng.gamma(0.8, 12.0, size=(m, n_sites))  # members by site, as drawn
+        members[rng.random(members.shape) < 0.3] = 0.0
+        if m % 2:
+            members = np.rint(members)  # whole hundredths, with ties
+        obs = rng.gamma(1.5, 8.0, size=n_sites)
+        obs[rng.random(n_sites) < 0.4] = 0.0
+        prob = rng.random(n_sites)
+        crps = vf.crps_ensemble(members.T, obs)  # a non-contiguous view
+        mae = vf.mae_of_median(members.T, obs)
+        bs = vf.brier_score(prob, obs > 0)
+        assert crps.shape == mae.shape == bs.shape == (n_sites,)
+        assert np.array_equal(vf.crps_ensemble(np.ascontiguousarray(members.T), obs), crps)
+        for j in range(n_sites):
+            x, o = members[:, j], float(obs[j])
+            assert crps[j] == vf.crps_ensemble(x, o)
+            # The order-statistics form with a 1-D np.dot.
+            assert crps[j] == float(np.abs(x - o).mean()
+                                    - np.dot(np.arange(1 - m, m, 2), np.sort(x)) / (m * m))
+            assert mae[j] == vf.mae_of_median(x, o)
+            assert bs[j] == vf.brier_score(float(prob[j]), o > 0)
+            assert bs[j] == (float(prob[j]) - float(o > 0)) ** 2
+
+    def test_one_dimensional_calls_return_floats(self):
+        assert isinstance(vf.crps_ensemble(np.array([1.0, 4.0]), 2.0), float)
+        assert isinstance(vf.mae_of_median(np.array([1.0, 4.0]), 2.0), float)
+        assert isinstance(vf.brier_score(0.3, True), float)
+
+    def test_block_without_members_rejected(self):
+        with pytest.raises(DomainError):
+            vf.crps_ensemble(np.empty((3, 0)), np.zeros(3))
+        with pytest.raises(DomainError):
+            vf.mae_of_median(np.empty((3, 0)), np.zeros(3))
+
+    def test_block_probability_out_of_range(self):
+        with pytest.raises(DomainError):
+            vf.brier_score(np.array([0.5, np.nan]), np.array([True, False]))
 
 
 class TestCrpsNumeric:
@@ -399,20 +446,29 @@ class TestHistograms:
         assert vf.chi_square_uniform(counts) == pytest.approx(expected)
 
 
+def _scores(*columns):
+    return tuple(np.array(column, dtype=float) for column in columns)
+
+
 class TestVerificationReport:
     def test_summary_means(self):
         rep = vf.VerificationReport()
-        rep.add_case("a", "2004-01-01", crps=2.0, mae=1.0)
-        rep.add_case("a", "2004-01-02", crps=4.0, mae=3.0)
-        row = rep.summary()[0]
-        assert row["method"] == "a"
-        assert row["crps"] == pytest.approx(3.0)
-        assert row["mae"] == pytest.approx(2.0)
-        assert row["n_cases"] == 2
+        rep.add_date("2004-01-01", ["s0", "s1"], {"a": _scores([1.0, 3.0], [2.0, 4.0], [0.0, 1.0]),
+                                                  "b": _scores([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])})
+        rep.add_date("2004-01-02", ["s0"], {"a": _scores([5.0], [6.0], [0.5]),
+                                            "b": _scores([4.0], [4.0], [0.0])})
+        rep.energy["a"] = [1.0, 3.0]
+        a, b = rep.summary()
+        assert a == {"method": "a", "n_cases": 3, "mae": 3.0, "crps": 4.0, "bs": 0.5, "es": 2.0}
+        assert b["method"] == "b" and b["n_cases"] == 3 and b["mae"] == 2.0
+        assert np.isnan(b["es"])  # no energy score
 
     def test_write_files(self, tmp_path):
         rep = vf.VerificationReport()
-        rep.add_case("a", "2004-01-01", crps=2.0, bs=0.25)
+        rep.add_date("2004-01-01", ["s,0", "s\r1"], {
+            "b": _scores([1.0, 2.0], [0.5, 0.25], [0.0, 1.0]),
+            "a": _scores([3.0, 4.0], [1.5, 0.1], [0.25, 0.75]),
+        })
         rep.rank_hists["a"] = np.array([3, 1])
         rep.pit_hists["a"] = np.array([2, 2])
         rep.mst_hists["a"] = np.array([1, 3])
@@ -425,5 +481,29 @@ class TestVerificationReport:
             "scores.csv", "summary.csv", "rank_hist.csv",
             "pit_hist.csv", "mst_hist.csv", "reliability.csv",
         }
-        summary = (out / "summary.csv").read_text()
-        assert "a" in summary and "2.0" in summary
+
+        def rows(name):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))
+
+        # One row per case and method, the methods in the order added; site
+        # ids that need quoting read back whole.
+        assert rows("scores.csv") == [
+            ["method", "date", "site_id", "mae", "crps", "bs"],
+            ["b", "2004-01-01", "s,0", "1.0", "0.5", "0.0"],
+            ["a", "2004-01-01", "s,0", "3.0", "1.5", "0.25"],
+            ["b", "2004-01-01", "s\r1", "2.0", "0.25", "1.0"],
+            ["a", "2004-01-01", "s\r1", "4.0", "0.1", "0.75"],
+        ]
+        assert rows("summary.csv") == [
+            ["method", "n_cases", "mae", "crps", "bs", "es"],
+            ["a", "2", "3.5", "0.8", "0.5", "2.0"],
+            ["b", "2", "1.5", "0.375", "0.5", "nan"],
+        ]
+        assert rows("rank_hist.csv") == [["method", "bin", "count"], ["a", "1", "3"], ["a", "2", "1"]]
+        assert rows("mst_hist.csv")[1:] == [["a", "1", "1"], ["a", "2", "3"]]
+        reliability = rows("reliability.csv")
+        assert reliability[0] == ["method", "bin_center", "mean_forecast_prob",
+                                  "observed_frequency", "count"]
+        assert ["a", "0.55", "0.5", "1.0", "1"] in reliability
+        assert len(reliability) == 11
