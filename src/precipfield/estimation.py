@@ -38,7 +38,14 @@ RANGE_SEARCH_KM = (1.0, 2000.0)
 # where the correlation is below 0.05 and a pair carries little information.
 PAIR_CUTOFF_KM = 100.0
 _RANGE_XTOL = 1e-3  # in log km
+# Newton search for the occurrence range, in log km: start, largest step,
+# stopping step and the step count after which it reports no convergence.
+_NEWTON_START_KM = 50.0
+_NEWTON_MAX_STEP = 2.0
+_NEWTON_XTOL = 1e-6
+_NEWTON_MAX_STEPS = 50
 _MIN_NU0 = 1e-6
+_LOG2PI = math.log(2.0 * math.pi)
 
 log = logging.getLogger("precipfield")
 
@@ -222,22 +229,6 @@ def _probit_loglik(beta, design, wet):
     return float(np.sum(wet * special.log_ndtr(eta) + (1 - wet) * special.log_ndtr(-eta)))
 
 
-def _profile_range_objective(dev_by_group):
-    """Sum of centered MVN log densities as a function of the range.
-
-    ``dev_by_group`` is a list of (xy, dev_matrix) pairs where dev_matrix is
-    (n_days, n_sites) of residuals sharing the geometry xy.
-    """
-    dists = [rf.pairwise_distances(xy) for xy, _ in dev_by_group]
-
-    def objective(log_range):
-        range_km = math.exp(log_range)
-        return sum(rf.mvn_log_density(dev, rf.exp_correlation(d, range_km))
-                   for d, (_, dev) in zip(dists, dev_by_group))
-
-    return objective
-
-
 def bivariate_normal_cdf(h, k, r):
     """P(X <= h, Y <= k) for standard normals with correlation r, element-wise.
 
@@ -287,9 +278,10 @@ def fit_occurrence_range(window, trend):
     Each same-day pair of sites closer than PAIR_CUTOFF_KM contributes the
     probability of its observed wet (s = +1) and dry (s = -1) signs,
     Phi2(s_i mu_i, s_j mu_j; s_i s_j rho(d_ij)) with mu the probit trend
-    (Heagerty & Lele 1998). Bounded Brent search over the log range
-    maximizes the summed log probability. Returns the range in km and
-    ``{"occurrence_pairs": n, "rho_evals": n}``."""
+    (Heagerty & Lele 1998). A safeguarded Newton search over the log range
+    (:func:`_newton_range`) maximizes the summed log probability. Returns
+    the range in km and ``{"occurrence_pairs": n, "rho_evals": n,
+    "rho_converged": bool}``."""
     if all(len(day["obs"]) < 2 for day in window.days.values()):
         raise RangeUnidentifiable("no day has two or more sites")
     first, second, dist = _close_pairs(window)
@@ -299,16 +291,78 @@ def fit_occurrence_range(window, trend):
     obs, _, fcst_cr, zero_flag = window.pooled()
     sign = np.where(obs > 0, 1.0, -1.0)
     signed_mean = sign * tr.occurrence_trend(trend, fcst_cr, zero_flag)
-    h, k = signed_mean[first], signed_mean[second]
-    sign_product = sign[first] * sign[second]
-    tiny = np.finfo(float).tiny  # a pair impossible at every range (co-located, discordant)
+    loglik = _pair_loglik(signed_mean[first], signed_mean[second],
+                          sign[first] * sign[second], dist)
+    rho, evals, converged = _newton_range(loglik)
+    return rho, {"occurrence_pairs": int(dist.size), "rho_evals": evals,
+                 "rho_converged": converged}
 
-    def objective(log_range):
-        r = sign_product * rf.exp_correlation(dist, math.exp(log_range))
-        return float(np.sum(np.log(np.maximum(bivariate_normal_cdf(h, k, r), tiny))))
 
-    rho, evals = _maximize_range(objective)
-    return rho, {"occurrence_pairs": int(dist.size), "rho_evals": evals}
+def _pair_loglik(h, k, sign_product, dist):
+    """The pairwise log likelihood sum log Phi2(h, k; r) of the occurrence
+    range, r = sign_product * exp(-dist / range), as a function of x = log
+    range that returns its value, score and curvature (minus the second
+    derivative).
+
+    Plackett's (1954) identity dPhi2/dr = phi2 gives, with lam = phi2 / Phi2,
+    r' = r d/R and r'' = r (d/R)(d/R - 1) (derivatives in x), the score
+    sum lam r' and the second derivative sum (lam dlog phi2/dr - lam^2) r'^2
+    + lam r''. A pair whose probability is floored at ``tiny`` (impossible
+    at every range: co-located and discordant) or whose correlation rounds
+    to +-1 (co-located) is constant in the range and adds to neither."""
+    tiny = np.finfo(float).tiny
+
+    def loglik(x):
+        range_km = math.exp(x)
+        r = sign_product * rf.exp_correlation(dist, range_km)
+        cdf = bivariate_normal_cdf(h, k, r)
+        value = float(np.sum(np.log(np.maximum(cdf, tiny))))
+        live = (cdf > tiny) & (np.abs(r) < 1.0)
+        hl, kl, rl, ratio = h[live], k[live], r[live], dist[live] / range_km
+        one_minus = (1.0 - rl) * (1.0 + rl)
+        quad = hl * hl - 2.0 * rl * hl * kl + kl * kl
+        lam = np.exp(-0.5 * quad / one_minus - 0.5 * np.log(one_minus) - _LOG2PI
+                     - np.log(cdf[live]))
+        dlog_pdf = (rl + hl * kl) / one_minus - rl * quad / one_minus ** 2
+        dr = rl * ratio
+        score = float(np.sum(lam * dr))
+        curvature = -float(np.sum((lam * dlog_pdf - lam * lam) * dr * dr
+                                  + lam * dr * (ratio - 1.0)))
+        return value, score, curvature
+
+    return loglik
+
+
+def _newton_range(loglik):
+    """Safeguarded Newton maximum of ``loglik`` (x -> value, score,
+    curvature) over x = log range in RANGE_SEARCH_KM.
+
+    Starts at _NEWTON_START_KM. Each step is score / curvature, or a unit
+    step in the direction of the score where the curvature is not positive,
+    capped at _NEWTON_MAX_STEP, clamped to the search interval and halved
+    while it loses. Stops when a step moves less than _NEWTON_XTOL. Returns
+    the range in km, the evaluation count and whether it stopped before
+    _NEWTON_MAX_STEPS steps."""
+    lo, hi = (math.log(b) for b in RANGE_SEARCH_KM)
+    x = math.log(_NEWTON_START_KM)
+    value, score, curvature = loglik(x)
+    evals = 1
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not all(map(math.isfinite, (value, score, curvature))):
+            raise NumericalError(f"range likelihood {value}, score {score} and curvature "
+                                 f"{curvature} at {math.exp(x)!r} km")
+        step = score / curvature if curvature > 0 else math.copysign(1.0, score)
+        x_new = min(max(x + min(max(step, -_NEWTON_MAX_STEP), _NEWTON_MAX_STEP), lo), hi)
+        while abs(x_new - x) >= _NEWTON_XTOL:
+            trial = loglik(x_new)
+            evals += 1
+            if trial[0] >= value:
+                break
+            x_new = x + 0.5 * (x_new - x)
+        else:
+            return math.exp(x), evals, True
+        x, (value, score, curvature) = x_new, trial
+    return math.exp(x), evals, False
 
 
 def _maximize_range(objective):
@@ -407,11 +461,20 @@ def fit_amount_range(window, eta, nu):
 
     Transforms wet cube-root amounts to Gaussian scores through the
     site-specific anamorphosis and maximizes the summed zero-mean MVN log
-    density over the range. The Jacobian factors of the transformed-data
-    likelihood do not depend on the range and are omitted. Returns the
-    range in km and ``{"r_evals": n}``."""
+    density (:func:`_amount_loglik`) over the range by bounded Brent. The
+    Jacobian factors of the transformed-data likelihood do not depend on the
+    range and are omitted. Returns the range in km and ``{"r_evals": n}``."""
+    r_hat, evals = _maximize_range(_amount_loglik(_amount_stacks(window, eta, nu)))
+    return r_hat, {"r_evals": evals}
+
+
+def _amount_stacks(window, eta, nu):
+    """Each day's wet-site distance matrix and Gaussian scores, stacked by
+    wet-site count k into (g, k, k) and (g, k, 1) arrays. Wet records with a
+    nonpositive implied mean are left out, and so is a day left with fewer
+    than two wet sites."""
     coeffs = tr.GammaCoeffs(*eta, *nu)
-    groups = {}  # days with the same wet-site geometry share each Cholesky
+    by_count = {}
     for day in window.days.values():
         wet = day["obs"] > 0
         fcst_cr = np.cbrt(day["fcst"][wet])
@@ -420,14 +483,31 @@ def fit_amount_range(window, eta, nu):
         if keep.sum() < 2:
             continue
         alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
-        y = np.cbrt(day["obs"][wet][keep])
-        xy = day["xy"][wet][keep]
-        groups.setdefault(xy.tobytes(), (xy, []))[1].append(tr.gaussian_scores(y, alpha, beta))
-    if not groups:
+        scores = tr.gaussian_scores(np.cbrt(day["obs"][wet][keep]), alpha, beta)
+        dist = rf.pairwise_distances(day["xy"][wet][keep])
+        by_count.setdefault(scores.size, []).append((dist, scores))
+    if not by_count:
         raise RangeUnidentifiable("no day has two or more wet sites")
-    dev_by_group = [(xy, np.array(devs)) for xy, devs in groups.values()]
-    r_hat, evals = _maximize_range(_profile_range_objective(dev_by_group))
-    return r_hat, {"r_evals": evals}
+    return [(np.array([d for d, _ in days]), np.array([z for _, z in days])[:, :, None])
+            for days in by_count.values()]
+
+
+def _amount_loglik(stacks):
+    """Summed zero-mean MVN log density of the stacked scores as a function
+    of the log range: one batched Cholesky and one batched solve per
+    stack."""
+
+    def objective(log_range):
+        range_km = math.exp(log_range)
+        total = 0.0
+        for dist, scores in stacks:
+            chol = rf.cholesky_pd(rf.exp_correlation(dist, range_km))
+            sol = np.linalg.solve(chol, scores)
+            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
+            total -= 0.5 * (scores.size * _LOG2PI + logdet + np.sum(sol ** 2))
+        return float(total)
+
+    return objective
 
 
 def _stage(name, fit, *args):
@@ -468,8 +548,9 @@ def fit_model(window):
 
 def warn_fit_diagnostics(model, valid_date, M):
     """Log a WARNING when a range fitted for ``valid_date`` with window
-    length ``M`` stopped at an end of ``RANGE_SEARCH_KM``, and one when its
-    variance search did not converge."""
+    length ``M`` stopped at an end of ``RANGE_SEARCH_KM``, one when its
+    occurrence-range search did not converge and one when its variance
+    search did not converge."""
     diag = model.diagnostics
     hits = [f"{name} = {corr.range_km!r}"
             for name, corr, flag in (("rho_km", model.rho, "rho_at_bound"),
@@ -478,6 +559,10 @@ def warn_fit_diagnostics(model, valid_date, M):
     if hits:
         log.warning("%s M=%d: %s at the search bound %s km; scoring it anyway",
                     valid_date, M, ", ".join(hits), RANGE_SEARCH_KM)
+    if not diag.get("rho_converged", True):
+        log.warning("%s M=%d: the occurrence-range search stopped unconverged after %d "
+                    "evaluations at rho_km = %r; scoring it anyway", valid_date, M,
+                    diag["rho_evals"], model.rho.range_km)
     if not diag.get("variance_converged", True):
         log.warning("%s M=%d: the Gamma variance search stopped unconverged after %d "
                     "evaluations at nu0 = %r, nu1 = %r; scoring it anyway", valid_date, M,

@@ -1,8 +1,8 @@
 """Stationary isotropic Gaussian process machinery.
 
 Exponential correlations, dense-covariance sampling at scattered sites,
-exact grid simulation via circulant embedding, multivariate normal density
-evaluation and truncated-MVN Gibbs sampling.
+exact grid simulation via circulant embedding and truncated-MVN Gibbs
+sampling.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     NumericalError,
 )
 
-_LOG2PI = np.log(2.0 * np.pi)
 _JITTER = 1e-10
 
 
@@ -114,29 +113,17 @@ def correlation_matrix(sites, corr):
 
 
 def cholesky_pd(mat):
-    """Lower Cholesky factor, with a single jitter retry on failure."""
+    """Lower Cholesky factor of a matrix or a (g, k, k) stack of them, with a
+    single jitter retry on failure; the retry adds the jitter to every matrix
+    of the stack."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         pass
     try:
-        return np.linalg.cholesky(mat + _JITTER * np.eye(mat.shape[0]))
+        return np.linalg.cholesky(mat + _JITTER * np.eye(mat.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("matrix is not positive definite") from exc
-
-
-def mvn_log_density(dev, corr_matrix):
-    """Summed log density of deviations from the mean under a multivariate
-    normal with the given correlation; ``dev`` is one (k,) vector or (n, k)
-    rows, which share one Cholesky factor."""
-    dev = np.atleast_2d(np.asarray(dev, dtype=float))
-    n, k = dev.shape
-    if corr_matrix.shape != (k, k):
-        raise DomainError("dimension mismatch")
-    chol = cholesky_pd(corr_matrix)
-    sol = linalg.solve_triangular(chol, dev.T, lower=True)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return float(-0.5 * (n * (k * _LOG2PI + logdet) + np.sum(sol ** 2)))
 
 
 def sample_mvn(mean, corr_matrix, seed, n_samples=1):
@@ -185,9 +172,12 @@ class CirculantEmbedding:
 
     def _eigenvalues(self, mx, my):
         cell = self.grid.cell_km
-        kx = np.minimum(np.arange(mx), mx - np.arange(mx)) * cell
-        ky = np.minimum(np.arange(my), my - np.arange(my)) * cell
-        d = np.sqrt(kx[None, :] ** 2 + ky[:, None] ** 2)
+        # A lag too long for a float is infinite, where the correlation is
+        # exactly its limit 0.
+        with np.errstate(over="ignore"):
+            kx = np.minimum(np.arange(mx), mx - np.arange(mx)) * cell
+            ky = np.minimum(np.arange(my), my - np.arange(my)) * cell
+            d = np.sqrt(kx[None, :] ** 2 + ky[:, None] ** 2)
         return np.fft.fft2(exp_correlation(d, self.corr.range_km)).real
 
     def sample(self, rng, n_fields=1):

@@ -1,5 +1,9 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,6 +443,24 @@ class TestForecast:
             "--seed", "0", "--out", str(tmp_path / "members"),
         ])
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("cell_km", ["1e200", "1e308"])
+    def test_huge_grid_cell_keeps_stderr_to_cli_lines(self, tmp_path, cell_km):
+        # Lags this long overflow to infinity, whose correlation is exactly
+        # 0. numpy's overflow warning used to reach stderr here, with exit 0.
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(toy_model_text())
+        grid_csv = write_grid_csv(tmp_path / "g.csv", full_grid_rows(3, 3, 8.0))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        res = subprocess.run([
+            sys.executable, "-m", "precipfield.cli", "forecast", "--model", str(model_path),
+            "--mode", "grid", "--grid-forecast", str(grid_csv), "--grid-cell-km", cell_km,
+            "--grid-nx", "3", "--grid-ny", "3", "--members", "2", "--seed", "0",
+            "--out", str(tmp_path / "members")], capture_output=True, text=True, env=env)
+        assert res.returncode == 0
+        assert res.stderr.splitlines() == [f"INFO wrote 2 grid members to {tmp_path / 'members'}"]
 
     def test_grid_without_geometry_exits_2(self, fitted, tmp_path, runner):
         _, _, model = fitted

@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dataset_from_rows
-from scipy import optimize, stats
+from conftest import dataset_from_rows, dataset_rows
+from scipy import linalg, optimize, stats
 from scipy.special import ndtr
 
 from precipfield import data as dm
@@ -16,6 +16,7 @@ from precipfield.errors import (
     DomainError,
     InsufficientData,
     NoTrainingData,
+    NumericalError,
     PrecipError,
     RangeUnidentifiable,
 )
@@ -375,14 +376,21 @@ class TestRangeSearch:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fits_land_on_dense_grid_maximum(self, monkeypatch, seed):
+        # Records the value function each search maximises: the occurrence
+        # range's Newton search, then the amount range's Brent search.
         objectives = []
-        search = est._maximize_range
+        newton, brent = est._newton_range, est._maximize_range
 
-        def recording(objective):
+        def record_newton(loglik):
+            objectives.append(lambda x: loglik(x)[0])
+            return newton(loglik)
+
+        def record_brent(objective):
             objectives.append(objective)
-            return search(objective)
+            return brent(objective)
 
-        monkeypatch.setattr(est, "_maximize_range", recording)
+        monkeypatch.setattr(est, "_newton_range", record_newton)
+        monkeypatch.setattr(est, "_maximize_range", record_brent)
         spec = dm.SynthSpec(n_sites=20, n_days=12, seed=200 + seed)
         w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
         trend, _ = est.fit_probit_trend(w)
@@ -392,6 +400,179 @@ class TestRangeSearch:
                                          (r_hat, objectives[1], r_diag["r_evals"])):
             assert abs(math.log(fitted) - self._grid_argmax(objective)) <= est._RANGE_XTOL
             assert 0 < evals < 40
+
+    def test_newton_out_of_steps_reports_unconverged(self, monkeypatch):
+        monkeypatch.setattr(est, "_NEWTON_MAX_STEPS", 1)
+        spec = dm.SynthSpec(n_sites=20, n_days=12, seed=200)
+        w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
+        _, diag = est.fit_occurrence_range(w, est.fit_probit_trend(w)[0])
+        assert diag["rho_converged"] is False
+        assert diag["rho_evals"] >= 2
+
+    def test_nonfinite_likelihood_raises(self):
+        with pytest.raises(NumericalError, match="range likelihood"):
+            est._newton_range(lambda x: (math.nan, 0.0, 1.0))
+
+
+class TestPairLoglik:
+    @staticmethod
+    def _pairs(seed):
+        """The occurrence-range pairs of a synthetic window, plus three pairs
+        constant in the range: a co-located concordant pair, a co-located
+        discordant pair and a discordant pair 10 km apart, both floored."""
+        spec = dm.SynthSpec(n_sites=20, n_days=12, seed=seed)
+        w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
+        first, second, dist = est._close_pairs(w)
+        obs, _, fcst_cr, zero_flag = w.pooled()
+        sign = np.where(obs > 0, 1.0, -1.0)
+        mean = sign * tr.occurrence_trend(est.fit_probit_trend(w)[0], fcst_cr, zero_flag)
+        return (np.append(mean[first], [0.3, 0.3, -40.0]),
+                np.append(mean[second], [0.5, -0.3, 2.0]),
+                np.append(sign[first] * sign[second], [1.0, -1.0, -1.0]),
+                np.append(dist, [0.0, 0.0, 10.0]))
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_derivatives_match_central_differences(self, seed):
+        h, k, sign_product, dist = self._pairs(seed)
+        tiny = np.finfo(float).tiny
+        special = est.bivariate_normal_cdf(h[-3:], k[-3:],
+                                           sign_product[-3:] * np.exp(-dist[-3:] / 35.0))
+        assert special[0] > tiny and (special[1:] <= tiny).all()
+        loglik = est._pair_loglik(h, k, sign_product, dist)
+
+        def differences(x, delta):
+            up, mid, down = (loglik(x + t)[0] for t in (delta, 0.0, -delta))
+            return np.array([(up - down) / (2 * delta), -(up - 2 * mid + down) / delta ** 2])
+
+        for x in np.log([5.0, 10.0, 35.0, 120.0, 500.0]):
+            _, score, curvature = loglik(x)
+            # Central differences with one Richardson step: O(delta^4) error.
+            numeric = (4 * differences(x, 5e-3) - differences(x, 1e-2)) / 3
+            assert score == pytest.approx(numeric[0], rel=1e-6)
+            assert curvature == pytest.approx(numeric[1], rel=1e-6)
+
+    def test_constant_pairs_add_nothing(self):
+        h, k, sign_product, dist = self._pairs(7)
+        full = est._pair_loglik(h, k, sign_product, dist)
+        bare = est._pair_loglik(h[:-3], k[:-3], sign_product[:-3], dist[:-3])
+        for x in np.log([5.0, 35.0, 500.0]):
+            assert full(x)[1:] == pytest.approx(bare(x)[1:], rel=1e-12)
+
+
+def mvn_log_density(dev, corr_matrix):
+    """Summed log density of deviations from the mean under a multivariate
+    normal with the given correlation; ``dev`` is one (k,) vector or (n, k)
+    rows, which share one Cholesky factor."""
+    dev = np.atleast_2d(np.asarray(dev, dtype=float))
+    n, k = dev.shape
+    if corr_matrix.shape != (k, k):
+        raise DomainError("dimension mismatch")
+    chol = rf.cholesky_pd(corr_matrix)
+    sol = linalg.solve_triangular(chol, dev.T, lower=True)
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    return float(-0.5 * (n * (k * np.log(2.0 * np.pi) + logdet) + np.sum(sol ** 2)))
+
+
+def per_geometry_objective(window, eta, nu):
+    """The amount-range objective as one mvn_log_density call per wet-site
+    geometry, days with the same geometry sharing a Cholesky factor: the
+    oracle for the stacked objective."""
+    coeffs = tr.GammaCoeffs(*eta, *nu)
+    groups = {}
+    for day in window.days.values():
+        wet = day["obs"] > 0
+        fcst_cr = np.cbrt(day["fcst"][wet])
+        zero_flag = day["fcst"][wet] == 0.0
+        keep = tr.gamma_mean(eta, fcst_cr, zero_flag) > 0
+        if keep.sum() < 2:
+            continue
+        alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
+        y = np.cbrt(day["obs"][wet][keep])
+        xy = day["xy"][wet][keep]
+        groups.setdefault(xy.tobytes(), (xy, []))[1].append(tr.gaussian_scores(y, alpha, beta))
+    dists = [(rf.pairwise_distances(xy), np.array(devs)) for xy, devs in groups.values()]
+
+    def objective(log_range):
+        return sum(mvn_log_density(dev, rf.exp_correlation(d, math.exp(log_range)))
+                   for d, dev in dists)
+
+    return objective
+
+
+class TestMvnLogDensity:
+    def test_standard_normal_origin(self):
+        # Independent oracle: -0.5 * log(2 pi) per dimension at the mean.
+        val = mvn_log_density(np.zeros(3), np.eye(3))
+        assert val == pytest.approx(-1.5 * np.log(2 * np.pi), abs=1e-12)
+
+    def test_against_scipy(self):
+        rng = np.random.default_rng(7)
+        xy = rng.uniform(0, 100, size=(5, 2))
+        corr = rf.correlation_matrix(xy, rf.ExpCorrelation(40.0))
+        x = rng.standard_normal(5)
+        mean = rng.standard_normal(5)
+        expected = stats.multivariate_normal.logpdf(x, mean=mean, cov=corr)
+        assert mvn_log_density(x - mean, corr) == pytest.approx(expected, abs=1e-10)
+
+    def test_rows_sum_their_densities(self):
+        rng = np.random.default_rng(9)
+        corr = rf.correlation_matrix(rng.uniform(0, 100, size=(4, 2)), rf.ExpCorrelation(30.0))
+        dev = rng.standard_normal((6, 4))
+        expected = stats.multivariate_normal.logpdf(dev, cov=corr).sum()
+        assert mvn_log_density(dev, corr) == pytest.approx(expected, abs=1e-10)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            mvn_log_density(np.zeros(2), np.eye(3))
+
+
+LOG_RANGES = np.log([1.0, 4.0, 25.0, 150.0, 2000.0])
+
+
+def assert_stacks_match_oracle(window, eta, nu):
+    stacked = est._amount_loglik(est._amount_stacks(window, eta, nu))
+    oracle = per_geometry_objective(window, eta, nu)
+    for x in LOG_RANGES:
+        assert stacked(x) == pytest.approx(oracle(x), rel=1e-12, abs=0.0)
+
+
+class TestAmountStacks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gappy_window_matches_per_geometry_oracle(self, seed):
+        # One site-day in ten missing, so wet counts and geometries vary.
+        spec = dm.SynthSpec(n_sites=25, n_days=10, seed=300 + seed)
+        rng = np.random.default_rng(seed)
+        rows = [row for row in dataset_rows(dm.synth_generate(spec)) if rng.random() >= 0.1]
+        ds = dataset_from_rows(rows)
+        w = est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), 10)
+        stacks = est._amount_stacks(w, spec.eta, spec.nu)
+        assert len(stacks) > 1 and max(len(d) for d, _ in stacks) > 1
+        for dist, scores in stacks:
+            g, k, _ = dist.shape
+            assert scores.shape == (g, k, 1)
+        assert_stacks_match_oracle(w, spec.eta, spec.nu)
+
+    def test_single_matrix_stack(self):
+        xy = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 40.0]])
+        w = window_from_days([(xy[:2], [2.0, 5.0], [3.0, 4.0]),
+                              (xy, [1.0, 7.0, 3.0], [2.0, 6.0, 0.0])])
+        stacks = est._amount_stacks(w, (1.0, 0.5, 0.2), (0.3, 0.02))
+        assert [d.shape for d, _ in stacks] == [(1, 2, 2), (1, 3, 3)]
+        assert_stacks_match_oracle(w, (1.0, 0.5, 0.2), (0.3, 0.02))
+
+    def test_colocated_pair_takes_jitter_retry(self):
+        # The co-located pair's correlation matrix is singular at every
+        # range, so its stack's Cholesky retries with jitter, for the
+        # well-separated pair in the same stack too.
+        far = np.array([[0.0, 0.0], [60.0, 10.0]])
+        same = np.array([[5.0, 5.0], [5.0, 5.0]])
+        w = window_from_days([(far, [2.0, 5.0], [3.0, 4.0]),
+                              (same, [1.0, 6.0], [2.0, 3.0])])
+        [(dist, _)] = est._amount_stacks(w, (1.0, 0.5, 0.2), (0.3, 0.02))
+        for x in LOG_RANGES:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(rf.exp_correlation(dist, math.exp(x)))
+        assert_stacks_match_oracle(w, (1.0, 0.5, 0.2), (0.3, 0.02))
 
 
 class TestFitWarnings:
@@ -405,6 +586,17 @@ class TestFitWarnings:
         [record] = caplog.records
         assert record.getMessage().startswith("2004-02-01 M=10: the Gamma variance search")
         assert "after 57 evaluations" in record.getMessage()
+
+    def test_unconverged_occurrence_range_warns(self, caplog):
+        model = est.FittedModel.from_text(
+            "gamma0 = 0\ngamma1 = 0.4\ngamma2 = -0.4\nrho_km = 30\neta0 = 1.5\n"
+            "eta1 = 0.8\neta2 = 0.4\nnu0 = 0.15\nnu1 = 0.05\nr_km = 20\n"
+            "diag.rho_converged = False\ndiag.rho_evals = 51\n")
+        with caplog.at_level("WARNING", logger="precipfield"):
+            est.warn_fit_diagnostics(model, dt.date(2004, 2, 1), 10)
+        [record] = caplog.records
+        assert record.getMessage().startswith("2004-02-01 M=10: the occurrence-range search")
+        assert "after 51 evaluations at rho_km = 30.0" in record.getMessage()
 
     def test_converged_fit_is_quiet(self, caplog):
         spec = dm.SynthSpec(n_sites=20, n_days=15, seed=12)
@@ -466,6 +658,7 @@ class TestFitModel:
         for key in ("probit_iterations", "rho_evals", "r_evals", "variance_evals"):
             assert isinstance(diag[key], int) and diag[key] > 0
         assert diag["variance_converged"] is True
+        assert diag["rho_converged"] is True
         assert diag["min_training_mean"] > 0
         assert diag["n_wet_records"] > 0
 
@@ -482,6 +675,7 @@ class TestFitModel:
         assert back.diagnostics["rho_at_bound"] is False
         assert back.diagnostics["r_at_bound"] is False
         assert back.diagnostics["variance_converged"] is True
+        assert back.diagnostics["rho_converged"] is True
         assert back.diagnostics["probit_iterations"] == diag["probit_iterations"]
         for key in ("probit_iterations", "variance_evals", "occurrence_pairs"):
             assert type(back.diagnostics[key]) is int, key

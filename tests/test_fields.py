@@ -91,32 +91,21 @@ class TestCholesky:
         with pytest.raises(NumericalError):
             fd.cholesky_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_stack_factors_each_matrix(self):
+        rng = np.random.default_rng(4)
+        stack = np.array([fd.correlation_matrix(rng.uniform(0, 100, size=(4, 2)),
+                                                fd.ExpCorrelation(30.0)) for _ in range(3)])
+        chol = fd.cholesky_pd(stack)
+        assert chol.shape == (3, 4, 4)
+        for i in range(3):
+            assert np.array_equal(chol[i], np.linalg.cholesky(stack[i]))
 
-class TestMvnLogDensity:
-    def test_standard_normal_origin(self):
-        # Independent oracle: -0.5 * log(2 pi) per dimension at the mean.
-        val = fd.mvn_log_density(np.zeros(3), np.eye(3))
-        assert val == pytest.approx(-1.5 * np.log(2 * np.pi), abs=1e-12)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(7)
-        xy = rng.uniform(0, 100, size=(5, 2))
-        corr = fd.correlation_matrix(xy, fd.ExpCorrelation(40.0))
-        x = rng.standard_normal(5)
-        mean = rng.standard_normal(5)
-        expected = stats.multivariate_normal.logpdf(x, mean=mean, cov=corr)
-        assert fd.mvn_log_density(x - mean, corr) == pytest.approx(expected, abs=1e-10)
-
-    def test_rows_sum_their_densities(self):
-        rng = np.random.default_rng(9)
-        corr = fd.correlation_matrix(rng.uniform(0, 100, size=(4, 2)), fd.ExpCorrelation(30.0))
-        dev = rng.standard_normal((6, 4))
-        expected = stats.multivariate_normal.logpdf(dev, cov=corr).sum()
-        assert fd.mvn_log_density(dev, corr) == pytest.approx(expected, abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            fd.mvn_log_density(np.zeros(2), np.eye(3))
+    def test_stack_jitter_retry_covers_every_matrix(self):
+        stack = np.array([np.ones((2, 2)), [[1.0, 0.5], [0.5, 1.0]]])
+        chol = fd.cholesky_pd(stack)
+        jittered = stack[1] + fd._JITTER * np.eye(2)
+        assert np.array_equal(chol[1], np.linalg.cholesky(jittered))
+        assert np.allclose(chol[0] @ chol[0].T, stack[0], atol=1e-4)
 
 
 class TestSampleMvn:
