@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import fields as rf
 from . import transforms as tr
@@ -170,17 +171,23 @@ def load_dataset(path):
 
 def load_grid_field(path, grid):
     """Gridded forecast CSV ``row,col,value_hundredths_inch`` with exactly
-    one finite, nonnegative value per cell of ``grid``, as a (ny, nx) array."""
+    one finite, nonnegative value per cell of ``grid``, as a (ny, nx) array.
+    Blank rows are skipped; any other row without exactly 3 fields raises
+    :class:`ParseError` naming its line."""
     field = np.full((grid.ny, grid.nx), np.nan)
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["row", "col", "value_hundredths_inch"]:
             raise ParseError(f"{path}: expected header row,col,value_hundredths_inch")
         for row in reader:
+            if not row:
+                continue
             lineno = reader.line_num
+            if len(row) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 fields")
             try:
                 iy, ix, value = int(row[0]), int(row[1]), float(row[2])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not (0 <= iy < grid.ny and 0 <= ix < grid.nx):
                 raise ParseError(f"{path}:{lineno}: cell ({iy}, {ix}) outside the "
@@ -277,10 +284,12 @@ def quantize(y0):
 def synth_generate(spec):
     """Generate a synthetic dataset from known true parameters.
 
-    Per day: draw a coherent nonnegative forecast field, then draw the
-    latent occurrence and amount processes with the true parameters and
-    build observations through the site-specific anamorphosis. Observations
-    are quantized to whole hundredths. Deterministic given the seed.
+    Per day, in this order: draw a coherent forecast field, the latent
+    occurrence noise and the amount field, each as one correlated normal
+    draw. The threshold, trend, Gamma marginals and anamorphosis then run
+    once over the (days, sites) block, building observations with the true
+    parameters. Observations are quantized to whole hundredths.
+    Deterministic given the seed.
     """
     if not (np.isfinite(spec.extent_km) and spec.extent_km > 0):
         raise DomainError(f"extent must be positive and finite, got {spec.extent_km!r} km")
@@ -299,31 +308,30 @@ def synth_generate(spec):
 
     n = len(sites)
     dates = [dt.date(2004, 1, 1) + dt.timedelta(days=day) for day in range(spec.n_days)]
-    obs_days, fcst_days = [], []
-    from scipy.special import ndtr
+    g, w, z = (np.empty((len(dates), n)) for _ in range(3))
+    for day in range(len(dates)):
+        g[day] = chol_f @ rng.standard_normal(n)
+        w[day] = chol_w @ rng.standard_normal(n)
+        z[day] = chol_z @ rng.standard_normal(n)
 
-    for _ in dates:
-        # Forecast field: thresholded probit of a coherent unit field.
-        g = chol_f @ rng.standard_normal(n)
-        fcst_cr = spec.fcst_amp * np.maximum(0.0, ndtr(g) - threshold)
-        fcst = tr.cube(fcst_cr)
-        zero_flag = fcst == 0.0
-
-        w = tr.occurrence_trend(gamma, fcst_cr, zero_flag) + chol_w @ rng.standard_normal(n)
-        z = chol_z @ rng.standard_normal(n)
-        # Marginals at wet sites only, so their checks never fire on dry ones.
-        wet = w > 0
-        alpha, beta = np.ones(n), np.ones(n)
-        alpha[wet], beta[wet], _ = tr.gamma_marginals(coeffs, fcst_cr[wet], zero_flag[wet])
-        obs_days.append(quantize(tr.wet_amounts(w, z, alpha, beta)))
-        # Forecasts stay continuous (they come from a model grid, not gauges).
-        fcst_days.append(fcst + spec.wet_bias_offset)
+    # Forecast field: thresholded probit of a coherent unit field.
+    fcst_cr = spec.fcst_amp * np.maximum(0.0, special.ndtr(g) - threshold)
+    fcst = tr.cube(fcst_cr)
+    zero_flag = fcst == 0.0
+    w += tr.occurrence_trend(gamma, fcst_cr, zero_flag)
+    # Marginals at wet site-days only, so their checks never fire on dry ones.
+    wet = w > 0
+    alpha, beta = np.ones_like(w), np.ones_like(w)
+    alpha[wet], beta[wet], _ = tr.gamma_marginals(coeffs, fcst_cr[wet], zero_flag[wet])
+    obs = quantize(tr.wet_amounts(w, z, alpha, beta))
+    # Forecasts stay continuous (they come from a model grid, not gauges).
+    fcst += spec.wet_bias_offset
 
     return Dataset([s.id for s in sites] * len(dates),
                    np.tile([s.x for s in sites], len(dates)),
                    np.tile([s.y for s in sites], len(dates)),
                    [date for date in dates for _ in sites],
-                   np.ravel(obs_days), np.ravel(fcst_days))
+                   obs.ravel(), fcst.ravel())
 
 
 def truth_parameters(spec):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import data as dm
 from . import fields as rf
@@ -369,6 +369,8 @@ def _maximize_range(objective):
     """Bounded Brent (Brent 1973) maximum of ``objective(log range)`` over
     RANGE_SEARCH_KM to _RANGE_XTOL: the range in km and the evaluation count
     (about a dozen; the 500 of scipy's cap would show a search that ran out)."""
+    from scipy import optimize  # deferred: synth and forecast never fit
+
     res = optimize.minimize_scalar(lambda x: -objective(x), method="bounded",
                                    bounds=[math.log(b) for b in RANGE_SEARCH_KM],
                                    options={"xatol": _RANGE_XTOL})
@@ -428,6 +430,8 @@ def fit_gamma_variance(window, eta):
     with nonpositive implied mean are excluded. Returns (nu0, nu1) and the
     diagnostics variance_records_dropped, variance_evals, variance_converged.
     """
+    from scipy import optimize  # deferred: synth and forecast never fit
+
     obs, fcst, fcst_cr, zero_flag = window.pooled()
     wet = obs > 0
     if wet.sum() < 10:

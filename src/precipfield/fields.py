@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from .errors import (
     DegenerateMatrixWarning,
@@ -232,6 +232,8 @@ def sample_truncated_mvn(mean, corr_matrix, signs, n_samples, burn_in, seed):
     sample. Returns an (n_samples, dim) array; every emitted sample
     satisfies the constraint. Deterministic given ``seed``.
     """
+    from scipy import linalg  # deferred: no command calls this
+
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     mean = np.atleast_1d(np.asarray(mean, dtype=float))

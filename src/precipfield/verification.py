@@ -12,7 +12,6 @@ import functools
 import os
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from . import data as dm
@@ -72,6 +71,8 @@ def crps_numeric(cdf, obs, xi_max=None, tol=1e-8):
     defaults to 10 units past the larger of the observation and the 0.999
     quantile (found by doubling search).
     """
+    from scipy import integrate  # deferred: no command calls this
+
     obs = float(obs)
     if xi_max is None:
         hi = max(obs, 1.0)

@@ -300,6 +300,14 @@ def write_grid_csv(path, rows):
     return path
 
 
+def fresh_interpreter_env():
+    """The environment for a new interpreter that imports this package's
+    source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def toy_model_text(nu=(0.15, 0.05)):
     return est.FittedModel(
         occurrence=tr.OccurrenceTrendParams(0.0, 0.4, -0.4),
@@ -451,14 +459,12 @@ class TestForecast:
         model_path = tmp_path / "model.txt"
         model_path.write_text(toy_model_text())
         grid_csv = write_grid_csv(tmp_path / "g.csv", full_grid_rows(3, 3, 8.0))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         res = subprocess.run([
             sys.executable, "-m", "precipfield.cli", "forecast", "--model", str(model_path),
             "--mode", "grid", "--grid-forecast", str(grid_csv), "--grid-cell-km", cell_km,
             "--grid-nx", "3", "--grid-ny", "3", "--members", "2", "--seed", "0",
-            "--out", str(tmp_path / "members")], capture_output=True, text=True, env=env)
+            "--out", str(tmp_path / "members")], capture_output=True, text=True,
+            env=fresh_interpreter_env())
         assert res.returncode == 0
         assert res.stderr.splitlines() == [f"INFO wrote 2 grid members to {tmp_path / 'members'}"]
 
@@ -480,20 +486,42 @@ class TestForecast:
         ("negative value", [[0, 0, -1.0]] + full_grid_rows(3, 3, 8.0)[1:], ":2"),
         ("nonfinite value", full_grid_rows(3, 3, 8.0)[:4] + [[1, 1, "nan"]]
          + full_grid_rows(3, 3, 8.0)[5:], ":6"),
+        # Both used to pass or fail by indexing: a 2-field row exited 3 with
+        # "list index out of range", and a 4-field row was read silently.
+        ("2 fields", full_grid_rows(3, 3, 8.0)[:4] + [[1, 1]]
+         + full_grid_rows(3, 3, 8.0)[5:], ":6: expected 3 fields"),
+        ("4 fields", full_grid_rows(3, 3, 8.0)[:4] + [[1, 1, 8.0, 2.0]]
+         + full_grid_rows(3, 3, 8.0)[5:], ":6: expected 3 fields"),
     ])
-    def test_bad_grid_csv_exits_3_with_line(self, case, rows, line, tmp_path, runner):
+    def test_bad_grid_csv_exits_3_with_line(self, case, rows, line, tmp_path, runner, caplog):
         model_path = tmp_path / "model.txt"
         model_path.write_text(toy_model_text())
         grid_csv = write_grid_csv(tmp_path / "g.csv", rows)
         with pytest.raises(ParseError, match=line):
             dm.load_grid_field(grid_csv, rf.GridSpec(0.0, 0.0, 10.0, 3, 3))
-        res = runner.invoke(cli.main, [
-            "forecast", "--model", str(model_path), "--mode", "grid",
-            "--grid-forecast", str(grid_csv), "--grid-cell-km", "10",
-            "--grid-nx", "3", "--grid-ny", "3", "--members", "2",
-            "--seed", "0", "--out", str(tmp_path / "members"),
-        ])
+        with caplog.at_level("ERROR", logger="precipfield"):
+            res = runner.invoke(cli.main, [
+                "forecast", "--model", str(model_path), "--mode", "grid",
+                "--grid-forecast", str(grid_csv), "--grid-cell-km", "10",
+                "--grid-nx", "3", "--grid-ny", "3", "--members", "2",
+                "--seed", "0", "--out", str(tmp_path / "members"),
+            ])
         assert res.exit_code == 3, case
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert re.search(f"g\\.csv{line}", errors[0])
+
+    @pytest.mark.parametrize("blank_at", [9, 5])  # after the last row, between rows
+    def test_grid_csv_blank_line_skipped(self, tmp_path, blank_at):
+        # A blank line used to fail as "list index out of range" (exit 3).
+        grid = rf.GridSpec(0.0, 0.0, 10.0, 3, 3)
+        rows = [[iy, ix, 2.0 * iy + ix] for iy, ix, _ in full_grid_rows(3, 3, 0.0)]
+        plain = write_grid_csv(tmp_path / "plain.csv", rows)
+        lines = plain.read_text().splitlines(keepends=True)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("".join(lines[:blank_at + 1] + ["\n"] + lines[blank_at + 1:]))
+        np.testing.assert_array_equal(dm.load_grid_field(blank, grid),
+                                      dm.load_grid_field(plain, grid))
 
     def test_grid_zero_variance_exits_2(self, tmp_path, runner):
         # nu0 = 0 over a zero forecast: no member may be written as NaN.
@@ -786,3 +814,53 @@ def test_config_file_matches_flags(fitted, tmp_path, runner, case):
         assert res.exit_code == 0
         outputs.append(output_bytes(out))
     assert outputs[0] == outputs[1]
+
+
+# Runs commands in-process in a fresh interpreter (the test process has long
+# since imported all of SciPy) and prints which of the SciPy submodules that
+# the package imports only where it calls them are loaded at each checkpoint.
+STARTUP_PROBE = """
+import sys
+from precipfield import cli
+
+def checkpoint(name):
+    loaded = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.integrate")
+              if m in sys.modules]
+    print(name, *loaded)
+
+def run(*args):
+    assert cli.main.main(args=list(args), standalone_mode=False) in (None, 0), args
+
+out, model, grid = sys.argv[1:]
+checkpoint("import")
+run("synth", "--seed", "3", "--out", out, "--sites", "12", "--days", "16")
+dataset = out + "/dataset.csv"
+common = ["--model", model, "--seed", "0", "--members", "3"]
+run("forecast", *common, "--dataset", dataset, "--date", "2004-01-16",
+    "--out", out + "/site.csv")
+run("forecast", *common, "--dataset", dataset, "--date", "2004-01-16", "--mode", "areal",
+    "--site-ids", "s000,s001", "--out", out + "/areal.csv")
+run("forecast", *common, "--mode", "grid", "--grid-forecast", grid, "--grid-cell-km", "10",
+    "--grid-nx", "3", "--grid-ny", "3", "--out", out + "/grid")
+checkpoint("forecast")
+run("fit", "--dataset", dataset, "--date", "2004-01-16", "-M", "15",
+    "--out", out + "/model.txt")
+checkpoint("fit")
+"""
+
+
+def test_scipy_optimize_loads_at_first_fit(tmp_path):
+    # Every command used to import scipy.optimize, scipy.linalg and
+    # scipy.integrate at start-up, about 0.3 s of each process.
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(toy_model_text())
+    grid_csv = write_grid_csv(tmp_path / "g.csv", full_grid_rows(3, 3, 8.0))
+    out = tmp_path / "world"
+    out.mkdir()
+    res = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(out), str(model_path),
+                          str(grid_csv)], capture_output=True, text=True,
+                         env=fresh_interpreter_env())
+    assert res.returncode == 0, res.stderr
+    loaded = {name: rest for name, *rest in map(str.split, res.stdout.splitlines())}
+    assert loaded["import"] == loaded["forecast"] == []
+    assert "scipy.optimize" in loaded["fit"]  # which itself imports scipy.linalg
