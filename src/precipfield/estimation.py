@@ -474,41 +474,48 @@ def fit_amount_range(window, eta, nu):
 
 def _amount_stacks(window, eta, nu):
     """Each day's wet-site distance matrix and Gaussian scores, stacked by
-    wet-site count k into (g, k, k) and (g, k, 1) arrays. Wet records with a
-    nonpositive implied mean are left out, and so is a day left with fewer
-    than two wet sites."""
-    coeffs = tr.GammaCoeffs(*eta, *nu)
-    by_count = {}
-    for day in window.days.values():
-        wet = day["obs"] > 0
-        fcst_cr = np.cbrt(day["fcst"][wet])
-        zero_flag = day["fcst"][wet] == 0.0
-        keep = tr.gamma_mean(eta, fcst_cr, zero_flag) > 0
-        if keep.sum() < 2:
-            continue
-        alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
-        scores = tr.gaussian_scores(np.cbrt(day["obs"][wet][keep]), alpha, beta)
-        dist = rf.pairwise_distances(day["xy"][wet][keep])
-        by_count.setdefault(scores.size, []).append((dist, scores))
-    if not by_count:
+    wet-site count k (in order of first appearance) into (g, k, k) and
+    (g, k, 1) arrays. Wet records with a nonpositive implied mean are left
+    out, and so is a day left with fewer than two wet sites."""
+    obs, _, fcst_cr, zero_flag = window.pooled()
+    day_of = np.repeat(np.arange(len(window.days)), [len(d["obs"]) for d in window.days.values()])
+    kept = (obs > 0) & (tr.gamma_mean(eta, fcst_cr, zero_flag) > 0)
+    counts = np.bincount(day_of[kept], minlength=len(window.days))
+    kept &= counts[day_of] >= 2
+    if not kept.any():
         raise RangeUnidentifiable("no day has two or more wet sites")
-    return [(np.array([d for d, _ in days]), np.array([z for _, z in days])[:, :, None])
-            for days in by_count.values()]
+    alpha, beta, _ = tr.gamma_marginals(tr.GammaCoeffs(*eta, *nu), fcst_cr[kept], zero_flag[kept])
+    scores = tr.gaussian_scores(np.cbrt(obs[kept]), alpha, beta)
+    xy = np.concatenate([day["xy"] for day in window.days.values()])[kept]
+    k_of = counts[day_of[kept]]
+    return [(rf.pairwise_distances(xy[k_of == k].reshape(-1, k, 2)),
+             scores[k_of == k].reshape(-1, k, 1))
+            for k in dict.fromkeys(counts[counts >= 2].tolist())]
 
 
 def _amount_loglik(stacks):
     """Summed zero-mean MVN log density of the stacked scores as a function
-    of the log range: one batched Cholesky and one batched solve per
-    stack."""
+    of the log range. Each stack is held as bordered matrices [[C, z], [zᵀ, ∞]]
+    and factored by one batched Cholesky per evaluation: the first k diagonal
+    entries give log det C, and the last row is L⁻¹z, so its squared norm is
+    zᵀC⁻¹z. The ∞ corner never fails, so a stack retries only when C fails."""
+    bordered = []
+    for dist, scores in stacks:
+        g, k, _ = dist.shape
+        mat = np.full((g, k + 1, k + 1), np.inf)  # C is written at each evaluation
+        mat[:, :k, k:] = scores
+        mat[:, k:, :k] = scores.transpose(0, 2, 1)
+        bordered.append((dist, mat))
 
     def objective(log_range):
         range_km = math.exp(log_range)
         total = 0.0
-        for dist, scores in stacks:
-            chol = rf.cholesky_pd(rf.exp_correlation(dist, range_km))
-            sol = np.linalg.solve(chol, scores)
-            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
-            total -= 0.5 * (scores.size * _LOG2PI + logdet + np.sum(sol ** 2))
+        for dist, mat in bordered:
+            g, k, _ = dist.shape
+            mat[:, :k, :k] = rf.exp_correlation(dist, range_km)
+            chol = rf.cholesky_pd(mat)
+            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :k]).sum()
+            total -= 0.5 * (g * k * _LOG2PI + logdet + np.sum(chol[:, k, :k] ** 2))
         return float(total)
 
     return objective

@@ -82,7 +82,7 @@ def as_generator(seed):
 def exp_correlation(d, range_km):
     """Exponential correlation at distance ``d`` km."""
     d = np.asarray(d, dtype=float)
-    if (d < 0).any():  # cheaper than np.any(): the range fits call this in their inner loops
+    if (d < 0).any():  # cheaper than np.any(): every range-likelihood evaluation calls this
         raise DomainError("distance must be nonnegative")
     if range_km <= 0:
         raise DomainError("range must be positive")
@@ -91,9 +91,9 @@ def exp_correlation(d, range_km):
 
 
 def pairwise_distances(xy):
-    """Euclidean distance matrix for an (n, 2) coordinate array."""
+    """Euclidean distance matrix for an (n, 2) coordinate array or a (g, n, 2) stack."""
     xy = np.asarray(xy, dtype=float)
-    diff = xy[:, None, :] - xy[None, :, :]
+    diff = xy[..., :, None, :] - xy[..., None, :, :]
     return np.sqrt((diff ** 2).sum(axis=-1))
 
 
@@ -115,7 +115,7 @@ def correlation_matrix(sites, corr):
 def cholesky_pd(mat):
     """Lower Cholesky factor of a matrix or a (g, k, k) stack of them, with a
     single jitter retry on failure; the retry adds the jitter to every matrix
-    of the stack."""
+    of the stack (to a bordered matrix's ∞ corner too, which stays ∞)."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:

@@ -529,6 +529,34 @@ class TestMvnLogDensity:
 LOG_RANGES = np.log([1.0, 4.0, 25.0, 150.0, 2000.0])
 
 
+def per_day_stacks(window, eta, nu):
+    """The amount-range stacks built one day at a time: the oracle for the
+    pooled construction in ``est._amount_stacks``."""
+    coeffs = tr.GammaCoeffs(*eta, *nu)
+    by_count = {}
+    for day in window.days.values():
+        wet = day["obs"] > 0
+        fcst_cr = np.cbrt(day["fcst"][wet])
+        zero_flag = day["fcst"][wet] == 0.0
+        keep = tr.gamma_mean(eta, fcst_cr, zero_flag) > 0
+        if keep.sum() < 2:
+            continue
+        alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
+        scores = tr.gaussian_scores(np.cbrt(day["obs"][wet][keep]), alpha, beta)
+        dist = rf.pairwise_distances(day["xy"][wet][keep])
+        by_count.setdefault(scores.size, []).append((dist, scores))
+    return [(np.array([d for d, _ in days]), np.array([z for _, z in days])[:, :, None])
+            for days in by_count.values()]
+
+
+def assert_stacks_match_loop(window, eta, nu):
+    stacks = est._amount_stacks(window, eta, nu)
+    expected = per_day_stacks(window, eta, nu)
+    assert [(d.shape, z.shape) for d, z in stacks] == [(d.shape, z.shape) for d, z in expected]
+    for (dist, scores), (d, z) in zip(stacks, expected):
+        assert np.array_equal(dist, d) and np.array_equal(scores, z)
+
+
 def assert_stacks_match_oracle(window, eta, nu):
     stacked = est._amount_loglik(est._amount_stacks(window, eta, nu))
     oracle = per_geometry_objective(window, eta, nu)
@@ -550,6 +578,7 @@ class TestAmountStacks:
         for dist, scores in stacks:
             g, k, _ = dist.shape
             assert scores.shape == (g, k, 1)
+        assert_stacks_match_loop(w, spec.eta, spec.nu)
         assert_stacks_match_oracle(w, spec.eta, spec.nu)
 
     def test_single_matrix_stack(self):
@@ -558,6 +587,38 @@ class TestAmountStacks:
                               (xy, [1.0, 7.0, 3.0], [2.0, 6.0, 0.0])])
         stacks = est._amount_stacks(w, (1.0, 0.5, 0.2), (0.3, 0.02))
         assert [d.shape for d, _ in stacks] == [(1, 2, 2), (1, 3, 3)]
+        assert_stacks_match_oracle(w, (1.0, 0.5, 0.2), (0.3, 0.02))
+
+    def test_nonpositive_means_and_single_wet_days(self):
+        # With eta0 = -1 the implied mean is nonpositive where the forecast
+        # cube root is at most 2, or the forecast is zero: those wet records
+        # drop, leaving day 2 with one wet site and day 5 with none. Day 4
+        # joins the k = 2 stack that day 1 opened, after the k = 3 stack.
+        eta, nu = (-1.0, 0.5, 0.2), (0.3, 0.02)
+        xy = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 40.0], [25.0, 35.0]])
+        w = window_from_days([
+            (xy, [2.0, 5.0, 0.0, 3.0], [27.0, 64.0, 1.0, 0.5]),
+            (xy[:3], [1.0, 7.0, 3.0], [1.0, 27.0, 8.0]),
+            (xy[1:], [4.0, 2.0, 6.0], [30.0, 125.0, 40.0]),
+            (xy[:2], [3.0, 1.0], [50.0, 20.0]),
+            (xy[:2], [3.0, 1.0], [0.0, 0.0]),
+            (xy, [0.0, 0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 9.0]),
+        ])
+        stacks = est._amount_stacks(w, eta, nu)
+        assert [d.shape for d, _ in stacks] == [(2, 2, 2), (1, 3, 3)]
+        assert_stacks_match_loop(w, eta, nu)
+        assert_stacks_match_oracle(w, eta, nu)
+
+    def test_blocked_cholesky_stack(self):
+        # 70 wet sites make a 71 x 71 bordered matrix, past the size where
+        # OpenBLAS factors in blocks, so the ∞ corner sits in a trailing block.
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(0.0, 300.0, size=(70, 2))
+        days = [(xy, rng.gamma(2.0, 3.0, 70), rng.uniform(1.0, 60.0, 70)) for _ in range(2)]
+        w = window_from_days(days + [(xy[:5], [2.0, 5.0, 1.0, 3.0, 4.0], [3.0, 4.0, 2.0, 8.0, 1.0])])
+        assert [d.shape for d, _ in est._amount_stacks(w, (1.0, 0.5, 0.2), (0.3, 0.02))] == [
+            (2, 70, 70), (1, 5, 5)]
+        assert_stacks_match_loop(w, (1.0, 0.5, 0.2), (0.3, 0.02))
         assert_stacks_match_oracle(w, (1.0, 0.5, 0.2), (0.3, 0.02))
 
     def test_colocated_pair_takes_jitter_retry(self):
