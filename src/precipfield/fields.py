@@ -181,20 +181,16 @@ class CirculantEmbedding:
         return np.fft.fft2(exp_correlation(d, self.corr.range_km)).real
 
     def sample(self, rng, n_fields=1):
-        """Draw ``n_fields`` independent fields of shape (ny, nx)."""
+        """Draw ``n_fields`` independent (ny, nx) fields in pairs, the real and
+        imaginary parts of one FFT; an odd count still draws its last pair."""
         rng = as_generator(rng)
         ny, nx = self.grid.ny, self.grid.nx
-        out = np.empty((n_fields, ny, nx))
-        # Each FFT yields two independent fields (real and imaginary parts).
+        out = np.empty((n_fields + n_fields % 2, ny, nx))
         for i in range(0, n_fields, 2):
-            eps = rng.standard_normal((self._my, self._mx)) + 1j * rng.standard_normal(
-                (self._my, self._mx)
-            )
-            f = np.fft.fft2(self._sqrt_lam * eps)
-            out[i] = f.real[:ny, :nx]
-            if i + 1 < n_fields:
-                out[i + 1] = f.imag[:ny, :nx]
-        return out[0] if n_fields == 1 else out
+            eps = rng.standard_normal((2, self._my, self._mx))
+            f = np.fft.fft2(self._sqrt_lam * (eps[0] + 1j * eps[1]))[:ny, :nx]
+            out[i], out[i + 1] = f.real, f.imag
+        return out[0] if n_fields == 1 else out[:n_fields]
 
 
 def _trunc_norm_draw(rng, mean, sd, sign):

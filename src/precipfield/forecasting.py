@@ -3,8 +3,8 @@
 Site ensembles, gridded field ensembles via circulant embedding, areal
 averages, and the no-spatial-correlation baseline with identical marginals.
 All of them draw members through one two-stage kernel, :func:`_draw_members`,
-which draws each member's latent fields from its own Generator and then
-thresholds and transforms the whole ensemble as one block.
+which takes every member's latent fields from one Generator, member by
+member, and then thresholds and transforms the whole ensemble as one block.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class ForecastEnsemble:
     grid: rf.GridSpec = None
     seed: object = None
     fallback_sites: list = field(default_factory=list)
-
-    @property
-    def n_members(self):
-        return self.members.shape[0]
 
 
 def two_stage_params(model, fcst_accum):
@@ -68,42 +64,42 @@ def _site_marginals(model, fcst_cr, zero_flag):
     return marginals, np.flatnonzero(fell_back).tolist()
 
 
-def _draw_members(mu, alpha, beta, draw_w, draw_z, n_members, seed):
+def _draw_members(mu, alpha, beta, draw, n_members, seed):
     """Two-stage member draw shared by every ensemble.
 
-    ``draw_w`` and ``draw_z`` map a Generator to a standard-normal field of
-    the shape of ``mu`` with the occurrence and amount correlations. Each
-    member draws both fields from its own Generator, spawned from the master
-    seed, so results do not depend on how members are scheduled: the first
-    k members of an n-member ensemble are the k-member ensemble. The draws
-    fill ``(n_members, ...)`` blocks, and the trend, threshold and
-    anamorphosis then run once over the whole block, so an ensemble holds a
-    few float arrays of that shape in memory.
+    ``draw(rng, n)`` returns the correlated occurrence and amount normal
+    blocks, each ``(n,) + mu.shape``, taken member by member from one
+    Generator, ``default_rng(seed)``: the first k members of an n-member
+    ensemble are the k-member ensemble. Threshold and anamorphosis run once.
     """
-    w = np.empty((n_members,) + np.shape(mu))
-    z = np.empty_like(w)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for i, child in enumerate(seq.spawn(n_members)):
-        rng = np.random.default_rng(child)
-        w[i] = draw_w(rng)
-        z[i] = draw_z(rng)
+    w, z = draw(np.random.default_rng(seed), n_members)
     w += mu
     return tr.wet_amounts(w, z, alpha, beta)
 
 
-def _site_ensemble(model, sites, fcst_accum, n_members, seed, draw_w, draw_z):
+def _site_ensemble(model, sites, fcst_accum, n_members, seed, chols=None):
     if len(sites) < 1:
         raise DomainError("need at least one site")
     fcst_accum = np.atleast_1d(np.asarray(fcst_accum, dtype=float))
+    if fcst_accum.shape != (len(sites),):
+        raise DomainError(f"{fcst_accum.size} forecasts for {len(sites)} sites")
     mu, alpha, beta, fell_back = two_stage_params(model, fcst_accum)
-    members = _draw_members(mu, alpha, beta, draw_w, draw_z, n_members, seed)
+
+    def draw(rng, n):
+        # Member i's occurrence normals, then its amount normals, 256 members
+        # at a time: one normal block for the whole ensemble raised peak RSS.
+        # The stacked matmul is one gemv per member, so unlike a gemm it
+        # rounds alike at any n.
+        w, z = np.empty((n, len(sites), 1)), np.empty((n, len(sites), 1))
+        for i in range(0, n, 256):
+            e = rng.standard_normal((min(n - i, 256), 2, len(sites), 1))
+            for f, out in enumerate((w, z)):
+                out[i:i + 256] = e[:, f] if chols is None else chols[f] @ e[:, f]
+        return w[..., 0], z[..., 0]
+
+    members = _draw_members(mu, alpha, beta, draw, n_members, seed)
     return ForecastEnsemble(members=members, sites=list(sites), seed=seed,
                             fallback_sites=np.flatnonzero(fell_back).tolist())
-
-
-def _cholesky_draw(sites, corr):
-    chol = rf.cholesky_pd(rf.correlation_matrix(sites, corr))
-    return lambda rng: chol @ rng.standard_normal(len(sites))
 
 
 def generate_site_ensemble(model, sites, fcst_accum, n_members, seed):
@@ -113,17 +109,14 @@ def generate_site_ensemble(model, sites, fcst_accum, n_members, seed):
     zero out dry sites and push wet sites through the anamorphosis, then
     cube back to the accumulation scale.
     """
-    return _site_ensemble(model, sites, fcst_accum, n_members, seed,
-                          _cholesky_draw(sites, model.rho), _cholesky_draw(sites, model.r))
+    chols = [rf.cholesky_pd(rf.correlation_matrix(sites, corr)) for corr in (model.rho, model.r)]
+    return _site_ensemble(model, sites, fcst_accum, n_members, seed, chols)
 
 
 def independence_baseline_ensemble(model, sites, fcst_accum, n_members, seed):
     """Spatially independent counterpart: identical marginals, identity
     correlations for both latent processes."""
-    def draw(rng):
-        return rng.standard_normal(len(sites))
-
-    return _site_ensemble(model, sites, fcst_accum, n_members, seed, draw, draw)
+    return _site_ensemble(model, sites, fcst_accum, n_members, seed)
 
 
 def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):
@@ -138,7 +131,15 @@ def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):
     emb_w = rf.CirculantEmbedding(grid, model.rho)
     emb_z = rf.CirculantEmbedding(grid, model.r)
     mu, alpha, beta, fell_back = two_stage_params(model, fcst_field)
-    members = _draw_members(mu, alpha, beta, emb_w.sample, emb_z.sample, n_members, seed)
+
+    def draw(rng, n):
+        # Pairs of members share one FFT per field: its real and imaginary parts.
+        w, z = np.empty((n + n % 2, grid.ny, grid.nx)), np.empty((n + n % 2, grid.ny, grid.nx))
+        for i in range(0, n, 2):
+            w[i:i + 2], z[i:i + 2] = emb_w.sample(rng, 2), emb_z.sample(rng, 2)
+        return w[:n], z[:n]
+
+    members = _draw_members(mu, alpha, beta, draw, n_members, seed)
     return ForecastEnsemble(members=members, grid=grid, seed=seed,
                             fallback_sites=np.flatnonzero(fell_back).tolist())
 
@@ -166,7 +167,7 @@ def write_grid_ensemble_csvs(ens, outdir, prefix="member"):
     rows = [str(iy) for iy in range(ny) for _ in range(nx)]
     cols = [str(ix) for ix in range(nx)] * ny
     paths = []
-    for i in range(ens.n_members):
+    for i in range(len(ens.members)):
         path = os.path.join(outdir, f"{prefix}_{i:04d}.csv")
         dm.write_csv(path, ["row", "col", "value_hundredths_inch"],
                      [rows, cols, map(repr, ens.members[i].ravel().tolist())])

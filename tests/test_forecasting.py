@@ -93,6 +93,15 @@ class TestSiteEnsemble:
         with pytest.raises(DomainError):
             fc.generate_site_ensemble(toy_model(), [], [], 10, seed=0)
 
+    @pytest.mark.parametrize("make", [
+        fc.generate_site_ensemble, fc.independence_baseline_ensemble, fc.areal_ensemble,
+    ], ids=["site", "baseline", "areal"])
+    @pytest.mark.parametrize("n_sites, fcst", [(5, [8.0] * 4), (1, [])],
+                             ids=["too_few", "empty"])
+    def test_forecast_count_must_match_sites(self, make, n_sites, fcst):
+        with pytest.raises(DomainError, match="forecasts for"):
+            make(toy_model(), spread_sites(n_sites), fcst, 10, seed=0)
+
 
 class TestIndependenceBaseline:
     def test_single_site_identical_to_spatial(self):
@@ -176,48 +185,95 @@ class TestGridEnsemble:
         assert np.max(np.abs(wet_grid - wet_site)) < 0.03
 
 
-def member_loop(mu, alpha, beta, draw_w, draw_z, n_members, seed):
-    """Reference for ``fc._draw_members``: one member at a time, each
-    thresholded and transformed on its own."""
-    members = np.zeros((n_members,) + np.shape(mu))
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for i, child in enumerate(seq.spawn(n_members)):
-        rng = np.random.default_rng(child)
-        w = mu + draw_w(rng)
-        members[i] = tr.wet_amounts(w, draw_z(rng), alpha, beta)
-    return members
-
-
 ORACLE_SITES = spread_sites(5, spacing=12.0)
 ORACLE_FCST = [0.0, 3.0, 8.0, 64.0, 27.0]
 ORACLE_GRID = rf.GridSpec(0.0, 0.0, 10.0, 8, 8)
 ORACLE_FIELD = np.resize([0.0, 3.0, 8.0, 27.0, 64.0, 0.0, 0.5, 125.0, 8.0], (8, 8))
 
 
+def make_ensemble(kind, model, n, seed, sites=ORACLE_SITES, fcst=ORACLE_FCST):
+    if kind == "site":
+        return fc.generate_site_ensemble(model, sites, fcst, n, seed).members
+    if kind == "baseline":
+        return fc.independence_baseline_ensemble(model, sites, fcst, n, seed).members
+    return fc.generate_grid_ensemble(model, ORACLE_GRID, ORACLE_FIELD, n, seed).members
+
+
+def member_loop(kind, model, n_members, seed):
+    """Reference for the block ensembles: one Generator, one member at a
+    time, each thresholded and transformed on its own. A site member draws
+    its occurrence field ``chol @ rng.standard_normal(k)``, then its amount
+    field; the baseline drops the factors; grid members come in pairs, the
+    real and imaginary parts of one occurrence and one amount FFT."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        mu, alpha, beta, _ = fc.two_stage_params(model, ORACLE_FIELD)
+        emb_w = rf.CirculantEmbedding(ORACLE_GRID, model.rho)
+        emb_z = rf.CirculantEmbedding(ORACLE_GRID, model.r)
+        members = []
+        for _ in range(0, n_members, 2):
+            w, z = emb_w.sample(rng, 2), emb_z.sample(rng, 2)
+            members += [tr.wet_amounts(mu + w[j], z[j], alpha, beta) for j in (0, 1)]
+        return np.array(members[:n_members])
+    mu, alpha, beta, _ = fc.two_stage_params(model, np.asarray(ORACLE_FCST))
+    k = len(ORACLE_SITES)
+    if kind == "site":
+        chol_w = rf.cholesky_pd(rf.correlation_matrix(ORACLE_SITES, model.rho))
+        chol_z = rf.cholesky_pd(rf.correlation_matrix(ORACLE_SITES, model.r))
+    members = np.zeros((n_members, k))
+    for i in range(n_members):
+        w, z = rng.standard_normal(k), rng.standard_normal(k)
+        if kind == "site":
+            w, z = chol_w @ w, chol_z @ z
+        members[i] = tr.wet_amounts(mu + w, z, alpha, beta)
+    return members
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestBlockKernel:
     """The ensemble drawn as one block equals the member-by-member loop bit
     for bit, and its first members do not depend on the member count."""
 
-    @pytest.mark.parametrize("make", [
-        lambda model, n, seed: fc.generate_site_ensemble(
-            model, ORACLE_SITES, ORACLE_FCST, n, seed),
-        lambda model, n, seed: fc.independence_baseline_ensemble(
-            model, ORACLE_SITES, ORACLE_FCST, n, seed),
-        lambda model, n, seed: fc.generate_grid_ensemble(
-            model, ORACLE_GRID, ORACLE_FIELD, n, seed),
-    ], ids=["site", "baseline", "grid"])
+    @pytest.mark.parametrize("kind", ["site", "baseline", "grid"])
     @pytest.mark.parametrize("model", [
         toy_model(eta=(-1.0, 1.0, 0.4)),  # zero forecasts fall back
         toy_model(gamma=(-40.0, 0.0, 0.0)),  # every site dry in every member
     ], ids=["mixed", "all_dry"])
-    def test_matches_member_loop(self, monkeypatch, make, model):
-        block = make(model, 60, 21).members
-        prefix = make(model, 7, 21).members
-        with monkeypatch.context() as m:
-            m.setattr(fc, "_draw_members", member_loop)
-            loop = make(model, 60, 21).members
-        assert np.array_equal(block.view(np.uint64), loop.view(np.uint64))
-        assert np.array_equal(prefix.view(np.uint64), block[:7].view(np.uint64))
+    def test_matches_member_loop(self, kind, model):
+        block = make_ensemble(kind, model, 60, 21)
+        assert_bits_equal(block, member_loop(kind, model, 60, 21))
+        assert_bits_equal(make_ensemble(kind, model, 7, 21), block[:7])
+
+    @pytest.mark.parametrize("kind", ["site", "baseline"])
+    def test_prefix_at_100_scattered_sites(self, kind):
+        # At 100 sites a gemm over the whole block rounds differently as the
+        # member count changes; the stacked gemv does not. 2,500 members also
+        # span several of the kernel's 256-member chunks.
+        rng = np.random.default_rng(3)
+        sites = [rf.Site(f"p{i}", x, y)
+                 for i, (x, y) in enumerate(rng.uniform(0.0, 200.0, (100, 2)))]
+        fcst = rng.gamma(2.0, 6.0, 100)
+        model = toy_model()
+        full = make_ensemble(kind, model, 2500, 22, sites, fcst)
+        for n in (1, 3, 7, 64):
+            assert_bits_equal(make_ensemble(kind, model, n, 22, sites, fcst), full[:n])
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_odd_grid_counts_are_prefixes(self, n):
+        model = toy_model()
+        full = make_ensemble("grid", model, 8, 23)
+        assert_bits_equal(make_ensemble("grid", model, n, 23), full[:n])
+
+    def test_seed_sequence_seeds_one_generator(self):
+        # Verification passes SeedSequence children; each seeds default_rng.
+        model = toy_model()
+        seed = np.random.SeedSequence(entropy=24, spawn_key=(2, 1))
+        assert_bits_equal(make_ensemble("site", model, 5, seed),
+                          member_loop("site", model, 5, seed))
 
     def test_mixed_case_has_wet_and_dry_members(self):
         ens = fc.generate_site_ensemble(toy_model(eta=(-1.0, 1.0, 0.4)), ORACLE_SITES,
