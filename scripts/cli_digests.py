@@ -2,7 +2,9 @@
 
 Runs ``synth``, ``fit``, ``forecast`` (site, areal and grid mode), ``verify``
 and ``sweep`` in-process at three seeds and prints one ``<sha256>  <path>``
-line per output file, paths relative to the output directory. Two checkouts
+line per output file, paths relative to the output directory. Each seed also
+fits and verifies a gappy copy of its world, one or two sites missing on
+every date, so that windows where some sites do not report are covered. Two checkouts
 whose listings agree produce byte-identical outputs, which is the gate for a
 refactor that must not move any result.
 
@@ -21,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import os
+import random
 import sys
 import tempfile
 
@@ -44,6 +47,24 @@ def write_grid_forecast(path):
         for iy in range(GRID_NY):
             for ix in range(GRID_NX):
                 writer.writerow([iy, ix, repr(4.1 * ((3 * iy + ix) % 5))])
+
+
+def write_gappy(dataset, path, seed):
+    """``dataset`` with a fixed, seeded one or two of its sites dropped on
+    each date, alternately."""
+    with open(dataset, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    by_date = {}
+    for row in rows:
+        by_date.setdefault(row[3], []).append(row)
+    rng = random.Random(seed)
+    kept = []
+    for i, date in enumerate(sorted(by_date)):
+        day = by_date[date]
+        drop = set(rng.sample(range(len(day)), 1 + i % 2))
+        kept.extend(row for j, row in enumerate(day) if j not in drop)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *kept])
 
 
 def produce(cli, top, seed):
@@ -81,6 +102,14 @@ def produce(cli, top, seed):
     run(cli, ["sweep", "--dataset", dataset, "--window-days-list", "6,10",
               "--dates", 2, "--members", 10, "--seed", seed,
               "--out", os.path.join(out, "sweep.csv")])
+    gappy = os.path.join(out, "gappy")
+    os.makedirs(gappy)
+    write_gappy(dataset, os.path.join(gappy, "dataset.csv"), seed)
+    run(cli, ["fit", "--dataset", os.path.join(gappy, "dataset.csv"), "--date", last,
+              "-M", 12, "--seed", seed, "--out", os.path.join(gappy, "model.txt")])
+    run(cli, ["verify", "--dataset", os.path.join(gappy, "dataset.csv"), "-M", 10,
+              "--members", 15, "--mst-members", 9, "--dates", 2, "--seed", seed,
+              "--out", os.path.join(gappy, "verify")])
 
 
 def digests(top):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import sys
+import warnings
 
 import click
 
@@ -137,6 +138,8 @@ def main(verbose):
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(message)s",
     )
+    # A Python warning shows as one WARNING line, not with its source line.
+    warnings.showwarning = lambda message, *_, **__: log.warning("%s", message)
 
 
 @main.command()

@@ -32,7 +32,8 @@ class Dataset:
     ``sites`` and ``dates`` are the sorted distinct site ids and dates, and
     the ``site`` and ``date`` columns index into them. The rows of
     ``dates[i]`` are ``offsets[i]:offsets[i + 1]``. ``xy`` holds each row's
-    coordinates in km as an (n, 2) array; ``obs`` and ``fcst`` its
+    coordinates in km as an (n, 2) array, as stored, and ``site_xy`` each
+    site's, from its first row; ``obs`` and ``fcst`` hold each row's
     observation and forecast. Columns are read-only.
     """
 
@@ -69,12 +70,12 @@ class Dataset:
 
         order = np.argsort(key)
         counts = np.bincount(day, minlength=len(self.dates))
-        self._columns(np.concatenate([[0], np.cumsum(counts)]),
-                      site[order], day[order], xy[order], obs[order], fcst[order])
+        self._columns(np.concatenate([[0], np.cumsum(counts)]), site[order], day[order],
+                      xy[order], xy[first], obs[order], fcst[order])
 
-    def _columns(self, offsets, site, date, xy, obs, fcst):
-        for name, col in (("offsets", offsets), ("site", site), ("date", date),
-                          ("xy", xy), ("obs", obs), ("fcst", fcst)):
+    def _columns(self, offsets, site, date, xy, site_xy, obs, fcst):
+        for name, col in (("offsets", offsets), ("site", site), ("date", date), ("xy", xy),
+                          ("site_xy", site_xy), ("obs", obs), ("fcst", fcst)):
             col.flags.writeable = False
             setattr(self, name, col)
 
@@ -88,8 +89,8 @@ class Dataset:
         view.sites, view.dates = self.sites, self.dates[first:last]
         lo, hi = self.offsets[first], self.offsets[last]
         view._columns(self.offsets[first:last + 1] - lo, self.site[lo:hi],
-                      self.date[lo:hi] - first, self.xy[lo:hi], self.obs[lo:hi],
-                      self.fcst[lo:hi])
+                      self.date[lo:hi] - first, self.xy[lo:hi], self.site_xy,
+                      self.obs[lo:hi], self.fcst[lo:hi])
         return view
 
 

@@ -10,9 +10,10 @@ but the Gamma mean also return a dict of deterministic fit diagnostics.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
@@ -50,23 +51,27 @@ _LOG2PI = math.log(2.0 * math.pi)
 log = logging.getLogger("precipfield")
 
 
-@dataclass
 class TrainingWindow:
-    """The M most recent available days strictly before a valid date.
+    """The rows of the most recent dates strictly before a valid date: a span
+    view of the dataset (``rows``), whose ``site``, ``date`` (counted from the
+    first date), ``obs`` and ``fcst`` columns it exposes with each row's
+    forecast cube root and zero flag. ``site_dist`` is the distance matrix of
+    the dataset's sites, computed at its first use."""
 
-    ``days`` maps each date to aligned arrays (xy, obs, fcst) over the sites
-    reporting that day.
-    """
+    def __init__(self, rows):
+        self.rows = rows
+        self.site, self.date, self.obs, self.fcst = rows.site, rows.date, rows.obs, rows.fcst
+        self.fcst_cr, self.zero_flag = np.cbrt(rows.fcst), rows.fcst == 0.0
 
-    days: dict
-    M: int
-    short: bool = False
+    @functools.cached_property
+    def site_dist(self):
+        return rf.pairwise_distances(self.rows.site_xy)
 
-    def pooled(self):
-        """Concatenated (obs, fcst, fcst_cuberoot, zero_flag) over all days."""
-        obs = np.concatenate([d["obs"] for d in self.days.values()])
-        fcst = np.concatenate([d["fcst"] for d in self.days.values()])
-        return obs, fcst, np.cbrt(fcst), fcst == 0.0
+    @property
+    def days(self):  # date -> row views; read only by perfbench, goes with ROADMAP item 1 PR B
+        r = self.rows
+        return {date: {"xy": r.xy[lo:hi], "obs": r.obs[lo:hi], "fcst": r.fcst[lo:hi]}
+                for date, lo, hi in zip(r.dates, r.offsets[:-1], r.offsets[1:])}
 
 
 @dataclass
@@ -80,21 +85,9 @@ class FittedModel:
     diagnostics: dict = field(default_factory=dict)
 
     def to_text(self):
-        lines = []
-        params = {
-            "gamma0": self.occurrence.gamma0,
-            "gamma1": self.occurrence.gamma1,
-            "gamma2": self.occurrence.gamma2,
-            "rho_km": self.rho.range_km,
-            "eta0": self.amount.eta0,
-            "eta1": self.amount.eta1,
-            "eta2": self.amount.eta2,
-            "nu0": self.amount.nu0,
-            "nu1": self.amount.nu1,
-            "r_km": self.r.range_km,
-        }
-        for key, val in params.items():
-            lines.append(f"{key} = {val:.15g}")
+        params = {**asdict(self.occurrence), "rho_km": self.rho.range_km,
+                  **asdict(self.amount), "r_km": self.r.range_km}
+        lines = [f"{key} = {val:.15g}" for key, val in params.items()]
         for key in sorted(self.diagnostics):
             val = self.diagnostics[key]
             if isinstance(val, float):
@@ -154,13 +147,7 @@ def make_window(dataset, valid_date, M):
     last = bisect.bisect_left(dataset.dates, valid_date)
     if last == 0:
         raise NoTrainingData(f"no dates before {valid_date}")
-    first = max(last - M, 0)
-    days = {}
-    for i in range(first, last):
-        lo, hi = dataset.offsets[i], dataset.offsets[i + 1]
-        days[dataset.dates[i]] = {"xy": dataset.xy[lo:hi], "obs": dataset.obs[lo:hi],
-                                  "fcst": dataset.fcst[lo:hi]}
-    return TrainingWindow(days=days, M=M, short=last - first < M)
+    return TrainingWindow(dataset.span(max(last - M, 0), last))
 
 
 def _probit_design(fcst_cr, zero_flag):
@@ -181,11 +168,10 @@ def fit_probit_trend(window):
     Fisher scoring with step halving; convergence at score norm 1e-8.
     Returns the coefficients and ``{"probit_iterations": scoring steps}``.
     """
-    obs, _, fcst_cr, zero_flag = window.pooled()
-    wet = (obs > 0).astype(float)
+    wet = (window.obs > 0).astype(float)
     if wet.min() == wet.max():
         raise DegenerateOccurrence("window is all-wet or all-dry")
-    design, dropped = _drop_constant_indicator(_probit_design(fcst_cr, zero_flag))
+    design, dropped = _drop_constant_indicator(_probit_design(window.fcst_cr, window.zero_flag))
 
     beta = np.zeros(design.shape[1])
     loglik = _probit_loglik(beta, design, wet)
@@ -257,19 +243,16 @@ def bivariate_normal_cdf(h, k, r):
 
 
 def _close_pairs(window):
-    """Same-day site pairs closer than PAIR_CUTOFF_KM: indices of both sites
-    into the pooled window records, and their distance."""
-    first, second, dist = [], [], []
-    offset = 0
-    for day in window.days.values():
-        i, j = np.triu_indices(len(day["obs"]), k=1)
-        d = rf.pairwise_distances(day["xy"])[i, j]
-        close = d < PAIR_CUTOFF_KM
-        first.append(offset + i[close])
-        second.append(offset + j[close])
-        dist.append(d[close])
-        offset += len(day["obs"])
-    return np.concatenate(first), np.concatenate(second), np.concatenate(dist)
+    """Same-day site pairs closer than PAIR_CUTOFF_KM: the row positions of
+    both sites in the window, and their distance. The close pairs of the
+    site distance matrix are kept, day by day and in site order, where a
+    (days, sites) table of row positions has both sites reporting."""
+    first, second = np.nonzero(np.triu(window.site_dist < PAIR_CUTOFF_KM, k=1))
+    row = np.full((len(window.rows.dates), len(window.rows.sites)), -1)
+    row[window.date, window.site] = np.arange(len(window.site))
+    day, pair = np.nonzero((row[:, first] >= 0) & (row[:, second] >= 0))
+    first, second = first[pair], second[pair]
+    return row[day, first], row[day, second], window.site_dist[first, second]
 
 
 def fit_occurrence_range(window, trend):
@@ -282,15 +265,14 @@ def fit_occurrence_range(window, trend):
     (:func:`_newton_range`) maximizes the summed log probability. Returns
     the range in km and ``{"occurrence_pairs": n, "rho_evals": n,
     "rho_converged": bool}``."""
-    if all(len(day["obs"]) < 2 for day in window.days.values()):
+    if np.bincount(window.date).max() < 2:
         raise RangeUnidentifiable("no day has two or more sites")
     first, second, dist = _close_pairs(window)
     if not dist.size:
         raise RangeUnidentifiable(
             f"no same-day site pair is closer than {PAIR_CUTOFF_KM:g} km")
-    obs, _, fcst_cr, zero_flag = window.pooled()
-    sign = np.where(obs > 0, 1.0, -1.0)
-    signed_mean = sign * tr.occurrence_trend(trend, fcst_cr, zero_flag)
+    sign = np.where(window.obs > 0, 1.0, -1.0)
+    signed_mean = sign * tr.occurrence_trend(trend, window.fcst_cr, window.zero_flag)
     loglik = _pair_loglik(signed_mean[first], signed_mean[second],
                           sign[first] * sign[second], dist)
     rho, evals, converged = _newton_range(loglik)
@@ -393,12 +375,12 @@ def fit_gamma_mean(window):
     If no wet record has a zero forecast the indicator column is dropped and
     its coefficient reported as 0.
     """
-    obs, _, fcst_cr, zero_flag = window.pooled()
-    wet = obs > 0
+    wet = window.obs > 0
     if wet.sum() < 3:
         raise InsufficientData(f"only {int(wet.sum())} wet records")
-    y = np.cbrt(obs[wet])
-    design, dropped = _drop_constant_indicator(_probit_design(fcst_cr[wet], zero_flag[wet]))
+    y = np.cbrt(window.obs[wet])
+    design, dropped = _drop_constant_indicator(
+        _probit_design(window.fcst_cr[wet], window.zero_flag[wet]))
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise InsufficientData("rank-deficient mean regression design")
@@ -432,17 +414,16 @@ def fit_gamma_variance(window, eta):
     """
     from scipy import optimize  # deferred: synth and forecast never fit
 
-    obs, fcst, fcst_cr, zero_flag = window.pooled()
-    wet = obs > 0
+    wet = window.obs > 0
     if wet.sum() < 10:
         raise InsufficientData(f"only {int(wet.sum())} wet records")
-    y = np.cbrt(obs[wet])
-    means = tr.gamma_mean(eta, fcst_cr[wet], zero_flag[wet])
+    y = np.cbrt(window.obs[wet])
+    means = tr.gamma_mean(eta, window.fcst_cr[wet], window.zero_flag[wet])
     usable = means > 0
     if not usable.any():
         raise NonpositiveMean("all implied means are nonpositive")
     n_dropped = int((~usable).sum())
-    y, means, fcst_acc = y[usable], means[usable], fcst[wet][usable]
+    y, means, fcst_acc = y[usable], means[usable], window.fcst[wet][usable]
 
     resid_var = max(float(np.var(y - means)), _MIN_NU0 * 10)
 
@@ -475,22 +456,21 @@ def fit_amount_range(window, eta, nu):
 def _amount_stacks(window, eta, nu):
     """Each day's wet-site distance matrix and Gaussian scores, stacked by
     wet-site count k (in order of first appearance) into (g, k, k) and
-    (g, k, 1) arrays. Wet records with a nonpositive implied mean are left
-    out, and so is a day left with fewer than two wet sites."""
-    obs, _, fcst_cr, zero_flag = window.pooled()
-    day_of = np.repeat(np.arange(len(window.days)), [len(d["obs"]) for d in window.days.values()])
-    kept = (obs > 0) & (tr.gamma_mean(eta, fcst_cr, zero_flag) > 0)
-    counts = np.bincount(day_of[kept], minlength=len(window.days))
-    kept &= counts[day_of] >= 2
+    (g, k, 1) arrays; the distances index the site distance matrix. Wet
+    records with a nonpositive implied mean are left out, and so is a day
+    left with fewer than two wet sites."""
+    kept = (window.obs > 0) & (tr.gamma_mean(eta, window.fcst_cr, window.zero_flag) > 0)
+    counts = np.bincount(window.date[kept], minlength=len(window.rows.dates))
+    kept &= counts[window.date] >= 2
     if not kept.any():
         raise RangeUnidentifiable("no day has two or more wet sites")
-    alpha, beta, _ = tr.gamma_marginals(tr.GammaCoeffs(*eta, *nu), fcst_cr[kept], zero_flag[kept])
-    scores = tr.gaussian_scores(np.cbrt(obs[kept]), alpha, beta)
-    xy = np.concatenate([day["xy"] for day in window.days.values()])[kept]
-    k_of = counts[day_of[kept]]
-    return [(rf.pairwise_distances(xy[k_of == k].reshape(-1, k, 2)),
-             scores[k_of == k].reshape(-1, k, 1))
-            for k in dict.fromkeys(counts[counts >= 2].tolist())]
+    alpha, beta, _ = tr.gamma_marginals(tr.GammaCoeffs(*eta, *nu), window.fcst_cr[kept],
+                                        window.zero_flag[kept])
+    scores = tr.gaussian_scores(np.cbrt(window.obs[kept]), alpha, beta)
+    site, k_of = window.site[kept], counts[window.date[kept]]
+    stacks = [(site[k_of == k].reshape(-1, k), scores[k_of == k].reshape(-1, k, 1))
+              for k in dict.fromkeys(counts[counts >= 2].tolist())]
+    return [(window.site_dist[codes[:, :, None], codes[:, None, :]], z) for codes, z in stacks]
 
 
 def _amount_loglik(stacks):
@@ -541,9 +521,8 @@ def fit_model(window):
 
     # Smallest positive implied training mean: the forecast-time fallback
     # when a site's implied mean goes nonpositive.
-    obs, _, fcst_cr, zero_flag = window.pooled()
-    wet = obs > 0
-    means = tr.gamma_mean(eta, fcst_cr[wet], zero_flag[wet])
+    wet = window.obs > 0
+    means = tr.gamma_mean(eta, window.fcst_cr[wet], window.zero_flag[wet])
     pos = means[means > 0]
     diagnostics["min_training_mean"] = float(pos.min()) if pos.size else 0.1
     diagnostics["n_wet_records"] = int(wet.sum())

@@ -91,24 +91,29 @@ def exp_correlation(d, range_km):
 
 
 def pairwise_distances(xy):
-    """Euclidean distance matrix for an (n, 2) coordinate array or a (g, n, 2) stack."""
+    """Euclidean distance matrix for an (n, 2) coordinate array or a (g, n, 2)
+    stack. A distance past the float range is infinite, with correlation 0."""
     xy = np.asarray(xy, dtype=float)
-    diff = xy[..., :, None, :] - xy[..., None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+    with np.errstate(over="ignore"):
+        diff = xy[..., :, None, :] - xy[..., None, :, :]
+        return np.sqrt((diff ** 2).sum(axis=-1))
 
 
 def correlation_matrix(sites, corr):
-    """Pairwise exponential correlation matrix for a list of sites."""
+    """Pairwise exponential correlation matrix for a list of sites or an
+    (n, 2) coordinate array. Co-located sites make it singular, and a
+    :class:`DegenerateMatrixWarning` names them (by row for an array)."""
     if len(sites) < 1:
         raise DomainError("need at least one site")
     if isinstance(sites, np.ndarray):
-        xy = np.asarray(sites, dtype=float)
+        xy, ids = np.asarray(sites, dtype=float), range(len(sites))
     else:
-        xy = np.array([[s.x, s.y] for s in sites])
+        xy, ids = np.array([[s.x, s.y] for s in sites]), [s.id for s in sites]
     d = pairwise_distances(xy)
-    off = d[~np.eye(len(xy), dtype=bool)]
-    if off.size and off.min() == 0.0:
-        warnings.warn("duplicate site coordinates", DegenerateMatrixWarning)
+    colocated = np.flatnonzero((d == 0.0).sum(axis=1) > 1)
+    if colocated.size:
+        warnings.warn(f"co-located sites {', '.join(str(ids[i]) for i in colocated)}: "
+                      "the correlation matrix is singular", DegenerateMatrixWarning)
     return exp_correlation(d, corr.range_km)
 
 

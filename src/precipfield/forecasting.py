@@ -31,7 +31,6 @@ class ForecastEnsemble:
     members: np.ndarray  # (n, J) for sites, (n, ny, nx) for grids
     sites: list = None
     grid: rf.GridSpec = None
-    seed: object = None
     fallback_sites: list = field(default_factory=list)
 
 
@@ -98,7 +97,7 @@ def _site_ensemble(model, sites, fcst_accum, n_members, seed, chols=None):
         return w[..., 0], z[..., 0]
 
     members = _draw_members(mu, alpha, beta, draw, n_members, seed)
-    return ForecastEnsemble(members=members, sites=list(sites), seed=seed,
+    return ForecastEnsemble(members=members, sites=list(sites),
                             fallback_sites=np.flatnonzero(fell_back).tolist())
 
 
@@ -140,7 +139,7 @@ def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):
         return w[:n], z[:n]
 
     members = _draw_members(mu, alpha, beta, draw, n_members, seed)
-    return ForecastEnsemble(members=members, grid=grid, seed=seed,
+    return ForecastEnsemble(members=members, grid=grid,
                             fallback_sites=np.flatnonzero(fell_back).tolist())
 
 

@@ -210,6 +210,20 @@ class TestFit:
         assert "'2004-13-45' does not match the format" in res.output
         assert not out.exists()
 
+    def test_huge_extent_keeps_stderr_to_cli_lines(self, tmp_path):
+        # Distances this long overflow to infinity, whose correlation is
+        # exactly 0. numpy's overflow warning used to reach stderr in both
+        # commands, with synth exiting 0.
+        res = run_fresh("synth", "--seed", 1, "--sites", 6, "--days", 20,
+                        "--extent-km", "1e200", "--out", tmp_path)
+        assert res.returncode == 0
+        assert res.stderr.splitlines() == [f"INFO wrote 120 records to {tmp_path}"]
+        res = run_fresh("fit", "--dataset", tmp_path / "dataset.csv", "--date", "2004-01-20",
+                        "-M", 10, "--out", tmp_path / "model.txt")
+        assert res.returncode == 3
+        assert res.stderr.splitlines() == [
+            "ERROR stage occurrence_range: no same-day site pair is closer than 100 km"]
+
 
 @pytest.mark.parametrize("command", ["synth", "fit", "forecast", "verify", "sweep"])
 def test_negative_seed_exits_2(synth_dir, tmp_path, runner, command):
@@ -306,6 +320,13 @@ def fresh_interpreter_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_fresh(*args):
+    """The CLI run in a new interpreter, whose stderr shows what a Python
+    warning would print."""
+    return subprocess.run([sys.executable, "-m", "precipfield.cli", *map(str, args)],
+                          capture_output=True, text=True, env=fresh_interpreter_env())
 
 
 def toy_model_text(nu=(0.15, 0.05)):
@@ -459,14 +480,29 @@ class TestForecast:
         model_path = tmp_path / "model.txt"
         model_path.write_text(toy_model_text())
         grid_csv = write_grid_csv(tmp_path / "g.csv", full_grid_rows(3, 3, 8.0))
-        res = subprocess.run([
-            sys.executable, "-m", "precipfield.cli", "forecast", "--model", str(model_path),
-            "--mode", "grid", "--grid-forecast", str(grid_csv), "--grid-cell-km", cell_km,
-            "--grid-nx", "3", "--grid-ny", "3", "--members", "2", "--seed", "0",
-            "--out", str(tmp_path / "members")], capture_output=True, text=True,
-            env=fresh_interpreter_env())
+        res = run_fresh("forecast", "--model", model_path, "--mode", "grid",
+                        "--grid-forecast", grid_csv, "--grid-cell-km", cell_km,
+                        "--grid-nx", 3, "--grid-ny", 3, "--members", 2, "--seed", 0,
+                        "--out", tmp_path / "members")
         assert res.returncode == 0
         assert res.stderr.splitlines() == [f"INFO wrote 2 grid members to {tmp_path / 'members'}"]
+
+    def test_colocated_sites_warn_in_one_cli_line(self, tmp_path):
+        # Python's DegenerateMatrixWarning, with its source line, used to
+        # reach stderr here, with exit 0.
+        ds = dm.synth_generate(dm.SynthSpec(n_sites=6, n_days=20, seed=1))
+        x, y = ds.site_xy[0]
+        rows = [(s, x, y, *rest) if s == "s001" else (s, sx, sy, *rest)
+                for s, sx, sy, *rest in dataset_rows(ds)]
+        dm.save_dataset(dataset_from_rows(rows), tmp_path / "d.csv")
+        (tmp_path / "model.txt").write_text(toy_model_text())
+        out = tmp_path / "site.csv"
+        res = run_fresh("forecast", "--model", tmp_path / "model.txt", "--dataset",
+                        tmp_path / "d.csv", "--date", ds.dates[-1], "--seed", 0, "--out", out)
+        assert res.returncode == 0
+        assert res.stderr.splitlines() == [
+            "WARNING co-located sites s000, s001: the correlation matrix is singular",
+            f"INFO wrote 19 site members to {out}"]
 
     def test_grid_without_geometry_exits_2(self, fitted, tmp_path, runner):
         _, _, model = fitted

@@ -1,3 +1,4 @@
+import collections
 import datetime as dt
 import math
 
@@ -23,15 +24,19 @@ from precipfield.errors import (
 
 
 def window_from_days(day_arrays):
-    """Build a TrainingWindow from a list of (xy, obs, fcst) triples."""
-    days = {}
+    """A window over consecutive days from (xy, obs, fcst) triples, built
+    through a Dataset with one site id per distinct coordinate (per repeat
+    of a coordinate within a day, so co-located sites stay apart), numbered
+    in order of first appearance."""
+    ids, rows = {}, []
     for i, (xy, obs, fcst) in enumerate(day_arrays):
-        days[dt.date(2004, 1, 1) + dt.timedelta(days=i)] = {
-            "xy": np.asarray(xy, dtype=float),
-            "obs": np.asarray(obs, dtype=float),
-            "fcst": np.asarray(fcst, dtype=float),
-        }
-    return est.TrainingWindow(days=days, M=len(days))
+        date = dt.date(2004, 1, 1) + dt.timedelta(days=i)
+        repeats = collections.Counter()
+        for (x, y), o, f in zip(np.asarray(xy, dtype=float).tolist(), obs, fcst):
+            site = ids.setdefault((x, y, repeats[x, y]), f"s{len(ids):05d}")
+            repeats[x, y] += 1
+            rows.append((site, x, y, date, float(o), float(f)))
+    return est.make_window(dataset_from_rows(rows), date + dt.timedelta(days=1), len(day_arrays))
 
 
 def pooled_window(obs, fcst):
@@ -39,6 +44,13 @@ def pooled_window(obs, fcst):
     n = len(obs)
     xy = np.column_stack([np.arange(n) * 1e5, np.zeros(n)])
     return window_from_days([(xy, obs, fcst)])
+
+
+def window_days(window):
+    """Each day of a window as (xy, obs, fcst) row views, in date order."""
+    rows = window.rows
+    return [(rows.xy[lo:hi], rows.obs[lo:hi], rows.fcst[lo:hi])
+            for lo, hi in zip(rows.offsets[:-1], rows.offsets[1:])]
 
 
 class TestMakeWindow:
@@ -54,17 +66,22 @@ class TestMakeWindow:
     def test_most_recent_dates(self):
         ds = self._dataset(40)
         w = est.make_window(ds, dt.date(2004, 2, 15), 30)
-        assert len(w.days) == 30
         # 40 days starting 2004-01-01 end on 2004-02-09.
-        assert max(w.days) == dt.date(2004, 2, 9)
-        assert min(w.days) == dt.date(2004, 1, 11)
-        assert not w.short
+        assert w.rows.dates == ds.dates[10:]
+        assert w.rows.dates[0] == dt.date(2004, 1, 11)
+        assert w.rows.dates[-1] == dt.date(2004, 2, 9)
+        assert w.date.tolist() == np.repeat(np.arange(30), 2).tolist()
 
-    def test_short_window_flagged(self):
+    def test_short_window_takes_all_history(self):
         ds = self._dataset(12)
         w = est.make_window(ds, dt.date(2004, 3, 1), 30)
-        assert len(w.days) == 12
-        assert w.short
+        assert w.rows.dates == ds.dates
+        assert w.obs.tolist() == ds.obs.tolist()
+
+    def test_forecast_cube_root_and_zero_flag(self):
+        w = est.make_window(self._dataset(3), dt.date(2004, 2, 1), 3)
+        assert w.fcst_cr.tolist() == np.cbrt(w.fcst).tolist() == [0.0, 1.0] * 3
+        assert w.zero_flag.tolist() == [True, False] * 3
 
     def test_no_history(self):
         ds = self._dataset(5)
@@ -200,10 +217,44 @@ class TestOccurrenceRange:
         rho, _ = est.fit_occurrence_range(w, trend)
         rng = np.random.default_rng(0)
         shuffled = window_from_days(
-            [(d["xy"], rng.permutation(d["obs"]), d["fcst"]) for d in w.days.values()]
-        )
+            [(xy, rng.permutation(obs), fcst) for xy, obs, fcst in window_days(w)])
         rho_shuf, _ = est.fit_occurrence_range(shuffled, trend)
         assert rho_shuf < rho
+
+
+def per_day_close_pairs(window):
+    """The occurrence-range pairs built one day at a time from that day's
+    coordinates: the oracle for the table-indexed ``est._close_pairs``."""
+    first, second, dist, offset = [], [], [], 0
+    for xy, obs, _ in window_days(window):
+        i, j = np.triu_indices(len(obs), k=1)
+        d = rf.pairwise_distances(xy)[i, j]
+        close = d < est.PAIR_CUTOFF_KM
+        first.append(offset + i[close])
+        second.append(offset + j[close])
+        dist.append(d[close])
+        offset += len(obs)
+    return np.concatenate(first), np.concatenate(second), np.concatenate(dist)
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize("seed, drop", [(400, 0.0), (401, 0.1), (402, 0.3)])
+    def test_match_per_day_loop_bit_for_bit(self, seed, drop):
+        ds = dataset_from_rows(gappy_rows(seed, n_sites=40, n_days=12, drop=drop))
+        w = est.make_window(ds, ds.dates[-1], 10)
+        got, want = est._close_pairs(w), per_day_close_pairs(w)
+        assert want[2].size > 100
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_colocated_and_absent_sites(self):
+        xy = np.array([[0.0, 0.0], [0.0, 0.0], [15.0, 0.0], [40.0, 0.0], [400.0, 0.0]])
+        w = window_from_days([(xy, [1.0] * 5, [2.0] * 5), (xy[1:4], [1.0] * 3, [2.0] * 3),
+                              (xy[[0, 3, 4]], [1.0] * 3, [2.0] * 3), (xy[4:], [1.0], [2.0])])
+        got = est._close_pairs(w)
+        assert got[0].tolist() == [0, 0, 0, 1, 1, 2, 5, 5, 6, 8]
+        for a, b in zip(got, per_day_close_pairs(w)):
+            assert np.array_equal(a, b)
 
 
 class TestGammaMean:
@@ -246,12 +297,11 @@ class TestGammaMean:
 def variance_data(window, eta):
     """The wet cube-root amounts, implied means and forecasts that
     fit_gamma_variance fits, records with a nonpositive mean left out."""
-    obs, fcst, fcst_cr, zero_flag = window.pooled()
-    wet = obs > 0
-    y = np.cbrt(obs[wet])
-    means = tr.gamma_mean(eta, fcst_cr[wet], zero_flag[wet])
+    wet = window.obs > 0
+    y = np.cbrt(window.obs[wet])
+    means = tr.gamma_mean(eta, window.fcst_cr[wet], window.zero_flag[wet])
     usable = means > 0
-    return y[usable], means[usable], fcst[wet][usable]
+    return y[usable], means[usable], window.fcst[wet][usable]
 
 
 def nelder_mead_variance(y, means, fcst_acc):
@@ -423,9 +473,8 @@ class TestPairLoglik:
         spec = dm.SynthSpec(n_sites=20, n_days=12, seed=seed)
         w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
         first, second, dist = est._close_pairs(w)
-        obs, _, fcst_cr, zero_flag = w.pooled()
-        sign = np.where(obs > 0, 1.0, -1.0)
-        mean = sign * tr.occurrence_trend(est.fit_probit_trend(w)[0], fcst_cr, zero_flag)
+        sign = np.where(w.obs > 0, 1.0, -1.0)
+        mean = sign * tr.occurrence_trend(est.fit_probit_trend(w)[0], w.fcst_cr, w.zero_flag)
         return (np.append(mean[first], [0.3, 0.3, -40.0]),
                 np.append(mean[second], [0.5, -0.3, 2.0]),
                 np.append(sign[first] * sign[second], [1.0, -1.0, -1.0]),
@@ -479,16 +528,16 @@ def per_geometry_objective(window, eta, nu):
     oracle for the stacked objective."""
     coeffs = tr.GammaCoeffs(*eta, *nu)
     groups = {}
-    for day in window.days.values():
-        wet = day["obs"] > 0
-        fcst_cr = np.cbrt(day["fcst"][wet])
-        zero_flag = day["fcst"][wet] == 0.0
+    for xy, obs, fcst in window_days(window):
+        wet = obs > 0
+        fcst_cr = np.cbrt(fcst[wet])
+        zero_flag = fcst[wet] == 0.0
         keep = tr.gamma_mean(eta, fcst_cr, zero_flag) > 0
         if keep.sum() < 2:
             continue
         alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
-        y = np.cbrt(day["obs"][wet][keep])
-        xy = day["xy"][wet][keep]
+        y = np.cbrt(obs[wet][keep])
+        xy = xy[wet][keep]
         groups.setdefault(xy.tobytes(), (xy, []))[1].append(tr.gaussian_scores(y, alpha, beta))
     dists = [(rf.pairwise_distances(xy), np.array(devs)) for xy, devs in groups.values()]
 
@@ -534,16 +583,16 @@ def per_day_stacks(window, eta, nu):
     pooled construction in ``est._amount_stacks``."""
     coeffs = tr.GammaCoeffs(*eta, *nu)
     by_count = {}
-    for day in window.days.values():
-        wet = day["obs"] > 0
-        fcst_cr = np.cbrt(day["fcst"][wet])
-        zero_flag = day["fcst"][wet] == 0.0
+    for xy, obs, fcst in window_days(window):
+        wet = obs > 0
+        fcst_cr = np.cbrt(fcst[wet])
+        zero_flag = fcst[wet] == 0.0
         keep = tr.gamma_mean(eta, fcst_cr, zero_flag) > 0
         if keep.sum() < 2:
             continue
         alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
-        scores = tr.gaussian_scores(np.cbrt(day["obs"][wet][keep]), alpha, beta)
-        dist = rf.pairwise_distances(day["xy"][wet][keep])
+        scores = tr.gaussian_scores(np.cbrt(obs[wet][keep]), alpha, beta)
+        dist = rf.pairwise_distances(xy[wet][keep])
         by_count.setdefault(scores.size, []).append((dist, scores))
     return [(np.array([d for d, _ in days]), np.array([z for _, z in days])[:, :, None])
             for days in by_count.values()]
@@ -690,8 +739,7 @@ class TestAmountRange:
         r_hat, _ = est.fit_amount_range(w, spec.eta, spec.nu)
         rng = np.random.default_rng(0)
         shuffled = window_from_days(
-            [(d["xy"], rng.permutation(d["obs"]), d["fcst"]) for d in w.days.values()]
-        )
+            [(xy, rng.permutation(obs), fcst) for xy, obs, fcst in window_days(w)])
         r_shuf, _ = est.fit_amount_range(shuffled, spec.eta, spec.nu)
         assert r_shuf < r_hat
 
@@ -754,6 +802,62 @@ class TestFitModel:
         assert model.diagnostics["occurrence_pairs"] == 30 * 14  # one pair is 100 km apart
         assert model.diagnostics["rho_at_bound"] is True
         assert model.rho.range_km > 0.99 * est.RANGE_SEARCH_KM[1]
+
+
+def gappy_rows(seed, n_sites=15, n_days=20, drop=0.1):
+    """The rows of a synthetic world with a seeded tenth of its site-days
+    missing."""
+    rng = np.random.default_rng(seed)
+    rows = dataset_rows(dm.synth_generate(dm.SynthSpec(n_sites=n_sites, n_days=n_days,
+                                                       seed=seed)))
+    return [row for row in rows if rng.random() >= drop]
+
+
+def shuffle_rows(rows):
+    return [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+
+
+def cut_to_window(rows, M=12):
+    kept = sorted({row[3] for row in rows})[-M - 1:]
+    return [row for row in rows if row[3] in kept]
+
+
+def moved(rows, move):
+    return [(s, *move(x, y), *rest) for s, x, y, *rest in rows]
+
+
+# Transformations of a dataset that a fit must not see: (name, rows -> rows,
+# whether the model file stays byte-identical, or only equal to within 1e-9
+# relative in its ranges, where distances move in their last bits). A
+# quarter turn keeps every distance's bits: dx and dy only swap.
+METAMORPHS = [
+    ("shuffled rows", shuffle_rows, True),
+    ("renamed sites in sort order", lambda rows: [("site-" + s, *rest) for s, *rest in rows],
+     True),
+    ("cut to the window and valid date", cut_to_window, True),
+    ("translated", lambda rows: moved(rows, lambda x, y: (x + 1234.5, y - 678.25)), False),
+    ("rotated", lambda rows: moved(rows, lambda x, y: (-y, x)), True),
+]
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+@pytest.mark.parametrize("name, transform, identical", METAMORPHS,
+                         ids=[m[0] for m in METAMORPHS])
+def test_fit_sees_only_distances_and_values(seed, name, transform, identical):
+    rows = gappy_rows(seed)
+
+    def fit(rows):
+        ds = dataset_from_rows(rows)
+        return est.fit_model(est.make_window(ds, ds.dates[-1], 12))
+
+    model, other = fit(rows), fit(transform(rows))
+    if identical:
+        assert other.to_text() == model.to_text()
+        return
+    ranges = [(m.rho.range_km, m.r.range_km) for m in (model, other)]
+    assert ranges[1] == pytest.approx(ranges[0], rel=1e-9, abs=0.0)
+    for part in ("occurrence", "amount"):
+        assert getattr(other, part) == getattr(model, part)
 
 
 class TestModelSerialization:

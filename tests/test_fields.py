@@ -73,8 +73,11 @@ class TestCorrelationMatrix:
 
     def test_duplicate_coordinates_warn(self):
         sites = [fd.Site("a", 1.0, 1.0), fd.Site("b", 1.0, 1.0)]
-        with pytest.warns(DegenerateMatrixWarning):
+        with pytest.warns(DegenerateMatrixWarning, match="^co-located sites a, b:"):
             fd.correlation_matrix(sites, fd.ExpCorrelation(10.0))
+        xy = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 0.0], [1.0, 1.0]])
+        with pytest.warns(DegenerateMatrixWarning, match="^co-located sites 1, 3:"):
+            fd.correlation_matrix(xy, fd.ExpCorrelation(10.0))
 
 
 class TestCholesky:
