@@ -3,8 +3,9 @@
 Every stochastic command requires an explicit seed; identical inputs and
 seed produce byte-identical outputs. ``fit`` is deterministic and ignores
 its seed. Progress goes to stderr, data to files.
-Exit codes: 0 success, 2 usage/config error or unreadable file, 3 data/fit
-error or input that is not UTF-8, 4 numerical failure.
+Exit codes: 0 success, else the ``exit_code`` of the error class (see
+``errors``): 2 usage/config error or unreadable file, 3 data/fit error or
+input that is not UTF-8, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,64 +21,30 @@ from . import data as dm
 from . import estimation as est
 from . import fields as rf
 from . import forecasting as fc
-from .errors import (
-    DegenerateOccurrence,
-    InsufficientData,
-    NotFound,
-    NoTrainingData,
-    NumericalError,
-    ParseError,
-    PrecipError,
-    RangeUnidentifiable,
-    SeparationDetected,
-    UsageError,
-    ValidationError,
-)
+from .errors import InsufficientData, NoTrainingData, PrecipError, UsageError
 # Imported by name: perfbench's tracer wraps cli.run_verification, which verify calls.
-from .verification import run_verification
+from .verification import run_verification, window_sweep
 
 log = logging.getLogger("precipfield")
-
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
 POSITIVE = click.IntRange(min=1)
 SEED = click.IntRange(min=0)
 DATE = click.DateTime(formats=["%Y-%m-%d"])  # a datetime: callers take its .date()
 MODE = click.Choice(["site", "grid", "areal"])
 
-_DATA_ERRORS = (
-    ParseError,
-    ValidationError,
-    NoTrainingData,
-    NotFound,
-    InsufficientData,
-    DegenerateOccurrence,
-    SeparationDetected,
-    RangeUnidentifiable,
-)
-
-
-def _exit_for(exc):
-    if isinstance(exc, _DATA_ERRORS):
-        return EXIT_DATA
-    if isinstance(exc, NumericalError):
-        return EXIT_NUMERIC
-    return EXIT_USAGE
-
 
 class _Main(click.Group):
     """The command group. Its ``invoke`` is the one place where an error
-    becomes an exit code: one ERROR line on stderr, then exit 2, 3 or 4."""
+    ends a command: one ERROR line on stderr, then exit with the error's
+    ``exit_code`` (2 for an OSError)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except PrecipError as exc:
-            code, message = _exit_for(exc), str(exc)
+            code, message = exc.exit_code, str(exc)
         except OSError as exc:
-            code, message = EXIT_USAGE, str(exc)
+            code, message = 2, str(exc)
         log.error(message)
         sys.exit(code)
 
@@ -151,15 +118,13 @@ def main(verbose):
 @click.option("--extent-km", type=float, default=300.0)
 @click.option("--wet-bias-offset", type=float, default=0.0)
 def synth(seed, out, sites, days, extent_km, wet_bias_offset):
-    """Generate a synthetic dataset plus its truth-parameter file."""
+    """Generate a synthetic dataset plus its truth-parameter model file."""
     spec = dm.SynthSpec(n_sites=sites, n_days=days, extent_km=extent_km,
                         wet_bias_offset=wet_bias_offset, seed=seed)
     ds = dm.synth_generate(spec)
     dm.save_dataset(ds, os.path.join(out, "dataset.csv"))
-    truth = dm.truth_parameters(spec)
     with open(os.path.join(out, "truth.txt"), "w", encoding="utf-8") as fh:
-        for key, val in truth.items():
-            fh.write(f"{key} = {val:.15g}\n")
+        fh.write(est.truth_model(spec).to_text())
     log.info("wrote %d records to %s", len(ds), out)
 
 
@@ -292,7 +257,7 @@ def sweep(dataset, window_days_list, dates, members, seed, out):
     eligible = ds.dates[max(ms):]  # sorted and unique: dates with max(ms) earlier days
     if not eligible:
         raise NoTrainingData(f"not enough history for M={max(ms)}")
-    rows = est.window_sweep(ds, eligible[-dates:], ms, members, seed)
+    rows = window_sweep(ds, eligible[-dates:], ms, members, seed)
     header = ["M", "mean_crps", "se_crps", "n_cases", "n_skipped"]
     dm.write_csv(out, header, [[str(row[key]) for row in rows] for key in header])
     log.info("wrote sweep table to %s", out)

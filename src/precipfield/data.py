@@ -333,19 +333,3 @@ def synth_generate(spec):
                    np.tile([s.y for s in sites], len(dates)),
                    [date for date in dates for _ in sites],
                    obs.ravel(), fcst.ravel())
-
-
-def truth_parameters(spec):
-    """True parameter dictionary matching the fitted-model key set."""
-    return {
-        "gamma0": spec.gamma[0],
-        "gamma1": spec.gamma[1],
-        "gamma2": spec.gamma[2],
-        "rho_km": spec.rho_km,
-        "eta0": spec.eta[0],
-        "eta1": spec.eta[1],
-        "eta2": spec.eta[2],
-        "nu0": spec.nu[0],
-        "nu1": spec.nu[1],
-        "r_km": spec.r_km,
-    }

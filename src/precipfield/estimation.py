@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
 
-from . import data as dm
 from . import fields as rf
-from . import forecasting as fc
 from . import transforms as tr
 from .errors import (
     DegenerateOccurrence,
@@ -47,8 +44,6 @@ _NEWTON_XTOL = 1e-6
 _NEWTON_MAX_STEPS = 50
 _MIN_NU0 = 1e-6
 _LOG2PI = math.log(2.0 * math.pi)
-
-log = logging.getLogger("precipfield")
 
 
 class TrainingWindow:
@@ -100,7 +95,9 @@ class FittedModel:
     def from_text(cls, text):
         """Parse :meth:`to_text` output. A missing parameter or one that is
         not a number raises :class:`DomainError` naming the key; a diagnostic
-        reads back as a bool, an int, a float or else a string."""
+        reads back as a bool, an int, a float or else a string. The one
+        diagnostic a forecast reads, ``min_training_mean``, must be a positive
+        finite number where it is given."""
         kv = {}
         diag = {}
         for line in text.splitlines():
@@ -117,6 +114,11 @@ class FittedModel:
                 kv[key] = float(val)
             except ValueError:
                 raise DomainError(f"model key {key!r}: {val!r} is not a number") from None
+        fallback = diag.get("min_training_mean")
+        if fallback is not None and (type(fallback) not in (int, float)
+                                     or not 0.0 < fallback < math.inf):
+            raise DomainError(f"model key 'diag.min_training_mean': {fallback!r} is not "
+                              "a positive finite number")
         try:
             return cls(
                 occurrence=tr.OccurrenceTrendParams(kv["gamma0"], kv["gamma1"], kv["gamma2"]),
@@ -127,6 +129,15 @@ class FittedModel:
             )
         except KeyError as exc:
             raise DomainError(f"model file lacks key {exc.args[0]!r}") from None
+
+
+def truth_model(spec):
+    """The true parameters of a synthetic world (a ``data.SynthSpec``) as a
+    model without diagnostics."""
+    return FittedModel(occurrence=tr.OccurrenceTrendParams(*spec.gamma),
+                       rho=rf.ExpCorrelation(spec.rho_km),
+                       amount=tr.GammaCoeffs(*spec.eta, *spec.nu),
+                       r=rf.ExpCorrelation(spec.r_km))
 
 
 def _diagnostic_value(val):
@@ -410,7 +421,9 @@ def fit_gamma_variance(window, eta):
     nu1 >= 0 by one L-BFGS-B search (Byrd et al. 1995) over (log nu0, nu1)
     from (residual variance, 0); nu1 = 0 exactly on that bound. Wet records
     with nonpositive implied mean are excluded. Returns (nu0, nu1) and the
-    diagnostics variance_records_dropped, variance_evals, variance_converged.
+    diagnostics variance_records_dropped, variance_evals, variance_converged,
+    n_wet_records and min_training_mean, the smallest positive implied mean:
+    the forecast-time fallback where a site's implied mean is nonpositive.
     """
     from scipy import optimize  # deferred: synth and forecast never fit
 
@@ -438,7 +451,8 @@ def fit_gamma_variance(window, eta):
         raise NumericalError(f"variance likelihood is {-res.fun} at {res.x}")
     nu = (max(math.exp(res.x[0]), _MIN_NU0), float(res.x[1]))
     return nu, {"variance_records_dropped": n_dropped, "variance_evals": int(res.nfev),
-                "variance_converged": bool(res.success)}
+                "variance_converged": bool(res.success), "n_wet_records": int(wet.sum()),
+                "min_training_mean": float(means.min())}
 
 
 def fit_amount_range(window, eta, nu):
@@ -518,15 +532,6 @@ def fit_model(window):
     r_hat, r_diag = _stage("amount_range", fit_amount_range, window, eta, nu)
     diagnostics = {**probit_diag, **rho_diag, **nu_diag, **r_diag,
                    "rho_at_bound": _at_bound(rho), "r_at_bound": _at_bound(r_hat)}
-
-    # Smallest positive implied training mean: the forecast-time fallback
-    # when a site's implied mean goes nonpositive.
-    wet = window.obs > 0
-    means = tr.gamma_mean(eta, window.fcst_cr[wet], window.zero_flag[wet])
-    pos = means[means > 0]
-    diagnostics["min_training_mean"] = float(pos.min()) if pos.size else 0.1
-    diagnostics["n_wet_records"] = int(wet.sum())
-
     return FittedModel(
         occurrence=trend,
         rho=rf.ExpCorrelation(rho),
@@ -536,85 +541,7 @@ def fit_model(window):
     )
 
 
-def warn_fit_diagnostics(model, valid_date, M):
-    """Log a WARNING when a range fitted for ``valid_date`` with window
-    length ``M`` stopped at an end of ``RANGE_SEARCH_KM``, one when its
-    occurrence-range search did not converge and one when its variance
-    search did not converge."""
-    diag = model.diagnostics
-    hits = [f"{name} = {corr.range_km!r}"
-            for name, corr, flag in (("rho_km", model.rho, "rho_at_bound"),
-                                     ("r_km", model.r, "r_at_bound"))
-            if diag.get(flag)]
-    if hits:
-        log.warning("%s M=%d: %s at the search bound %s km; scoring it anyway",
-                    valid_date, M, ", ".join(hits), RANGE_SEARCH_KM)
-    if not diag.get("rho_converged", True):
-        log.warning("%s M=%d: the occurrence-range search stopped unconverged after %d "
-                    "evaluations at rho_km = %r; scoring it anyway", valid_date, M,
-                    diag["rho_evals"], model.rho.range_km)
-    if not diag.get("variance_converged", True):
-        log.warning("%s M=%d: the Gamma variance search stopped unconverged after %d "
-                    "evaluations at nu0 = %r, nu1 = %r; scoring it anyway", valid_date, M,
-                    diag["variance_evals"], model.amount.nu0, model.amount.nu1)
-
-
-def date_step(dataset, valid_date, M, forecast):
-    """One step of rolling verification: fit on the ``M`` days before
-    ``valid_date`` (warning about its diagnostics), look up that date's
-    sites, forecasts and observations, and draw ``forecast(model, sites,
-    fcst)``. Returns ``(sites, fcst, obs, drawn)``, or None when a stage
-    raises a PrecipError: the date is then skipped with a WARNING naming
-    the stage (window, fit, load or forecast) and the error."""
-    stage = "window"
-    try:
-        window = make_window(dataset, valid_date, M)
-        stage = "fit"
-        model = fit_model(window)
-        warn_fit_diagnostics(model, valid_date, M)
-        stage = "load"
-        sites, fcst, obs = dm.day_arrays(dataset, valid_date)
-        stage = "forecast"
-        return sites, fcst, obs, forecast(model, sites, fcst)
-    except PrecipError as exc:
-        log.warning("skip %s at stage %s: %s: %s",
-                    valid_date, stage, type(exc).__name__, exc)
-        return None
-
-
 def window_sweep(dataset, valid_dates, Ms, n_members, seed):
-    """Mean site-level ensemble CRPS per training-window length.
-
-    Returns a list of rows {M, mean_crps, se_crps, n_cases, n_skipped}; a
-    (M, date) cell that :func:`date_step` skips is counted in n_skipped.
-    """
-    from . import verification as vf  # verification imports this module
-
-    if not valid_dates:
-        return []
-    rows = []
-    for M in Ms:
-        scores = []
-        n_skipped = 0
-        for di, valid_date in enumerate(valid_dates):
-            def draw(model, sites, fcst):
-                member_seed = np.random.SeedSequence(entropy=seed, spawn_key=(M, di))
-                return fc.generate_site_ensemble(model, sites, fcst, n_members, member_seed)
-
-            step = date_step(dataset, valid_date, M, draw)
-            if step is None:
-                n_skipped += 1
-                continue
-            _, _, obs, ens = step
-            scores.extend(vf.crps_ensemble(ens.members.T, obs))
-        rows.append(
-            {
-                "M": M,
-                "mean_crps": float(np.mean(scores)) if scores else float("nan"),
-                "se_crps": float(np.std(scores, ddof=1) / np.sqrt(len(scores)))
-                if len(scores) > 1 else float("nan"),
-                "n_cases": len(scores),
-                "n_skipped": n_skipped,
-            }
-        )
-    return rows
+    """:func:`verification.window_sweep`, kept under this name for callers."""
+    from .verification import window_sweep  # verification imports this module
+    return window_sweep(dataset, valid_dates, Ms, n_members, seed)

@@ -22,6 +22,7 @@ from .errors import DomainError
 DEFAULT_AREAL_MEMBERS = 10_000
 DEFAULT_MULTISITE_MEMBERS = 19
 DEFAULT_GRID_MEMBERS = 50
+GRID_MEMBER_FILE = "member_{:04d}.csv"
 
 
 @dataclass
@@ -160,18 +161,16 @@ def write_site_ensemble_csv(ens, path):
     ])
 
 
-def write_grid_ensemble_csvs(ens, outdir, prefix="member"):
-    """One CSV per member with rows ``row,col,value_hundredths_inch``."""
+def write_grid_ensemble_csvs(ens, outdir):
+    """One CSV per member, ``GRID_MEMBER_FILE``, with rows
+    ``row,col,value_hundredths_inch``."""
     ny, nx = ens.grid.ny, ens.grid.nx
     rows = [str(iy) for iy in range(ny) for _ in range(nx)]
     cols = [str(ix) for ix in range(nx)] * ny
-    paths = []
     for i in range(len(ens.members)):
-        path = os.path.join(outdir, f"{prefix}_{i:04d}.csv")
-        dm.write_csv(path, ["row", "col", "value_hundredths_inch"],
+        dm.write_csv(os.path.join(outdir, GRID_MEMBER_FILE.format(i)),
+                     ["row", "col", "value_hundredths_inch"],
                      [rows, cols, map(repr, ens.members[i].ravel().tolist())])
-        paths.append(path)
-    return paths
 
 
 def write_scalar_ensemble_csv(values, path):

@@ -3,12 +3,15 @@
 CRPS (ensemble and numeric forms), MAE of the predictive median, Brier
 score, energy score, verification-rank / PIT / minimum-spanning-tree rank
 histograms with point-mass randomization, and reliability tables;
-:func:`run_verification` refits, forecasts and scores each valid date.
+:func:`run_verification` refits, forecasts and scores each valid date, and
+:func:`window_sweep` scores each window length, both through the per-date
+refit :func:`date_step`.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import os
 
 import numpy as np
@@ -18,10 +21,12 @@ from . import data as dm
 from . import estimation as est
 from . import forecasting as fc
 from . import transforms as tr
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, PrecipError
 
 METHODS = ("climatology", "nwp", "independence", "spatial")
 SCORE_KEYS = ("mae", "crps", "bs")
+
+log = logging.getLogger("precipfield")
 
 
 def _float_or_array(value):
@@ -349,6 +354,52 @@ class VerificationReport:
                 for key in header])
 
 
+def warn_fit_diagnostics(model, valid_date, M):
+    """Log a WARNING when a range fitted for ``valid_date`` with window
+    length ``M`` stopped at an end of ``estimation.RANGE_SEARCH_KM``, one
+    when its occurrence-range search did not converge and one when its
+    variance search did not converge."""
+    diag = model.diagnostics
+    hits = [f"{name} = {corr.range_km!r}"
+            for name, corr, flag in (("rho_km", model.rho, "rho_at_bound"),
+                                     ("r_km", model.r, "r_at_bound"))
+            if diag.get(flag)]
+    if hits:
+        log.warning("%s M=%d: %s at the search bound %s km; scoring it anyway",
+                    valid_date, M, ", ".join(hits), est.RANGE_SEARCH_KM)
+    if not diag.get("rho_converged", True):
+        log.warning("%s M=%d: the occurrence-range search stopped unconverged after %d "
+                    "evaluations at rho_km = %r; scoring it anyway", valid_date, M,
+                    diag["rho_evals"], model.rho.range_km)
+    if not diag.get("variance_converged", True):
+        log.warning("%s M=%d: the Gamma variance search stopped unconverged after %d "
+                    "evaluations at nu0 = %r, nu1 = %r; scoring it anyway", valid_date, M,
+                    diag["variance_evals"], model.amount.nu0, model.amount.nu1)
+
+
+def date_step(dataset, valid_date, M, forecast):
+    """One step of rolling verification: fit on the ``M`` days before
+    ``valid_date`` (warning about its diagnostics), look up that date's
+    sites, forecasts and observations, and draw ``forecast(model, sites,
+    fcst)``. Returns ``(sites, fcst, obs, drawn)``, or None when a stage
+    raises a PrecipError: the date is then skipped with a WARNING naming
+    the stage (window, fit, load or forecast) and the error."""
+    stage = "window"
+    try:
+        window = est.make_window(dataset, valid_date, M)
+        stage = "fit"
+        model = est.fit_model(window)
+        warn_fit_diagnostics(model, valid_date, M)
+        stage = "load"
+        sites, fcst, obs = dm.day_arrays(dataset, valid_date)
+        stage = "forecast"
+        return sites, fcst, obs, forecast(model, sites, fcst)
+    except PrecipError as exc:
+        log.warning("skip %s at stage %s: %s: %s",
+                    valid_date, stage, type(exc).__name__, exc)
+        return None
+
+
 def _scoring_forecasts(model, sites, fcst, members, mst_members, seeds):
     """What :func:`run_verification` scores on one date: the spatial and
     independence ensembles of ``members`` and of ``mst_members`` members,
@@ -363,7 +414,7 @@ def _scoring_forecasts(model, sites, fcst, members, mst_members, seeds):
 
 def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
     """Rolling verification over ``valid_dates``: each date is refitted and
-    forecast by :func:`estimation.date_step`, which may skip it, then scored
+    forecast by :func:`date_step`, which may skip it, then scored
     for empirical climatology, the raw NWP point forecast, the
     no-spatial-correlation baseline and the two-stage spatial model.
     Returns the report and the number of dates skipped."""
@@ -377,7 +428,7 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
 
     for di, valid_date in enumerate(valid_dates):
         seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(di, k)) for k in range(4)]
-        step = est.date_step(ds, valid_date, window_days, functools.partial(
+        step = date_step(ds, valid_date, window_days, functools.partial(
             _scoring_forecasts, members=members, mst_members=mst_members, seeds=seeds))
         if step is None:
             n_skipped += 1
@@ -440,3 +491,39 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
     for name, probs in rel.items():
         report.reliability[name] = reliability_table(np.concatenate(probs), occurred)
     return report, n_skipped
+
+
+def window_sweep(dataset, valid_dates, Ms, n_members, seed):
+    """Mean site-level ensemble CRPS per training-window length.
+
+    Returns a list of rows {M, mean_crps, se_crps, n_cases, n_skipped}; a
+    (M, date) cell that :func:`date_step` skips is counted in n_skipped.
+    """
+    if not valid_dates:
+        return []
+    rows = []
+    for M in Ms:
+        scores = []
+        n_skipped = 0
+        for di, valid_date in enumerate(valid_dates):
+            def draw(model, sites, fcst):
+                member_seed = np.random.SeedSequence(entropy=seed, spawn_key=(M, di))
+                return fc.generate_site_ensemble(model, sites, fcst, n_members, member_seed)
+
+            step = date_step(dataset, valid_date, M, draw)
+            if step is None:
+                n_skipped += 1
+                continue
+            _, _, obs, ens = step
+            scores.extend(crps_ensemble(ens.members.T, obs))
+        rows.append(
+            {
+                "M": M,
+                "mean_crps": float(np.mean(scores)) if scores else float("nan"),
+                "se_crps": float(np.std(scores, ddof=1) / np.sqrt(len(scores)))
+                if len(scores) > 1 else float("nan"),
+                "n_cases": len(scores),
+                "n_skipped": n_skipped,
+            }
+        )
+    return rows

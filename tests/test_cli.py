@@ -12,10 +12,11 @@ from conftest import dataset_from_rows, dataset_rows
 
 from precipfield import cli
 from precipfield import data as dm
+from precipfield import errors
 from precipfield import estimation as est
 from precipfield import fields as rf
 from precipfield import transforms as tr
-from precipfield.errors import ParseError, UsageError
+from precipfield.errors import ParseError, PrecipError, UsageError
 
 
 @pytest.fixture()
@@ -97,6 +98,23 @@ class TestSynth:
         truth = (synth_dir / "truth.txt").read_text()
         assert "rho_km" in truth and "gamma1" in truth
 
+    def test_truth_file_reads_as_the_spec_model(self, synth_dir):
+        model = est.FittedModel.from_text((synth_dir / "truth.txt").read_text())
+        spec = dm.SynthSpec()
+        assert (model.occurrence, model.rho.range_km, model.amount, model.r.range_km) == (
+            tr.OccurrenceTrendParams(*spec.gamma), spec.rho_km,
+            tr.GammaCoeffs(*spec.eta, *spec.nu), spec.r_km)
+        assert model.diagnostics == {}
+
+    def test_truth_file_forecasts(self, synth_dir, tmp_path, runner):
+        ds = dm.load_dataset(synth_dir / "dataset.csv")
+        res = run(runner, ["forecast", "--model", str(synth_dir / "truth.txt"),
+                           "--dataset", str(synth_dir / "dataset.csv"),
+                           "--date", ds.dates[-1].isoformat(), "--members", "3",
+                           "--seed", "0", "--out", str(tmp_path / "ens.csv")])
+        assert res.exit_code == 0
+        assert (tmp_path / "ens.csv").exists()
+
     def test_byte_identical_rerun(self, tmp_path, runner):
         outs = []
         for name in ("a", "b"):
@@ -129,6 +147,30 @@ class TestSynth:
                                        "--sites", "3", "--days", "2", flag, value])
         assert res.exit_code == 2
         assert not (tmp_path / "dataset.csv").exists()
+
+
+ERROR_CLASSES = sorted((c for c in vars(errors).values()
+                        if isinstance(c, type) and issubclass(c, PrecipError)),
+                       key=lambda c: c.__name__)
+# Data and fit errors exit 3 and numerical failures 4; every other error 2.
+EXIT_3 = {"DataError", "ParseError", "ValidationError", "NoTrainingData", "NotFound",
+          "InsufficientData", "DegenerateOccurrence", "SeparationDetected",
+          "RangeUnidentifiable"}
+EXIT_4 = {"NumericalError", "EmbeddingFailure"}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_of_each_error_class(tmp_path, runner, monkeypatch, caplog, cls):
+    def fail(path):
+        raise cls("boom")
+
+    monkeypatch.setattr(dm, "load_dataset", fail)
+    with caplog.at_level("ERROR", logger="precipfield"):
+        res = runner.invoke(cli.main, ["fit", "--dataset", "d.csv", "--date", "2004-01-02",
+                                       "--out", str(tmp_path / "m.txt")])
+    expected = 3 if cls.__name__ in EXIT_3 else 4 if cls.__name__ in EXIT_4 else 2
+    assert cls.exit_code == res.exit_code == expected
+    assert caplog.records[-1].getMessage() == "boom"
 
 
 class TestFit:
@@ -447,6 +489,25 @@ class TestForecast:
         assert res.exit_code == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["member_0000.csv", "member_0001.csv", "member_0002.csv"]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan"])
+    def test_bad_fallback_mean_exits_2(self, synth_dir, tmp_path, runner, caplog, value):
+        # At eta0 = -5 every site's implied mean is nonpositive, so each takes
+        # the fallback mean. "abc" used to end in a numpy traceback, and "0"
+        # in a divide-by-zero warning before a misleading Gamma-shape error.
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(toy_model_text().replace("eta0 = 1.5", "eta0 = -5")
+                              + f"diag.min_training_mean = {value}\n")
+        ds = dm.load_dataset(synth_dir / "dataset.csv")
+        out = tmp_path / "ens.csv"
+        with caplog.at_level("ERROR", logger="precipfield"):
+            res = run(runner, ["forecast", "--model", str(model_path),
+                               "--dataset", str(synth_dir / "dataset.csv"),
+                               "--date", ds.dates[-1].isoformat(), "--members", "3",
+                               "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+        assert "'diag.min_training_mean'" in caplog.records[-1].getMessage()
 
     def test_grid_embedding_failure_exits_4(self, tmp_path, runner):
         # A model whose ranges dwarf the grid extent cannot embed.

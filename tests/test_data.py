@@ -339,12 +339,3 @@ class TestSynthGenerate:
                                 np.random.default_rng(0))
         ds = dm.synth_generate(dm.SynthSpec(sites=sites, n_days=2, seed=0))
         assert set(ds.sites) == {s.id for s in sites}
-
-    def test_truth_parameters_keys(self):
-        spec = dm.SynthSpec()
-        truth = dm.truth_parameters(spec)
-        assert set(truth) == {
-            "gamma0", "gamma1", "gamma2", "rho_km",
-            "eta0", "eta1", "eta2", "nu0", "nu1", "r_km",
-        }
-        assert truth["rho_km"] == spec.rho_km

@@ -1,6 +1,8 @@
+import ast
 import collections
 import datetime as dt
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from precipfield import data as dm
 from precipfield import estimation as est
 from precipfield import fields as rf
 from precipfield import transforms as tr
+from precipfield import verification as vf
 from precipfield.errors import (
     DegenerateOccurrence,
     DomainError,
@@ -692,7 +695,7 @@ class TestFitWarnings:
             "eta1 = 0.8\neta2 = 0.4\nnu0 = 0.15\nnu1 = 0.05\nr_km = 20\n"
             "diag.variance_converged = False\ndiag.variance_evals = 57\n")
         with caplog.at_level("WARNING", logger="precipfield"):
-            est.warn_fit_diagnostics(model, dt.date(2004, 2, 1), 10)
+            vf.warn_fit_diagnostics(model, dt.date(2004, 2, 1), 10)
         [record] = caplog.records
         assert record.getMessage().startswith("2004-02-01 M=10: the Gamma variance search")
         assert "after 57 evaluations" in record.getMessage()
@@ -703,7 +706,7 @@ class TestFitWarnings:
             "eta1 = 0.8\neta2 = 0.4\nnu0 = 0.15\nnu1 = 0.05\nr_km = 20\n"
             "diag.rho_converged = False\ndiag.rho_evals = 51\n")
         with caplog.at_level("WARNING", logger="precipfield"):
-            est.warn_fit_diagnostics(model, dt.date(2004, 2, 1), 10)
+            vf.warn_fit_diagnostics(model, dt.date(2004, 2, 1), 10)
         [record] = caplog.records
         assert record.getMessage().startswith("2004-02-01 M=10: the occurrence-range search")
         assert "after 51 evaluations at rho_km = 30.0" in record.getMessage()
@@ -713,7 +716,7 @@ class TestFitWarnings:
         ds = dm.synth_generate(spec)
         model = est.fit_model(est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), 15))
         with caplog.at_level("WARNING", logger="precipfield"):
-            est.warn_fit_diagnostics(model, ds.dates[-1], 15)
+            vf.warn_fit_diagnostics(model, ds.dates[-1], 15)
         assert not caplog.records
 
 
@@ -891,7 +894,7 @@ class TestModelSerialization:
 class TestWindowSweep:
     def test_empty_valid_dates(self):
         ds = dm.synth_generate(dm.SynthSpec(n_sites=5, n_days=5, seed=0))
-        assert est.window_sweep(ds, [], [10], 5, seed=0) == []
+        assert vf.window_sweep(ds, [], [10], 5, seed=0) == []
 
     def test_skipped_cells_counted(self):
         # Valid date with only dry history: fit fails, cell is skipped.
@@ -901,7 +904,7 @@ class TestWindowSweep:
                 rows.append((f"s{s}", float(s * 10), 0.0,
                              dt.date(2004, 1, 1) + dt.timedelta(days=d), 0.0, 2.0))
         ds = dataset_from_rows(rows)
-        rows = est.window_sweep(ds, [dt.date(2004, 1, 12)], [10], 5, seed=0)
+        rows = vf.window_sweep(ds, [dt.date(2004, 1, 12)], [10], 5, seed=0)
         assert rows[0]["n_skipped"] == 1
         assert rows[0]["n_cases"] == 0
         assert math.isnan(rows[0]["mean_crps"])
@@ -909,14 +912,43 @@ class TestWindowSweep:
     def test_nonpositive_length_skipped(self):
         # make_window rejects M < 1, so no cell is scored on the wrong days.
         ds = dm.synth_generate(dm.SynthSpec(n_sites=5, n_days=5, seed=0))
-        rows = est.window_sweep(ds, ds.dates[-2:], [0, -2], 5, seed=0)
+        rows = vf.window_sweep(ds, ds.dates[-2:], [0, -2], 5, seed=0)
         assert [(r["n_cases"], r["n_skipped"]) for r in rows] == [(0, 2), (0, 2)]
         assert all(math.isnan(r["mean_crps"]) for r in rows)
 
     def test_produces_scores(self):
         ds = dm.synth_generate(dm.SynthSpec(n_sites=15, n_days=20, seed=13))
         valid = ds.dates[-2:]
-        rows = est.window_sweep(ds, valid, [10], 10, seed=0)
+        rows = vf.window_sweep(ds, valid, [10], 10, seed=0)
         assert rows[0]["n_cases"] == 30
         assert rows[0]["mean_crps"] > 0
         assert rows[0]["se_crps"] > 0
+
+
+def module_level_imports(tree):
+    """The import statements a module runs when it is imported: those
+    outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_estimation_imports_no_higher_layer():
+    # The fit stages build on fields and transforms; the per-date refit,
+    # which needs the dataset and the ensembles, is verification's.
+    tree = ast.parse(Path(est.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in module_level_imports(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif node.level and node.module is None:  # from . import x
+            modules |= {f"precipfield.{alias.name}" for alias in node.names}
+        else:
+            base = f"precipfield.{node.module}" if node.level else node.module
+            modules |= {base, *(f"{base}.{alias.name}" for alias in node.names)}
+    assert not modules & {f"precipfield.{name}"
+                          for name in ("data", "forecasting", "verification")}

@@ -350,8 +350,9 @@ class TestEnsembleSerialization:
         model = toy_model()
         grid = rf.GridSpec(0.0, 0.0, 10.0, 4, 4)
         ens = fc.generate_grid_ensemble(model, grid, np.full((4, 4), 8.0), 2, seed=19)
-        paths = fc.write_grid_ensemble_csvs(ens, tmp_path)
-        assert [p.split("/")[-1] for p in paths] == ["member_0000.csv", "member_0001.csv"]
+        fc.write_grid_ensemble_csvs(ens, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["member_0000.csv",
+                                                              "member_0001.csv"]
         lines = (tmp_path / "member_0000.csv").read_text().splitlines()
         assert lines[0] == "row,col,value_hundredths_inch"
         assert len(lines) == 17
