@@ -4,7 +4,9 @@ Runs ``synth``, ``fit``, ``forecast`` (site, areal and grid mode), ``verify``
 and ``sweep`` in-process at three seeds and prints one ``<sha256>  <path>``
 line per output file, paths relative to the output directory. Each seed also
 fits and verifies a gappy copy of its world, one or two sites missing on
-every date, so that windows where some sites do not report are covered. Two checkouts
+every date, so that windows where some sites do not report are covered, and
+fits and forecasts a copy whose site ids need quoting, so that the loader's
+``csv.reader`` path is covered as well as its comma split. Two checkouts
 whose listings agree produce byte-identical outputs, which is the gate for a
 refactor that must not move any result.
 
@@ -67,6 +69,16 @@ def write_gappy(dataset, path, seed):
         csv.writer(fh, lineterminator="\n").writerows([header, *kept])
 
 
+def write_quoted(dataset, path):
+    """``dataset`` with two site ids renamed to ones a CSV writer quotes."""
+    names = {"s000": "s,000", "s001": 'q"1'}
+    with open(dataset, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header, *([names.get(row[0], row[0]), *row[1:]] for row in rows)])
+
+
 def produce(cli, top, seed):
     """All CLI outputs for one seed under ``top/seed<seed>``."""
     out = os.path.join(top, f"seed{seed}")
@@ -110,6 +122,14 @@ def produce(cli, top, seed):
     run(cli, ["verify", "--dataset", os.path.join(gappy, "dataset.csv"), "-M", 10,
               "--members", 15, "--mst-members", 9, "--dates", 2, "--seed", seed,
               "--out", os.path.join(gappy, "verify")])
+    quoted = os.path.join(out, "quoted")
+    os.makedirs(quoted)
+    write_quoted(dataset, os.path.join(quoted, "dataset.csv"))
+    run(cli, ["fit", "--dataset", os.path.join(quoted, "dataset.csv"), "--date", last,
+              "-M", 12, "--seed", seed, "--out", os.path.join(quoted, "model.txt")])
+    run(cli, ["forecast", "--model", os.path.join(quoted, "model.txt"), "--seed", seed,
+              "--dataset", os.path.join(quoted, "dataset.csv"), "--date", last,
+              "--mode", "site", "--members", 9, "--out", os.path.join(quoted, "site.csv")])
 
 
 def digests(top):

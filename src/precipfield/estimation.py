@@ -79,6 +79,9 @@ class FittedModel:
     r: rf.ExpCorrelation
     diagnostics: dict = field(default_factory=dict)
 
+    PARAM_KEYS = ("gamma0", "gamma1", "gamma2", "rho_km", "eta0", "eta1", "eta2", "nu0", "nu1",
+                  "r_km")
+
     def to_text(self):
         params = {**asdict(self.occurrence), "rho_km": self.rho.range_km,
                   **asdict(self.amount), "r_km": self.r.range_km}
@@ -93,11 +96,12 @@ class FittedModel:
 
     @classmethod
     def from_text(cls, text):
-        """Parse :meth:`to_text` output. A missing parameter or one that is
-        not a number raises :class:`DomainError` naming the key; a diagnostic
-        reads back as a bool, an int, a float or else a string. The one
-        diagnostic a forecast reads, ``min_training_mean``, must be a positive
-        finite number where it is given."""
+        """Parse :meth:`to_text` output. A missing, repeated or unknown
+        parameter, one that is not a number and a repeated diagnostic raise
+        :class:`DomainError` naming the key; a diagnostic reads back as a
+        bool, an int, a float or else a string. The one diagnostic a forecast
+        reads, ``min_training_mean``, must be a positive finite number where
+        it is given."""
         kv = {}
         diag = {}
         for line in text.splitlines():
@@ -107,9 +111,13 @@ class FittedModel:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
+            if key in kv or (key.startswith("diag.") and key[5:] in diag):
+                raise DomainError(f"model key {key!r} is given twice")
             if key.startswith("diag."):
                 diag[key[5:]] = _diagnostic_value(val)
                 continue
+            if key not in cls.PARAM_KEYS:
+                raise DomainError(f"model key {key!r} is not a model parameter")
             try:
                 kv[key] = float(val)
             except ValueError:

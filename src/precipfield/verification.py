@@ -186,22 +186,29 @@ def pit_value(p0, marginal, obs, rng):
     return float(tr.mixed_cdf(p0, marginal, obs))
 
 
-def _mst_length(dist):
-    """Total edge weight of the minimum spanning tree (Prim's algorithm)."""
+def _mst_lengths_without(dist):
+    """For each point k of the distance matrix ``dist``, the total edge
+    weight of the minimum spanning tree of all the other points.
+
+    One batched Prim's algorithm: row k grows the tree without point k from
+    its lowest remaining index, adding at each of the n - 2 steps the
+    nearest point outside it (the first such in index order), so each
+    length is summed exactly as Prim's algorithm on that subset alone sums
+    it. Memory is O(n^2).
+    """
     n = dist.shape[0]
-    if n < 2:
-        return 0.0
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = dist[0].copy()
-    best[0] = np.inf
-    total = 0.0
-    for _ in range(n - 1):
-        j = int(np.argmin(np.where(in_tree, np.inf, best)))
-        total += best[j]
-        in_tree[j] = True
-        best = np.minimum(best, dist[j])
-    return float(total)
+    tree = np.arange(n)
+    in_tree = np.eye(n, dtype=bool)
+    start = (tree == 0).astype(np.intp)  # point 0, or point 1 in the tree without 0
+    in_tree[tree, start] = True
+    best = dist[start]
+    total = np.zeros(n)
+    for _ in range(n - 2):
+        j = np.argmin(np.where(in_tree, np.inf, best), axis=1)
+        total += best[tree, j]
+        in_tree[tree, j] = True
+        np.minimum(best, dist[j], out=best)
+    return total
 
 
 def mst_rank(members, obs, rng):
@@ -219,14 +226,8 @@ def mst_rank(members, obs, rng):
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
     pts = np.vstack([x, obs])
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-
-    idx = np.arange(m)
-    base = _mst_length(dist[np.ix_(idx, idx)])
-    lengths = np.empty(m)
-    for i in range(m):
-        sub = np.concatenate([idx[:i], idx[i + 1:], [m]])
-        lengths[i] = _mst_length(dist[np.ix_(sub, sub)])
+    lengths = _mst_lengths_without(np.linalg.norm(diff, axis=-1))
+    base, lengths = lengths[m], lengths[:m]  # without the observation: the ensemble's own tree
     below = int((lengths < base).sum())
     ties = int((lengths == base).sum())
     return 1 + below + int(rng.integers(0, ties + 1))

@@ -509,6 +509,26 @@ class TestForecast:
         assert not out.exists()
         assert "'diag.min_training_mean'" in caplog.records[-1].getMessage()
 
+    @pytest.mark.parametrize("extra, key", [
+        ("rho_km = 3000\n", "'rho_km'"),  # used to forecast at 3000 km
+        ("foo = 7\n", "'foo'"),  # used to be ignored
+        ("diag.n_wet_records = 3\ndiag.n_wet_records = 4\n", "'diag.n_wet_records'"),
+    ], ids=["repeated", "unknown", "repeated diagnostic"])
+    def test_repeated_or_unknown_model_key_exits_2(self, synth_dir, tmp_path, runner, caplog,
+                                                   extra, key):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(toy_model_text() + extra)
+        ds = dm.load_dataset(synth_dir / "dataset.csv")
+        out = tmp_path / "ens.csv"
+        with caplog.at_level("ERROR", logger="precipfield"):
+            res = run(runner, ["forecast", "--model", str(model_path),
+                               "--dataset", str(synth_dir / "dataset.csv"),
+                               "--date", ds.dates[-1].isoformat(), "--members", "3",
+                               "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+        assert key in caplog.records[-1].getMessage()
+
     def test_grid_embedding_failure_exits_4(self, tmp_path, runner):
         # A model whose ranges dwarf the grid extent cannot embed.
         model = est.FittedModel(

@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,10 +124,74 @@ class TestLoadSave:
     ])
     def test_parse_error_names_line(self, tmp_path, row, line):
         path = tmp_path / "bad.csv"
-        # A blank line still counts: the bad row is line 4.
-        path.write_text(",".join(dm.CSV_HEADER) + "\na,0,0,2004-01-01,1,2\n\n" + row + "\n")
+        # A blank line still counts: the bad row is line 4. The file is split
+        # on commas, or read by csv.reader when its first site id is quoted.
+        for first in ("a", '"a,1"'):
+            path.write_text(",".join(dm.CSV_HEADER) + f"\n{first},0,0,2004-01-01,1,2\n\n"
+                            + row + "\n")
+            with pytest.raises(ParseError, match=line):
+                dm.load_dataset(path)
+
+    @pytest.mark.parametrize("first", ["a", '"a,1"'])
+    @pytest.mark.parametrize("rows, line", [
+        # Each file holds two bad rows; the earlier one is named, whatever
+        # its check: field count, then x, y, obs, fcst, then date.
+        (["b,1,1,2004-01-0x,1,2", "c,1,1,2004-01-01,1"], ":3: Invalid isoformat"),
+        (["b,1,1,2004-01-01,1", "c,x,1,2004-01-01,1,2"], ":3: expected 6 fields"),
+        (["b,1,1,2004-01-01,1,2", "c,1,1,2004-01-01,1,x", "d,x,1,2004-01-01,1,2"],
+         ":4: could not convert string to float: 'x'"),
+        (["b,1,y,2004-01-0x,1,2"], ":3: could not convert string to float: 'y'"),
+        (["b,1,1,2004-01-0x,z,2"], ":3: could not convert string to float: 'z'"),
+    ])
+    def test_earlier_bad_row_named(self, tmp_path, first, rows, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(dm.CSV_HEADER), f"{first},0,0,2004-01-01,1,2",
+                                   *rows]) + "\n")
         with pytest.raises(ParseError, match=line):
             dm.load_dataset(path)
+
+    @pytest.mark.parametrize("chunk, block", [(1, 1), (7, 2), (40, 3)])
+    @pytest.mark.parametrize("first, late", [("a", "b"), ('"a,1"', "b"), ("a", '"b"')])
+    def test_rows_and_errors_cross_blocks(self, tmp_path, monkeypatch, chunk, block, first,
+                                          late):
+        # Blocks of a few bytes (split on commas) or rows (csv.reader): rows,
+        # blank lines and bad rows fall across block edges, and the dataset
+        # and each message's line stay those of one block. A quote in a late
+        # row sends the file to csv.reader after some blocks were split.
+        good = [",".join(dm.CSV_HEADER), f"{first},0,0,2004-01-01,1,2", "",
+                "b,1,1,2004-01-01,0,3.5", "", "", "a,0,0,2004-01-02,2,0",
+                f"{late},1,1,2004-01-02,7,1", ""]
+        path, bad = tmp_path / "ds.csv", tmp_path / "bad.csv"
+        path.write_text("\n".join(good) + "\n")
+
+        def loaded():
+            messages = []
+            for row in ("b,1,1,2004-01-03,1", "b,1,1,2004-01-03,1,x", "b,1,1,2004-01-0x,1,2"):
+                bad.write_text("\n".join([*good, "", row, "a,0,0,2004-01-03,1,2"]) + "\n")
+                with pytest.raises(ParseError) as exc:
+                    dm.load_dataset(bad)
+                messages.append(str(exc.value))
+            return dataset_rows(dm.load_dataset(path)), messages
+
+        expected = loaded()
+        assert all(":11: " in message for message in expected[1])
+        monkeypatch.setattr(dm, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(dm, "_QUOTED_BLOCK_ROWS", block)
+        assert loaded() == expected
+
+    def test_traced_peak_of_a_large_file(self, tmp_path):
+        # 73,000 rows: the file is read in blocks, so the loader's Python
+        # allocations stay well under those of the whole text split at once.
+        path = tmp_path / "ds.csv"
+        dm.save_dataset(dm.synth_generate(dm.SynthSpec(n_sites=200, n_days=365, seed=1)), path)
+        tracemalloc.start()
+        try:
+            ds = dm.load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 200 * 365
+        assert peak < 24e6
 
     def test_parse_error_counts_physical_lines(self, tmp_path):
         # A site id holding a newline spans lines 2-3, so the bad date is on
@@ -162,15 +227,18 @@ SITE_IDS = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
             max_size=6),
 )
+# Ids that csv.writer leaves unquoted, so the file is read by splitting on commas.
+PLAIN_SITE_IDS = st.text(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters='\x00",\r\n'), max_size=6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, site_ids=SITE_IDS):
     """Rows of a valid dataset in random order: a few sites with fixed
     coordinates, each reporting on a random subset of a few dates."""
-    coords = draw(st.dictionaries(SITE_IDS, st.tuples(FINITE, FINITE), min_size=1, max_size=4))
+    coords = draw(st.dictionaries(site_ids, st.tuples(FINITE, FINITE), min_size=1, max_size=4))
     dates = [dt.date(2004, 1, 1) + dt.timedelta(days=d)
              for d in draw(st.sets(st.integers(0, 400), min_size=1, max_size=4))]
     keys = draw(st.lists(st.tuples(st.sampled_from(sorted(coords)), st.sampled_from(dates)),
@@ -193,6 +261,16 @@ class TestColumnarRoundTrip:
     @given(rows=datasets())
     @example(rows=SIGNED_ZERO_SITE)
     def test_save_load_bit_exact(self, tmp_path_factory, rows):
+        self.check_round_trip(tmp_path_factory, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=datasets(PLAIN_SITE_IDS))
+    def test_save_load_bit_exact_unquoted(self, tmp_path_factory, rows):
+        path = self.check_round_trip(tmp_path_factory, rows)
+        assert not any(c in path.read_bytes() for c in b'"\r\0')
+
+    @staticmethod
+    def check_round_trip(tmp_path_factory, rows):
         ds = dataset_from_rows(rows)
         path = tmp_path_factory.mktemp("rt") / "ds.csv"
         dm.save_dataset(ds, path)
@@ -207,6 +285,7 @@ class TestColumnarRoundTrip:
         for name in ("xy", "obs", "fcst"):
             assert np.array_equal(getattr(loaded, name).view(np.uint64),
                                   getattr(ds, name).view(np.uint64))
+        return path
 
 
 class TestSplitByDate:

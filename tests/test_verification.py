@@ -357,7 +357,43 @@ def brute_force_mst_length(pts):
     return total
 
 
+def prim_mst_length(dist):
+    """Total edge weight of the minimum spanning tree by Prim's algorithm
+    from point 0: the per-subset loop mst_rank ran once per member, kept
+    here as the oracle of the batched pass."""
+    n = dist.shape[0]
+    if n < 2:
+        return 0.0
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = dist[0].copy()
+    best[0] = np.inf
+    total = 0.0
+    for _ in range(n - 1):
+        j = int(np.argmin(np.where(in_tree, np.inf, best)))
+        total += best[j]
+        in_tree[j] = True
+        best = np.minimum(best, dist[j])
+    return float(total)
+
+
 class TestMstRank:
+    @pytest.mark.parametrize("kind", ["random", "integer", "zero"])
+    def test_batched_lengths_match_prim_per_subset(self, kind):
+        # Bit for bit, ties included: integer points tie often and all-zero
+        # ones always, and which tied point joins first sets the order in
+        # which edge lengths are summed (a last-index argmin moves the bits
+        # of 9 integer cases here).
+        rng = np.random.default_rng(2004)
+        for m in range(1, 26):
+            pts = {"random": lambda: rng.gamma(0.7, 3.0, size=(m + 1, 5)),
+                   "integer": lambda: rng.integers(0, 5, size=(m + 1, 3)).astype(float),
+                   "zero": lambda: np.zeros((m + 1, 4))}[kind]()
+            dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+            keep = [np.delete(np.arange(m + 1), k) for k in range(m + 1)]
+            expected = [prim_mst_length(dist[np.ix_(sub, sub)]) for sub in keep]
+            assert np.array_equal(vf._mst_lengths_without(dist), expected), m
+
     def test_outlier_observation_rank_one(self):
         # Members {0,1,2}, obs 10: ensemble MST has length 2, every
         # substituted MST is at least 9, so the ensemble-only length ranks 1.
