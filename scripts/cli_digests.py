@@ -5,8 +5,8 @@ and ``sweep`` in-process at three seeds and prints one ``<sha256>  <path>``
 line per output file, paths relative to the output directory. Each seed also
 fits and verifies a gappy copy of its world, one or two sites missing on
 every date, so that windows where some sites do not report are covered, and
-fits and forecasts a copy whose site ids need quoting, so that the loader's
-``csv.reader`` path is covered as well as its comma split. Two checkouts
+fits and forecasts a copy whose site ids need quoting, so that quoted fields
+are covered on the way in and out. Two checkouts
 whose listings agree produce byte-identical outputs, which is the gate for a
 refactor that must not move any result.
 

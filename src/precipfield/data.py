@@ -13,7 +13,6 @@ import csv
 import datetime as dt
 import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -132,99 +131,31 @@ def _not_utf8(path, exc):
     return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-# Both CSV readers split a file into blocks of rows, convert each block as
-# columns, and look for the line of a bad row only once a block fails.
+# Both CSV readers take a file's rows from csv.reader in blocks, convert or
+# check a block's rows, and name the line of the first bad row.
 
-_CHUNK_CHARS = 1 << 20  # text the plain splitter reads at a time, then up to a line end
-_QUOTED_BLOCK_ROWS = 1 << 14  # rows csv.reader gathers per block
-
-
-class _NeedsCsvReader(Exception):
-    """The file holds a quote, a carriage return or a NUL, or a line longer
-    than ``csv.field_size_limit()``: only ``csv.reader`` reads it right."""
+_BLOCK_ROWS = 1 << 14  # rows gathered before a block is converted
 
 
-def _read_csv(path, width, load):
-    """``load(path, blocks)`` over the rows of a CSV file of ``width`` fields,
-    split by :func:`_plain_blocks`, or, from the top of the file, by
-    :func:`_quoted_blocks` when a chunk needs the csv module's rules."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return load(path, _plain_blocks(fh, path, width))
-        except _NeedsCsvReader:
-            fh.seek(0)
-            return load(path, _quoted_blocks(fh, path, width))
-
-
-def _plain_blocks(fh, path, width):
-    """The header row of a CSV file (None when the file is empty), then its
-    rows in blocks, each from about ``_CHUNK_CHARS`` of text cut at a line
-    end and split on "\n" and ",". Raises :class:`_NeedsCsvReader` when a
-    chunk needs the csv module's rules.
+def _csv_blocks(reader, path, width):
+    """The header row of a CSV file read by ``reader`` (None when the file
+    is empty), then its rows of ``width`` fields in blocks of up to
+    ``_BLOCK_ROWS``. Blank rows are skipped.
 
     A block is ``(fields, line, stop)``: the fields of its rows as one flat
     list, ``line(i)`` the physical line of its row i, and the
-    :class:`ParseError` that ends the file after those rows, or None; here
-    that is a row without ``width`` fields. Blank lines are skipped.
+    :class:`ParseError` that ends the file after those rows, or None: a row
+    without ``width`` fields or malformed CSV, naming the line, or bytes
+    that are not UTF-8, naming the file. ``line_num`` is the physical line
+    last read, so a line stays right after a quoted field that holds a
+    newline.
     """
-    limit = csv.field_size_limit()
-    before = None  # physical lines before the chunk, None until the header is read
-    while True:
-        try:
-            chunk = fh.read(_CHUNK_CHARS) + fh.readline()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-        if not chunk:
-            break
-        if '"' in chunk or "\r" in chunk or "\0" in chunk:
-            raise _NeedsCsvReader
-        if before is None:
-            header, _, chunk = chunk.partition("\n")
-            if len(header) > limit:
-                raise _NeedsCsvReader
-            yield header.split(",") if header else []
-            before = 1
-        yield _split_chunk(chunk, functools.partial(_nonblank_line, chunk, before), path,
-                           width, limit)
-        before += chunk.count("\n")
-    if before is None:
-        yield None
-
-
-def _split_chunk(chunk, line, path, width, limit):
-    """The block of :func:`_plain_blocks` that ``chunk`` holds."""
-    rows = chunk.split("\n")
-    if max(map(len, rows)) > limit:
-        raise _NeedsCsvReader
-    rows = list(filter(None, rows))
-    counts = list(map(str.count, rows, itertools.repeat(",")))
-    stop = None
-    if counts.count(width - 1) != len(rows):
-        bad = next(i for i, count in enumerate(counts) if count != width - 1)
-        stop = ParseError(f"{path}:{line(bad)}: expected {width} fields")
-        del rows[bad:]
-    return ",".join(rows).split(",") if rows else [], line, stop
-
-
-def _nonblank_line(chunk, before, i):
-    """The physical line of the i-th nonblank line of ``chunk``, whose first
-    line is line ``before + 1``."""
-    return before + 1 + [k for k, text in enumerate(chunk.split("\n")) if text][i]
-
-
-def _quoted_blocks(fh, path, width):
-    """What :func:`_plain_blocks` yields, read by ``csv.reader``: malformed
-    CSV or bytes that are not UTF-8 end the file after the rows before them,
-    with a :class:`ParseError` naming the line or the file. ``line_num`` is
-    the physical line last read, so a line stays right after a quoted field
-    that holds a newline."""
-    reader = csv.reader(fh)
-    fields, lines, stop = [], [], None
     try:
         header = next(reader, None)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _read_error(path, reader, exc) from None
     yield header
+    fields, lines, stop = [], [], None
     try:
         for row in reader:
             if not row:
@@ -234,7 +165,7 @@ def _quoted_blocks(fh, path, width):
                 break
             fields += row
             lines.append(reader.line_num)
-            if len(lines) == _QUOTED_BLOCK_ROWS:
+            if len(lines) == _BLOCK_ROWS:
                 yield fields, lines.__getitem__, None
                 fields, lines = [], []
     except (csv.Error, UnicodeDecodeError) as exc:
@@ -248,15 +179,16 @@ def _read_error(path, reader, exc):
     return ParseError(f"{path}:{reader.line_num}: {exc}")
 
 
-def _row_error(path, fields, width, line, check):
+def _first_bad_row(path, fields, width, line, check):
     """The :class:`ParseError` naming the line of the first row of a block
-    that ``check(row)`` rejects with a ValueError, whose message it keeps."""
-    for i in range(len(fields) // width):
+    that ``check(*row)`` rejects with a ValueError, whose message it keeps;
+    None when it rejects none."""
+    for i, row in enumerate(zip(*(fields[k::width] for k in range(width)))):
         try:
-            check(fields[i * width:(i + 1) * width])
+            check(*row)
         except ValueError as exc:
             return ParseError(f"{path}:{line(i)}: {exc}")
-    raise AssertionError("a failed block holds no bad row")
+    return None
 
 
 def load_dataset(path):
@@ -264,47 +196,39 @@ def load_dataset(path):
     without six fields, with a coordinate or value that is not a number or
     a date that is not ISO 8601 raises :class:`ParseError` naming the first
     such row's physical line."""
-    return _read_csv(path, len(CSV_HEADER), _load_dataset)
-
-
-def _load_dataset(path, blocks):
-    header = next(blocks)
-    if header is None:
-        raise ParseError(f"{path}: empty file, expected header")
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise ParseError(f"{path}:1: bad header {header!r}")
     site_id, date, values = [], [], []
     ids, days = {}, {}  # one string per site id; date string -> date, each parsed once
-    for fields, line, stop in blocks:
-        n = len(fields) // 6
-        strings = fields[3::6]
-        try:
-            values.append([*(_repeated_floats(fields[k::6], n) for k in (1, 2, 4)),
-                           np.fromiter(map(float, fields[5::6]), float, n)])
-            days.update((text, dt.date.fromisoformat(text)) for text in set(strings) - days.keys())
-        except ValueError:
-            raise _row_error(path, fields, 6, line, _check_dataset_row) from None
-        if stop:
-            raise stop
-        site_id += map(ids.setdefault, fields[0::6], fields[0::6])
-        date += map(days.__getitem__, strings)
-        del fields, strings  # before the next block is split
+    with open(path, newline="", encoding="utf-8") as fh:
+        blocks = _csv_blocks(csv.reader(fh), path, len(CSV_HEADER))
+        header = next(blocks)
+        if header is None:
+            raise ParseError(f"{path}: empty file, expected header")
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise ParseError(f"{path}:1: bad header {header!r}")
+        for fields, line, stop in blocks:
+            n = len(fields) // 6
+            strings = fields[3::6]
+            try:
+                values.append([np.fromiter(map(float, fields[k::6]), float, n)
+                               for k in (1, 2, 4, 5)])
+                days.update((text, dt.date.fromisoformat(text))
+                            for text in set(strings) - days.keys())
+            except ValueError:
+                # The row checks convert as the block does, so one fails.
+                raise _first_bad_row(path, fields, 6, line, _check_dataset_row) from None
+            if stop:
+                raise stop
+            site_id += map(ids.setdefault, fields[0::6], fields[0::6])
+            date += map(days.__getitem__, strings)
+            del fields, strings  # before the next block is read
     x, y, obs, fcst = np.concatenate([np.empty((4, 0)), *values], axis=1)
     return Dataset(site_id, x, y, date, obs, fcst)
 
 
-def _repeated_floats(strings, n):
-    """The ``n`` strings as floats, each distinct one converted once: a
-    site's coordinates repeat on every date, and observations are whole
-    hundredths."""
-    value = {text: float(text) for text in set(strings)}
-    return np.fromiter(map(value.__getitem__, strings), float, n)
-
-
-def _check_dataset_row(row):
+def _check_dataset_row(site, x, y, date, obs, fcst):
     """Convert one row's fields in the order a message must follow."""
-    float(row[1]), float(row[2]), float(row[4]), float(row[5])
-    dt.date.fromisoformat(row[3])
+    float(x), float(y), float(obs), float(fcst)
+    dt.date.fromisoformat(date)
 
 
 GRID_HEADER = ["row", "col", "value_hundredths_inch"]
@@ -315,53 +239,37 @@ def load_grid_field(path, grid):
     one finite, nonnegative value per cell of ``grid``, as a (ny, nx) array.
     Blank rows are skipped; any other row without exactly 3 fields, and the
     first bad row otherwise, raises :class:`ParseError` naming its line."""
-    return _read_csv(path, len(GRID_HEADER), functools.partial(_load_grid, grid))
+    field = [None] * (grid.ny * grid.nx)
+    check = functools.partial(_check_grid_row, grid, field)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        blocks = _csv_blocks(reader, path, len(GRID_HEADER))
+        header = next(blocks)
+        if header is None or [h.strip() for h in header] != GRID_HEADER:
+            raise ParseError(f"{path}: expected header row,col,value_hundredths_inch")
+        for fields, line, stop in blocks:
+            error = _first_bad_row(path, fields, 3, line, check) or stop
+            if error:
+                raise error
+        if None in field:
+            iy, ix = divmod(field.index(None), grid.nx)
+            raise ParseError(f"{path}:{reader.line_num + 1}: end of file with "
+                             f"{field.count(None)} cells missing, first ({iy}, {ix})")
+    return np.array(field).reshape(grid.ny, grid.nx)
 
 
-def _load_grid(grid, path, blocks):
-    header = next(blocks)
-    if header is None or [h.strip() for h in header] != GRID_HEADER:
-        raise ParseError(f"{path}: expected header row,col,value_hundredths_inch")
-    field = np.full(grid.ny * grid.nx, np.nan)
-    for fields, line, stop in blocks:
-        n = len(fields) // 3
-        try:
-            iy, ix = (np.fromiter(map(int, fields[k::3]), np.intp, n) for k in (0, 1))
-            value = np.fromiter(map(float, fields[2::3]), float, n)
-        except (ValueError, OverflowError):
-            ok = False
-        else:
-            ok = (((0 <= iy) & (iy < grid.ny) & (0 <= ix) & (ix < grid.nx)).all()
-                  and (np.isfinite(value) & (value >= 0)).all())
-        if ok:
-            cell = iy * grid.nx + ix
-            ok = np.isnan(field[cell]).all() and np.bincount(cell).max(initial=0) <= 1
-        if not ok:
-            raise _row_error(path, fields, 3, line, functools.partial(_check_grid_row, grid, field))
-        if stop:
-            raise stop
-        field[cell] = value
-    missing = np.flatnonzero(np.isnan(field))
-    if missing.size:
-        iy, ix = divmod(int(missing[0]), grid.nx)
-        with open(path, newline="", encoding="utf-8") as fh:
-            end = sum(1 for _ in fh) + 1  # the line csv.reader would read next
-        raise ParseError(f"{path}:{end}: end of file with {missing.size} cells missing, "
-                         f"first ({iy}, {ix})")
-    return field.reshape(grid.ny, grid.nx)
-
-
-def _check_grid_row(grid, field, row):
-    """Check one row as the block checks do, in the order a message must
-    follow, and mark its cell in ``field``."""
-    iy, ix, value = int(row[0]), int(row[1]), float(row[2])
+def _check_grid_row(grid, field, iy, ix, value):
+    """Check one row, in the order a message must follow, and set its cell
+    of ``field``, a list of the grid's cells row by row, None until set."""
+    iy, ix, value = int(iy), int(ix), float(value)
     if not (0 <= iy < grid.ny and 0 <= ix < grid.nx):
         raise ValueError(f"cell ({iy}, {ix}) outside the {grid.ny}x{grid.nx} grid")
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"value {value!r} is not a finite nonnegative accumulation")
-    if not math.isnan(field[iy * grid.nx + ix]):
+    cell = iy * grid.nx + ix
+    if field[cell] is not None:
         raise ValueError(f"duplicate cell ({iy}, {ix})")
-    field[iy * grid.nx + ix] = value
+    field[cell] = value
 
 
 def save_dataset(ds, path):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy import special
@@ -79,9 +79,6 @@ class FittedModel:
     r: rf.ExpCorrelation
     diagnostics: dict = field(default_factory=dict)
 
-    PARAM_KEYS = ("gamma0", "gamma1", "gamma2", "rho_km", "eta0", "eta1", "eta2", "nu0", "nu1",
-                  "r_km")
-
     def to_text(self):
         params = {**asdict(self.occurrence), "rho_km": self.rho.range_km,
                   **asdict(self.amount), "r_km": self.r.range_km}
@@ -116,8 +113,6 @@ class FittedModel:
             if key.startswith("diag."):
                 diag[key[5:]] = _diagnostic_value(val)
                 continue
-            if key not in cls.PARAM_KEYS:
-                raise DomainError(f"model key {key!r} is not a model parameter")
             try:
                 kv[key] = float(val)
             except ValueError:
@@ -128,15 +123,24 @@ class FittedModel:
             raise DomainError(f"model key 'diag.min_training_mean': {fallback!r} is not "
                               "a positive finite number")
         try:
-            return cls(
-                occurrence=tr.OccurrenceTrendParams(kv["gamma0"], kv["gamma1"], kv["gamma2"]),
-                rho=rf.ExpCorrelation(kv["rho_km"]),
-                amount=tr.GammaCoeffs(kv["eta0"], kv["eta1"], kv["eta2"], kv["nu0"], kv["nu1"]),
-                r=rf.ExpCorrelation(kv["r_km"]),
+            model = cls(
+                occurrence=_pop_fields(kv, tr.OccurrenceTrendParams),
+                rho=rf.ExpCorrelation(kv.pop("rho_km")),
+                amount=_pop_fields(kv, tr.GammaCoeffs),
+                r=rf.ExpCorrelation(kv.pop("r_km")),
                 diagnostics=diag,
             )
         except KeyError as exc:
             raise DomainError(f"model file lacks key {exc.args[0]!r}") from None
+        if kv:
+            raise DomainError(f"model key {next(iter(kv))!r} is not a model parameter")
+        return model
+
+
+def _pop_fields(kv, params):
+    """The dataclass ``params`` built from the values of its fields, each
+    taken out of ``kv`` by name."""
+    return params(**{f.name: kv.pop(f.name) for f in fields(params)})
 
 
 def truth_model(spec):

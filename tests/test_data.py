@@ -124,15 +124,14 @@ class TestLoadSave:
     ])
     def test_parse_error_names_line(self, tmp_path, row, line):
         path = tmp_path / "bad.csv"
-        # A blank line still counts: the bad row is line 4. The file is split
-        # on commas, or read by csv.reader when its first site id is quoted.
+        # A blank line still counts: the bad row is line 4, also after a
+        # quoted site id.
         for first in ("a", '"a,1"'):
             path.write_text(",".join(dm.CSV_HEADER) + f"\n{first},0,0,2004-01-01,1,2\n\n"
                             + row + "\n")
             with pytest.raises(ParseError, match=line):
                 dm.load_dataset(path)
 
-    @pytest.mark.parametrize("first", ["a", '"a,1"'])
     @pytest.mark.parametrize("rows, line", [
         # Each file holds two bad rows; the earlier one is named, whatever
         # its check: field count, then x, y, obs, fcst, then date.
@@ -143,24 +142,21 @@ class TestLoadSave:
         (["b,1,y,2004-01-0x,1,2"], ":3: could not convert string to float: 'y'"),
         (["b,1,1,2004-01-0x,z,2"], ":3: could not convert string to float: 'z'"),
     ])
-    def test_earlier_bad_row_named(self, tmp_path, first, rows, line):
+    def test_earlier_bad_row_named(self, tmp_path, rows, line):
         path = tmp_path / "bad.csv"
-        path.write_text("\n".join([",".join(dm.CSV_HEADER), f"{first},0,0,2004-01-01,1,2",
+        path.write_text("\n".join([",".join(dm.CSV_HEADER), "a,0,0,2004-01-01,1,2",
                                    *rows]) + "\n")
         with pytest.raises(ParseError, match=line):
             dm.load_dataset(path)
 
-    @pytest.mark.parametrize("chunk, block", [(1, 1), (7, 2), (40, 3)])
-    @pytest.mark.parametrize("first, late", [("a", "b"), ('"a,1"', "b"), ("a", '"b"')])
-    def test_rows_and_errors_cross_blocks(self, tmp_path, monkeypatch, chunk, block, first,
-                                          late):
-        # Blocks of a few bytes (split on commas) or rows (csv.reader): rows,
-        # blank lines and bad rows fall across block edges, and the dataset
-        # and each message's line stay those of one block. A quote in a late
-        # row sends the file to csv.reader after some blocks were split.
-        good = [",".join(dm.CSV_HEADER), f"{first},0,0,2004-01-01,1,2", "",
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_rows_and_errors_cross_blocks(self, tmp_path, monkeypatch, block):
+        # Blocks of a few rows: rows, blank lines, a site id that spans two
+        # lines and bad rows fall across block edges, and the dataset and
+        # each message's line stay those of one block.
+        good = [",".join(dm.CSV_HEADER), "a,0,0,2004-01-01,1,2", "",
                 "b,1,1,2004-01-01,0,3.5", "", "", "a,0,0,2004-01-02,2,0",
-                f"{late},1,1,2004-01-02,7,1", ""]
+                '"c\nd",1,1,2004-01-02,7,1', ""]
         path, bad = tmp_path / "ds.csv", tmp_path / "bad.csv"
         path.write_text("\n".join(good) + "\n")
 
@@ -174,14 +170,14 @@ class TestLoadSave:
             return dataset_rows(dm.load_dataset(path)), messages
 
         expected = loaded()
-        assert all(":11: " in message for message in expected[1])
-        monkeypatch.setattr(dm, "_CHUNK_CHARS", chunk)
-        monkeypatch.setattr(dm, "_QUOTED_BLOCK_ROWS", block)
+        assert all(":12: " in message for message in expected[1])
+        monkeypatch.setattr(dm, "_BLOCK_ROWS", block)
         assert loaded() == expected
 
     def test_traced_peak_of_a_large_file(self, tmp_path):
-        # 73,000 rows: the file is read in blocks, so the loader's Python
-        # allocations stay well under those of the whole text split at once.
+        # 73,000 rows: they are converted a block at a time, so the loader's
+        # Python allocations stay well under those of every row held as a
+        # list of strings.
         path = tmp_path / "ds.csv"
         dm.save_dataset(dm.synth_generate(dm.SynthSpec(n_sites=200, n_days=365, seed=1)), path)
         tracemalloc.start()
@@ -227,18 +223,15 @@ SITE_IDS = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
             max_size=6),
 )
-# Ids that csv.writer leaves unquoted, so the file is read by splitting on commas.
-PLAIN_SITE_IDS = st.text(st.characters(blacklist_categories=("Cs",),
-                                       blacklist_characters='\x00",\r\n'), max_size=6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 
 @st.composite
-def datasets(draw, site_ids=SITE_IDS):
+def datasets(draw):
     """Rows of a valid dataset in random order: a few sites with fixed
     coordinates, each reporting on a random subset of a few dates."""
-    coords = draw(st.dictionaries(site_ids, st.tuples(FINITE, FINITE), min_size=1, max_size=4))
+    coords = draw(st.dictionaries(SITE_IDS, st.tuples(FINITE, FINITE), min_size=1, max_size=4))
     dates = [dt.date(2004, 1, 1) + dt.timedelta(days=d)
              for d in draw(st.sets(st.integers(0, 400), min_size=1, max_size=4))]
     keys = draw(st.lists(st.tuples(st.sampled_from(sorted(coords)), st.sampled_from(dates)),
@@ -261,16 +254,6 @@ class TestColumnarRoundTrip:
     @given(rows=datasets())
     @example(rows=SIGNED_ZERO_SITE)
     def test_save_load_bit_exact(self, tmp_path_factory, rows):
-        self.check_round_trip(tmp_path_factory, rows)
-
-    @settings(max_examples=60, deadline=None)
-    @given(rows=datasets(PLAIN_SITE_IDS))
-    def test_save_load_bit_exact_unquoted(self, tmp_path_factory, rows):
-        path = self.check_round_trip(tmp_path_factory, rows)
-        assert not any(c in path.read_bytes() for c in b'"\r\0')
-
-    @staticmethod
-    def check_round_trip(tmp_path_factory, rows):
         ds = dataset_from_rows(rows)
         path = tmp_path_factory.mktemp("rt") / "ds.csv"
         dm.save_dataset(ds, path)
@@ -285,7 +268,6 @@ class TestColumnarRoundTrip:
         for name in ("xy", "obs", "fcst"):
             assert np.array_equal(getattr(loaded, name).view(np.uint64),
                                   getattr(ds, name).view(np.uint64))
-        return path
 
 
 class TestSplitByDate:
