@@ -209,8 +209,9 @@ def load_dataset(path):
             n = len(fields) // 6
             strings = fields[3::6]
             try:
-                values.append([np.fromiter(map(float, fields[k::6]), float, n)
-                               for k in (1, 2, 4, 5)])
+                values.append([*(_repeated_floats(fields[k::6], n) for k in (1, 2)),
+                               *(np.fromiter(map(float, fields[k::6]), float, n)
+                                 for k in (4, 5))])
                 days.update((text, dt.date.fromisoformat(text))
                             for text in set(strings) - days.keys())
             except ValueError:
@@ -223,6 +224,13 @@ def load_dataset(path):
             del fields, strings  # before the next block is read
     x, y, obs, fcst = np.concatenate([np.empty((4, 0)), *values], axis=1)
     return Dataset(site_id, x, y, date, obs, fcst)
+
+
+def _repeated_floats(strings, n):
+    """The ``n`` strings as floats, each distinct one converted once: a site
+    has one pair of coordinates, repeated on each of its dates."""
+    value = {text: float(text) for text in set(strings)}
+    return np.fromiter(map(value.__getitem__, strings), float, n)
 
 
 def _check_dataset_row(site, x, y, date, obs, fcst):
