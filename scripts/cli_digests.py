@@ -6,7 +6,8 @@ line per output file, paths relative to the output directory. Each seed also
 fits and verifies a gappy copy of its world, one or two sites missing on
 every date, so that windows where some sites do not report are covered, and
 fits and forecasts a copy whose site ids need quoting, so that quoted fields
-are covered on the way in and out. Two checkouts
+are covered on the way in and out, and a copy whose site ids hold ``%``, so
+that the writers' ``%``-templates are covered. Two checkouts
 whose listings agree produce byte-identical outputs, which is the gate for a
 refactor that must not move any result.
 
@@ -69,9 +70,12 @@ def write_gappy(dataset, path, seed):
         csv.writer(fh, lineterminator="\n").writerows([header, *kept])
 
 
-def write_quoted(dataset, path):
-    """``dataset`` with two site ids renamed to ones a CSV writer quotes."""
-    names = {"s000": "s,000", "s001": 'q"1'}
+QUOTED = {"s000": "s,000", "s001": 'q"1'}  # ids a CSV writer quotes
+PERCENT = {"s000": "p%s", "s001": "100%", "s002": "%r%%"}  # ids that look like %-formats
+
+
+def write_renamed(dataset, path, names):
+    """``dataset`` with the site ids that ``names`` maps renamed."""
     with open(dataset, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -122,14 +126,20 @@ def produce(cli, top, seed):
     run(cli, ["verify", "--dataset", os.path.join(gappy, "dataset.csv"), "-M", 10,
               "--members", 15, "--mst-members", 9, "--dates", 2, "--seed", seed,
               "--out", os.path.join(gappy, "verify")])
-    quoted = os.path.join(out, "quoted")
-    os.makedirs(quoted)
-    write_quoted(dataset, os.path.join(quoted, "dataset.csv"))
-    run(cli, ["fit", "--dataset", os.path.join(quoted, "dataset.csv"), "--date", last,
-              "-M", 12, "--seed", seed, "--out", os.path.join(quoted, "model.txt")])
-    run(cli, ["forecast", "--model", os.path.join(quoted, "model.txt"), "--seed", seed,
-              "--dataset", os.path.join(quoted, "dataset.csv"), "--date", last,
-              "--mode", "site", "--members", 9, "--out", os.path.join(quoted, "site.csv")])
+    for name, names, areal in (("quoted", QUOTED, False), ("percent", PERCENT, True)):
+        renamed = os.path.join(out, name)
+        os.makedirs(renamed)
+        write_renamed(dataset, os.path.join(renamed, "dataset.csv"), names)
+        run(cli, ["fit", "--dataset", os.path.join(renamed, "dataset.csv"), "--date", last,
+                  "-M", 12, "--seed", seed, "--out", os.path.join(renamed, "model.txt")])
+        common = ["--model", os.path.join(renamed, "model.txt"), "--seed", seed,
+                  "--dataset", os.path.join(renamed, "dataset.csv"), "--date", last]
+        run(cli, ["forecast", *common, "--mode", "site", "--members", 9,
+                  "--out", os.path.join(renamed, "site.csv")])
+        if areal:
+            run(cli, ["forecast", *common, "--mode", "areal", "--members", 400,
+                      "--site-ids", ",".join(names.values()),
+                      "--out", os.path.join(renamed, "areal.csv")])
 
 
 def digests(top):

@@ -174,6 +174,8 @@ def forecast(model, dataset, date, mode, members, seed, out, site_ids, grid_fore
         field = dm.load_grid_field(grid_forecast, grid)
         n = members or fc.DEFAULT_GRID_MEMBERS
         ens = fc.generate_grid_ensemble(fitted, grid, field, n, seed)
+        if ens.fallback_sites:
+            _warn_fallback(f"{len(ens.fallback_sites)} grid cells")
         os.makedirs(out, exist_ok=True)
         fc.write_grid_ensemble_csvs(ens, out)
         log.info("wrote %d grid members to %s", n, out)
@@ -183,15 +185,18 @@ def forecast(model, dataset, date, mode, members, seed, out, site_ids, grid_fore
         raise UsageError(f"{mode} mode requires --dataset and --date")
     date = date.date()
     sites, fcst, _ = dm.day_arrays(dm.load_dataset(dataset), date)
+    if mode == "areal" and site_ids is not None:
+        wanted = set(_comma_list(site_ids, "--site-ids"))
+        absent = sorted(wanted - {s.id for s in sites})
+        if absent:
+            raise UsageError(f"site ids absent on {date}: {','.join(absent)}")
+        keep = [i for i, s in enumerate(sites) if s.id in wanted]
+        sites = [sites[i] for i in keep]
+        fcst = fcst[keep]
+    fell_back = [s.id for s, flag in zip(sites, fc.two_stage_params(fitted, fcst)[3]) if flag]
+    if fell_back:
+        _warn_fallback("sites " + ", ".join(fell_back))
     if mode == "areal":
-        if site_ids is not None:
-            wanted = set(_comma_list(site_ids, "--site-ids"))
-            absent = sorted(wanted - {s.id for s in sites})
-            if absent:
-                raise UsageError(f"site ids absent on {date}: {','.join(absent)}")
-            keep = [i for i, s in enumerate(sites) if s.id in wanted]
-            sites = [sites[i] for i in keep]
-            fcst = fcst[keep]
         n = members or fc.DEFAULT_AREAL_MEMBERS
         values = fc.areal_ensemble(fitted, sites, fcst, n, seed)
         fc.write_scalar_ensemble_csv(values, out)
@@ -201,6 +206,11 @@ def forecast(model, dataset, date, mode, members, seed, out, site_ids, grid_fore
         ens = fc.generate_site_ensemble(fitted, sites, fcst, n, seed)
         fc.write_site_ensemble_csv(ens, out)
         log.info("wrote %d site members to %s", n, out)
+
+
+def _warn_fallback(where):
+    log.warning("implied Gamma mean not positive at %s; forecast with the fallback mean "
+                "diag.min_training_mean", where)
 
 
 @main.command()
@@ -259,7 +269,7 @@ def sweep(dataset, window_days_list, dates, members, seed, out):
         raise NoTrainingData(f"not enough history for M={max(ms)}")
     rows = window_sweep(ds, eligible[-dates:], ms, members, seed)
     header = ["M", "mean_crps", "se_crps", "n_cases", "n_skipped"]
-    dm.write_csv(out, header, [[str(row[key]) for row in rows] for key in header])
+    dm.write_csv(out, header, [dm.csv_lines([[str(row[key]) for row in rows] for key in header])])
     log.info("wrote sweep table to %s", out)
 
 

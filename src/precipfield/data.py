@@ -110,11 +110,24 @@ def csv_field(text):
     return buf.getvalue()[:-3]
 
 
-def write_csv(path, header, columns):
-    """Write a header and equal-length columns of formatted fields as CSV
-    lines, the rows joined in one pass."""
+def template_field(text):
+    """``text`` quoted as :func:`csv_field` quotes it, with each ``%``
+    doubled, as a constant field of a ``%``-template."""
+    return csv_field(text).replace("%", "%%")
+
+
+def csv_lines(columns):
+    """Equal-length columns of formatted fields as CSV text, one line per row."""
+    return "".join([",".join(row) + "\n" for row in zip(*columns)])
+
+
+def write_csv(path, header, blocks):
+    """Write the header line, then each block of CSV text, a run of whole
+    lines, as it arrives: a writer that formats its rows a block at a time
+    holds one block in memory."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(blocks)
 
 
 def read_text(path):
@@ -281,22 +294,25 @@ def _check_grid_row(grid, field, iy, ix, value):
 
 
 def save_dataset(ds, path):
-    """Write a dataset in the canonical CSV schema (deterministic ordering)."""
-    ids = [csv_field(s) for s in ds.sites]
-    days = [d.isoformat() for d in ds.dates]
+    """Write a dataset in the canonical CSV schema (deterministic ordering),
+    one date at a time."""
+    ids = [template_field(s) for s in ds.sites]
     # Coordinates repeat once per date: format each distinct bit pattern once
     # (by bits, not value, so a -0.0 row keeps its sign next to a 0.0 row).
     bits, inverse = np.unique(ds.xy.view(np.int64).ravel(), return_inverse=True)
     coords = list(map(repr, bits.view(np.float64).tolist()))
     inverse = inverse.reshape(-1, 2)
-    write_csv(path, CSV_HEADER, [
-        map(ids.__getitem__, ds.site.tolist()),
-        map(coords.__getitem__, inverse[:, 0].tolist()),
-        map(coords.__getitem__, inverse[:, 1].tolist()),
-        map(days.__getitem__, ds.date.tolist()),
-        map(repr, ds.obs.tolist()),
-        map(repr, ds.fcst.tolist()),
-    ])
+
+    def blocks():
+        for d, day in enumerate(ds.dates):
+            lo, hi = ds.offsets[d], ds.offsets[d + 1]
+            tail = f",{day.isoformat()},%r,%r\n"
+            template = "".join([f"{ids[s]},{coords[x]},{coords[y]}{tail}" for s, (x, y)
+                                in zip(ds.site[lo:hi].tolist(), inverse[lo:hi].tolist())])
+            values = np.column_stack([ds.obs[lo:hi], ds.fcst[lo:hi]])
+            yield template % tuple(values.ravel().tolist())
+
+    write_csv(path, CSV_HEADER, blocks())
 
 
 def day_arrays(ds, date):

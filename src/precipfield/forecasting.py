@@ -4,7 +4,8 @@ Site ensembles, gridded field ensembles via circulant embedding, areal
 averages, and the no-spatial-correlation baseline with identical marginals.
 All of them draw members through one two-stage kernel, :func:`_draw_members`,
 which takes every member's latent fields from one Generator, member by
-member, and then thresholds and transforms the whole ensemble as one block.
+member, and thresholds and transforms each block of members as it is drawn.
+The writers stream each file through ``%``-templates built once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ DEFAULT_AREAL_MEMBERS = 10_000
 DEFAULT_MULTISITE_MEMBERS = 19
 DEFAULT_GRID_MEMBERS = 50
 GRID_MEMBER_FILE = "member_{:04d}.csv"
+SITE_BLOCK = 256  # site members drawn, transformed and written at a time
 
 
 @dataclass
@@ -64,17 +66,23 @@ def _site_marginals(model, fcst_cr, zero_flag):
     return marginals, np.flatnonzero(fell_back).tolist()
 
 
-def _draw_members(mu, alpha, beta, draw, n_members, seed):
+def _draw_members(mu, alpha, beta, draw, n_members, seed, block):
     """Two-stage member draw shared by every ensemble.
 
-    ``draw(rng, n)`` returns the correlated occurrence and amount normal
-    blocks, each ``(n,) + mu.shape``, taken member by member from one
-    Generator, ``default_rng(seed)``: the first k members of an n-member
-    ensemble are the k-member ensemble. Threshold and anamorphosis run once.
+    ``draw(rng, k)`` returns the correlated occurrence and amount normal
+    blocks of the next k <= ``block`` members, each ``(k,) + mu.shape``,
+    taken member by member from one Generator, ``default_rng(seed)``: the
+    first k members of an n-member ensemble are the k-member ensemble.
+    Threshold and anamorphosis run on each block as it is drawn, so working
+    memory beyond the ensemble itself is one block.
     """
-    w, z = draw(np.random.default_rng(seed), n_members)
-    w += mu
-    return tr.wet_amounts(w, z, alpha, beta)
+    rng = np.random.default_rng(seed)
+    members = np.empty((n_members,) + mu.shape)
+    for i in range(0, n_members, block):
+        w, z = draw(rng, min(block, n_members - i))
+        w += mu
+        members[i:i + len(w)] = tr.wet_amounts(w, z, alpha, beta)
+    return members
 
 
 def _site_ensemble(model, sites, fcst_accum, n_members, seed, chols=None):
@@ -85,19 +93,16 @@ def _site_ensemble(model, sites, fcst_accum, n_members, seed, chols=None):
         raise DomainError(f"{fcst_accum.size} forecasts for {len(sites)} sites")
     mu, alpha, beta, fell_back = two_stage_params(model, fcst_accum)
 
-    def draw(rng, n):
-        # Member i's occurrence normals, then its amount normals, 256 members
-        # at a time: one normal block for the whole ensemble raised peak RSS.
-        # The stacked matmul is one gemv per member, so unlike a gemm it
-        # rounds alike at any n.
-        w, z = np.empty((n, len(sites), 1)), np.empty((n, len(sites), 1))
-        for i in range(0, n, 256):
-            e = rng.standard_normal((min(n - i, 256), 2, len(sites), 1))
-            for f, out in enumerate((w, z)):
-                out[i:i + 256] = e[:, f] if chols is None else chols[f] @ e[:, f]
-        return w[..., 0], z[..., 0]
+    def draw(rng, k):
+        # Each member's occurrence normals, then its amount normals. The
+        # stacked matmul is one gemv per member, so unlike a gemm it rounds
+        # alike at any k.
+        e = rng.standard_normal((k, 2, len(sites), 1))
+        if chols is not None:
+            return (chols[0] @ e[:, 0])[..., 0], (chols[1] @ e[:, 1])[..., 0]
+        return e[:, 0, :, 0], e[:, 1, :, 0]
 
-    members = _draw_members(mu, alpha, beta, draw, n_members, seed)
+    members = _draw_members(mu, alpha, beta, draw, n_members, seed, SITE_BLOCK)
     return ForecastEnsemble(members=members, sites=list(sites),
                             fallback_sites=np.flatnonzero(fell_back).tolist())
 
@@ -132,14 +137,13 @@ def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):
     emb_z = rf.CirculantEmbedding(grid, model.r)
     mu, alpha, beta, fell_back = two_stage_params(model, fcst_field)
 
-    def draw(rng, n):
-        # Pairs of members share one FFT per field: its real and imaginary parts.
-        w, z = np.empty((n + n % 2, grid.ny, grid.nx)), np.empty((n + n % 2, grid.ny, grid.nx))
-        for i in range(0, n, 2):
-            w[i:i + 2], z[i:i + 2] = emb_w.sample(rng, 2), emb_z.sample(rng, 2)
-        return w[:n], z[:n]
+    def draw(rng, k):
+        # A pair of members shares one FFT per field: its real and imaginary
+        # parts. An odd count still draws its last pair.
+        w, z = emb_w.sample(rng, 2), emb_z.sample(rng, 2)
+        return w[:k], z[:k]
 
-    members = _draw_members(mu, alpha, beta, draw, n_members, seed)
+    members = _draw_members(mu, alpha, beta, draw, n_members, seed, 2)
     return ForecastEnsemble(members=members, grid=grid,
                             fallback_sites=np.flatnonzero(fell_back).tolist())
 
@@ -151,30 +155,30 @@ def areal_ensemble(model, sites, fcst_accum, n_members=DEFAULT_AREAL_MEMBERS, se
 
 
 def write_site_ensemble_csv(ens, path):
-    """CSV rows ``member,site_id,value_hundredths_inch``, member-major."""
-    n, n_sites = ens.members.shape
-    ids = [dm.csv_field(site.id) for site in ens.sites]
-    dm.write_csv(path, ["member", "site_id", "value_hundredths_inch"], [
-        [member for member in map(str, range(n)) for _ in range(n_sites)],
-        ids * n,
-        map(repr, ens.members.ravel().tolist()),
-    ])
+    """CSV rows ``member,site_id,value_hundredths_inch``, member-major,
+    written ``SITE_BLOCK`` members at a time."""
+    n = len(ens.members)
+    # Joined by a member number, the site lines become that member's rows.
+    lines = ["", *(f",{dm.template_field(site.id)},%r\n" for site in ens.sites)]
+    dm.write_csv(path, ["member", "site_id", "value_hundredths_inch"], (
+        "".join([str(m).join(lines) for m in range(i, min(i + SITE_BLOCK, n))])
+        % tuple(ens.members[i:i + SITE_BLOCK].ravel().tolist())
+        for i in range(0, n, SITE_BLOCK)))
 
 
 def write_grid_ensemble_csvs(ens, outdir):
     """One CSV per member, ``GRID_MEMBER_FILE``, with rows
     ``row,col,value_hundredths_inch``."""
     ny, nx = ens.grid.ny, ens.grid.nx
-    rows = [str(iy) for iy in range(ny) for _ in range(nx)]
-    cols = [str(ix) for ix in range(nx)] * ny
-    for i in range(len(ens.members)):
+    template = "".join([f"{iy},{ix},%r\n" for iy in range(ny) for ix in range(nx)])
+    for i, member in enumerate(ens.members):
         dm.write_csv(os.path.join(outdir, GRID_MEMBER_FILE.format(i)),
                      ["row", "col", "value_hundredths_inch"],
-                     [rows, cols, map(repr, ens.members[i].ravel().tolist())])
+                     [template % tuple(member.ravel().tolist())])
 
 
 def write_scalar_ensemble_csv(values, path):
     """CSV rows ``member,value_hundredths_inch`` for scalar ensembles."""
     values = np.asarray(values, dtype=float).ravel()
-    dm.write_csv(path, ["member", "value_hundredths_inch"],
-                 [map(str, range(values.size)), map(repr, values.tolist())])
+    template = "".join([f"{m},%r\n" for m in range(values.size)])
+    dm.write_csv(path, ["member", "value_hundredths_inch"], [template % tuple(values.tolist())])

@@ -148,9 +148,24 @@ def energy_score(members, obs):
     if x.shape[1] != obs.size:
         raise DomainError("dimension mismatch between members and observation")
     term1 = np.linalg.norm(x - obs, axis=1).mean()
-    diff = x[:, None, :] - x[None, :, :]
-    term2 = 0.5 * np.linalg.norm(diff, axis=-1).mean()
+    term2 = 0.5 * _distance_matrix(x).mean()
     return float(term1 - term2)
+
+
+_DIFF_FLOATS = 1 << 17  # one row block of member differences: 1 MiB
+
+
+def _distance_matrix(pts):
+    """Euclidean distances between the rows of ``pts``, built a block of
+    rows at a time so that the difference array of a block stays near 1 MiB
+    whatever the member and site counts. Each distance reduces one row of
+    differences, so it comes out as from the whole difference array."""
+    n, d = pts.shape
+    rows = max(1, _DIFF_FLOATS // max(1, n * d))
+    dist = np.empty((n, n))
+    for i in range(0, n, rows):
+        dist[i:i + rows] = np.linalg.norm(pts[i:i + rows, None, :] - pts[None, :, :], axis=-1)
+    return dist
 
 
 def verification_rank(members, obs, rng):
@@ -224,9 +239,7 @@ def mst_rank(members, obs, rng):
     if m < 1:
         raise DomainError("empty ensemble")
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
-    pts = np.vstack([x, obs])
-    diff = pts[:, None, :] - pts[None, :, :]
-    lengths = _mst_lengths_without(np.linalg.norm(diff, axis=-1))
+    lengths = _mst_lengths_without(_distance_matrix(np.vstack([x, obs])))
     base, lengths = lengths[m], lengths[:m]  # without the observation: the ensemble's own tree
     below = int((lengths < base).sum())
     ties = int((lengths == base).sum())
@@ -331,12 +344,13 @@ class VerificationReport:
         methods = list(self.scores)
         ids = [dm.csv_field(site_id) for site_id in self.site_ids]
         dm.write_csv(path("scores.csv"), ["method", "date", "site_id", *SCORE_KEYS], [
-            methods * len(ids),
-            [date for date in self.dates for _ in methods],
-            [site_id for site_id in ids for _ in methods],
-            *([repr(v) for case in zip(*(self.scores[m][key] for m in methods)) for v in case]
-              for key in SCORE_KEYS),
-        ])
+            dm.csv_lines([
+                methods * len(ids),
+                [date for date in self.dates for _ in methods],
+                [site_id for site_id in ids for _ in methods],
+                *([repr(v) for case in zip(*(self.scores[m][key] for m in methods)) for v in case]
+                  for key in SCORE_KEYS),
+            ])])
         tables = {
             "summary.csv": (["method", "n_cases", *SCORE_KEYS, "es"], self.summary()),
             "reliability.csv": (
@@ -350,9 +364,9 @@ class VerificationReport:
                 {"method": method, "bin": b, "count": int(count)}
                 for method in sorted(hists) for b, count in enumerate(hists[method], start=1)])
         for name, (header, rows) in tables.items():  # floats by repr, the rest by str
-            dm.write_csv(path(name), header, [
+            dm.write_csv(path(name), header, [dm.csv_lines([
                 [repr(v) if isinstance(v, float) else str(v) for v in (row[key] for row in rows)]
-                for key in header])
+                for key in header])])
 
 
 def warn_fit_diagnostics(model, valid_date, M):

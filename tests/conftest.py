@@ -43,3 +43,14 @@ def csv_reference(header, rows):
         csv.writer(buf, lineterminator="\r\n").writerow(row)
         lines.append(buf.getvalue()[:-2] + "\n")
     return "".join(lines).encode("utf-8")
+
+
+def column_csv(header, columns):
+    """A header and equal-length columns of formatted fields as CSV bytes,
+    every row joined in one pass: the former column writer, kept as the
+    reference that the streaming ``%``-template writers must match."""
+    return ("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n").encode("utf-8")
+
+
+# Site ids that stress both CSV quoting and %-templates.
+TRICKY_ID_CHARS = ["%", "%r", "%%", "%s", '"', ",", "\r", "\n", "a", "1", " ", "ü"]

@@ -554,6 +554,43 @@ class TestForecast:
         ])
         assert res.exit_code == 4
 
+    @pytest.mark.parametrize("mode", ["site", "areal", "grid"])
+    def test_fallback_sites_warned_once(self, synth_dir, tmp_path, runner, caplog, mode):
+        # At eta0 = -1 the implied Gamma mean is nonpositive wherever the
+        # forecast is below about 1.95; those sites (grid cells) take the
+        # fallback mean, which used to go unreported.
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(toy_model_text().replace("eta0 = 1.5", "eta0 = -1.0")
+                              + "diag.min_training_mean = 0.5\n")
+        ds = dm.load_dataset(synth_dir / "dataset.csv")
+        date = ds.dates[-1]
+        sites, fcst, _ = dm.day_arrays(ds, date)
+        low = [s.id for s, f in zip(sites, fcst) if -1.0 + 0.8 * np.cbrt(f) + 0.4 * (f == 0) <= 0]
+        assert 0 < len(low) < len(sites)
+        out = tmp_path / "out"
+        if mode == "grid":
+            grid_csv = write_grid_csv(tmp_path / "g.csv", [
+                [iy, ix, 0.0 if (iy + ix) % 3 == 0 else 8.0]
+                for iy in range(4) for ix in range(4)])
+            args = ["--mode", "grid", "--grid-forecast", str(grid_csv), "--grid-cell-km", "10",
+                    "--grid-nx", "4", "--grid-ny", "4"]
+            where = "6 grid cells"
+        else:
+            args = ["--mode", mode, "--dataset", str(synth_dir / "dataset.csv"),
+                    "--date", date.isoformat()]
+            if mode == "areal":  # one low site and one other
+                low = low[:1]
+                other = next(s.id for s in sites if s.id not in low)
+                args += ["--site-ids", f"{low[0]},{other}"]
+            where = "sites " + ", ".join(low)
+        with caplog.at_level("INFO", logger="precipfield"):
+            res = run(runner, ["forecast", "--model", str(model_path), "--members", "3",
+                               "--seed", "0", "--out", str(out), *args])
+        assert res.exit_code == 0 and out.exists()
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"implied Gamma mean not positive at {where}; forecast with the "
+                            "fallback mean diag.min_training_mean"]
+
     @pytest.mark.parametrize("cell_km", ["1e200", "1e308"])
     def test_huge_grid_cell_keeps_stderr_to_cli_lines(self, tmp_path, cell_km):
         # Lags this long overflow to infinity, whose correlation is exactly

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import csv_reference, dataset_from_rows, dataset_rows
+from conftest import TRICKY_ID_CHARS, column_csv, csv_reference, dataset_from_rows, dataset_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -189,6 +189,19 @@ class TestLoadSave:
         assert len(ds) == 200 * 365
         assert peak < 24e6
 
+    def test_traced_peak_of_saving_a_large_dataset(self, tmp_path):
+        # 73,000 rows are formatted a date at a time; formatted as one list
+        # of strings per column they peaked near 25 MB.
+        ds = dm.synth_generate(dm.SynthSpec(n_sites=200, n_days=365, seed=1))
+        tracemalloc.start()
+        try:
+            dm.save_dataset(ds, tmp_path / "ds.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert dataset_rows(dm.load_dataset(tmp_path / "ds.csv")) == dataset_rows(ds)
+
     def test_parse_error_counts_physical_lines(self, tmp_path):
         # A site id holding a newline spans lines 2-3, so the bad date is on
         # line 4; counting CSV records used to report line 3.
@@ -219,7 +232,9 @@ class TestLoadSave:
 
 
 SITE_IDS = st.one_of(
-    st.sampled_from(["a,b", 'q"uote', "né", "東京", " padded ", "", "a\rb", "\r\n"]),
+    st.sampled_from(["a,b", 'q"uote', "né", "東京", " padded ", "", "a\rb", "\r\n",
+                     "p%s", "100%", "%r%%"]),
+    st.lists(st.sampled_from(TRICKY_ID_CHARS), max_size=4).map("".join),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
             max_size=6),
 )
@@ -261,6 +276,9 @@ class TestColumnarRoundTrip:
         assert path.read_bytes() == csv_reference(
             dm.CSV_HEADER, [(s, repr(x), repr(y), d.isoformat(), repr(o), repr(f))
                             for s, x, y, d, o, f in stored])
+        assert path.read_bytes() == column_csv(dm.CSV_HEADER, [
+            [dm.csv_field(r[0]) for r in stored], *([repr(r[k]) for r in stored] for k in (1, 2)),
+            [r[3].isoformat() for r in stored], *([repr(r[k]) for r in stored] for k in (4, 5))])
         loaded = dm.load_dataset(path)
         assert loaded.sites == ds.sites and loaded.dates == ds.dates
         for name in ("offsets", "site", "date"):

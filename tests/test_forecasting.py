@@ -1,8 +1,11 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import csv_reference
+from conftest import TRICKY_ID_CHARS, column_csv, csv_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from precipfield import data as dm
@@ -248,6 +251,17 @@ class TestBlockKernel:
         assert_bits_equal(block, member_loop(kind, model, 60, 21))
         assert_bits_equal(make_ensemble(kind, model, 7, 21), block[:7])
 
+    @pytest.mark.parametrize("kind, n", [
+        *(("site", n) for n in (255, 256, 257, 513)),
+        *(("baseline", n) for n in (255, 256, 257, 513)),
+        *(("grid", n) for n in (1, 3, 25)),
+    ])
+    def test_block_edges_match_member_loop(self, kind, n):
+        # Site members are drawn and transformed 256 at a time, grid members
+        # two at a time: counts on and either side of a block edge.
+        model = toy_model(eta=(-1.0, 1.0, 0.4))
+        assert_bits_equal(make_ensemble(kind, model, n, 25), member_loop(kind, model, n, 25))
+
     @pytest.mark.parametrize("kind", ["site", "baseline"])
     def test_prefix_at_100_scattered_sites(self, kind):
         # At 100 sites a gemm over the whole block rounds differently as the
@@ -259,7 +273,7 @@ class TestBlockKernel:
         fcst = rng.gamma(2.0, 6.0, 100)
         model = toy_model()
         full = make_ensemble(kind, model, 2500, 22, sites, fcst)
-        for n in (1, 3, 7, 64):
+        for n in (1, 3, 7, 64, 300, 600):
             assert_bits_equal(make_ensemble(kind, model, n, 22, sites, fcst), full[:n])
 
     @pytest.mark.parametrize("n", [1, 5])
@@ -280,6 +294,43 @@ class TestBlockKernel:
                                         ORACLE_FCST, 60, 21)
         assert 0 < np.count_nonzero(ens.members) < ens.members.size
         assert ens.fallback_sites == [0]
+
+
+def traced_peak(fn):
+    """The peak of Python's traced allocations while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def scattered_sites(n, seed=3):
+    rng = np.random.default_rng(seed)
+    sites = [rf.Site(f"p{i}", x, y) for i, (x, y) in enumerate(rng.uniform(0.0, 200.0, (n, 2)))]
+    return sites, rng.gamma(2.0, 6.0, n)
+
+
+class TestBoundedMemory:
+    """Each ensemble is transformed, and each file written, a block of
+    members at a time, so working memory is about one block beyond the
+    ensemble itself."""
+
+    def test_areal_ensemble_peak(self):
+        # 5,000 x 100 members are 4 MB; the whole-ensemble transform peaked
+        # near 29 MB.
+        sites, fcst = scattered_sites(100)
+        assert traced_peak(lambda: fc.areal_ensemble(toy_model(), sites, fcst, 5000, 1)) < 8e6
+
+    def test_site_writer_peak(self, tmp_path):
+        # 250,000 values; formatted as one list of strings they peaked near
+        # 38 MB.
+        sites, fcst = scattered_sites(100)
+        ens = fc.generate_site_ensemble(toy_model(), sites, fcst, 2500, 2)
+        path = tmp_path / "site.csv"
+        assert traced_peak(lambda: fc.write_site_ensemble_csv(ens, path)) < 6e6
+        assert sum(1 for _ in open(path, "rb")) == 1 + 2500 * 100
 
 
 class TestArealForecasts:
@@ -390,3 +441,49 @@ class TestEnsembleSerialization:
         assert path.read_text() == (
             "member,value_hundredths_inch\n0,1.5\n1,0.0\n"
         )
+
+
+TRICKY_IDS = st.lists(st.lists(st.sampled_from(TRICKY_ID_CHARS), min_size=1, max_size=4)
+                      .map("".join), min_size=1, max_size=5)
+VALUES = st.sampled_from([0.0, -0.0, 1.5, 1e-300, 123456.789, 1 / 3, 5e17])
+
+
+class TestTemplateWriters:
+    """The %-template writers give the bytes of the former column writer,
+    for site ids that look like %-formats or need CSV quoting."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ids=TRICKY_IDS, n=st.sampled_from([1, 2, 255, 257]), data=st.data())
+    @example(ids=["p%s", "100%", "%r%%", 'q"1,\r\n'], n=257, data=None)
+    def test_site_csv(self, tmp_path_factory, ids, n, data):
+        rng = np.random.default_rng(n)
+        members = rng.gamma(0.5, 20.0, (n, len(ids))) * (rng.random((n, len(ids))) < 0.6)
+        if data is not None:
+            members[0] = data.draw(st.lists(VALUES, min_size=len(ids), max_size=len(ids)))
+        ens = fc.ForecastEnsemble(members=members, sites=[rf.Site(i, 0.0, 0.0) for i in ids])
+        path = tmp_path_factory.mktemp("site") / "site.csv"
+        fc.write_site_ensemble_csv(ens, path)
+        quoted = [dm.csv_field(i) for i in ids]
+        assert path.read_bytes() == column_csv(
+            ["member", "site_id", "value_hundredths_inch"],
+            [[str(m) for m in range(n) for _ in ids], quoted * n,
+             map(repr, members.ravel().tolist())])
+
+    @settings(max_examples=10, deadline=None)
+    @given(ny=st.integers(1, 4), nx=st.integers(1, 4), n=st.integers(1, 3),
+           picks=st.lists(VALUES, min_size=1, max_size=48))
+    def test_grid_and_scalar_csvs(self, tmp_path_factory, ny, nx, n, picks):
+        members = np.resize(np.array(picks), (n, ny, nx))
+        out = tmp_path_factory.mktemp("grid")
+        fc.write_grid_ensemble_csvs(fc.ForecastEnsemble(
+            members=members, grid=rf.GridSpec(0.0, 0.0, 1.0, nx, ny)), out)
+        assert len(list(out.iterdir())) == n
+        for i in range(n):
+            assert (out / fc.GRID_MEMBER_FILE.format(i)).read_bytes() == column_csv(
+                ["row", "col", "value_hundredths_inch"],
+                [[str(iy) for iy in range(ny) for _ in range(nx)],
+                 [str(ix) for ix in range(nx)] * ny, map(repr, members[i].ravel().tolist())])
+        fc.write_scalar_ensemble_csv(members.ravel(), out / "areal.csv")
+        assert (out / "areal.csv").read_bytes() == column_csv(
+            ["member", "value_hundredths_inch"],
+            [map(str, range(members.size)), map(repr, members.ravel().tolist())])

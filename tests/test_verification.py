@@ -1,13 +1,16 @@
 import csv
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import TRICKY_ID_CHARS, column_csv
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from precipfield import data as dm
 from precipfield import verification as vf
 from precipfield.errors import DomainError
 from precipfield.transforms import GammaMarginal, mixed_cdf
@@ -427,6 +430,34 @@ class TestMstRank:
         assert vf.chi_square_uniform(counts) < 24.3
 
 
+class TestDistanceBlocks:
+    """mst_rank and energy_score build their distance matrix in row blocks
+    of about 1 MiB of differences, with the bits of the whole-array form."""
+
+    @pytest.mark.parametrize("n, dim", [(1, 1), (2, 100), (20, 3), (61, 100), (201, 100),
+                                        (400, 1)])
+    def test_equals_whole_difference_array(self, n, dim):
+        pts = np.random.default_rng(n * dim).gamma(0.5, 20.0, (n, dim))
+        whole = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        blocks = vf._distance_matrix(pts)
+        assert np.array_equal(blocks.view(np.uint64), whole.view(np.uint64))
+        assert blocks.mean() == whole.mean()
+
+    @pytest.mark.parametrize("score", ["mst_rank", "energy_score"])
+    def test_traced_peak_at_200_members_100_sites(self, score):
+        # The whole (201, 201, 100) difference array alone is 32 MB.
+        rng = np.random.default_rng(5)
+        x, obs = rng.gamma(0.5, 20.0, (200, 100)), rng.gamma(0.5, 20.0, 100)
+        args = (x, obs, rng) if score == "mst_rank" else (x, obs)
+        tracemalloc.start()
+        try:
+            getattr(vf, score)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestReliabilityTable:
     def test_single_populated_bin(self):
         probs = np.full(10, 0.5)
@@ -543,3 +574,28 @@ class TestVerificationReport:
                                   "observed_frequency", "count"]
         assert ["a", "0.55", "0.5", "1.0", "1"] in reliability
         assert len(reliability) == 11
+
+
+class TestScoresCsv:
+    @settings(max_examples=30, deadline=None)
+    @given(ids=st.lists(st.lists(st.sampled_from(TRICKY_ID_CHARS), min_size=1, max_size=4)
+                        .map("".join), min_size=1, max_size=4),
+           n_dates=st.integers(1, 3))
+    @example(ids=["p%s", "100%", "%r%%", 'q"1,\r\n'], n_dates=2)
+    def test_bytes_match_column_writer(self, tmp_path_factory, ids, n_dates):
+        rng = np.random.default_rng(len(ids) * n_dates)
+        rep = vf.VerificationReport()
+        for d in range(n_dates):
+            rep.add_date(f"2004-01-0{d + 1}", ids, {
+                method: _scores(*rng.gamma(0.5, 2.0, (3, len(ids))))
+                for method in ("spatial", "nwp")})
+        out = tmp_path_factory.mktemp("report")
+        rep.write(str(out))
+        methods = ["spatial", "nwp"]
+        cases = [(f"2004-01-0{d + 1}", dm.csv_field(i)) for d in range(n_dates) for i in ids]
+        assert (out / "scores.csv").read_bytes() == column_csv(
+            ["method", "date", "site_id", *vf.SCORE_KEYS],
+            [methods * len(cases), [date for date, _ in cases for _ in methods],
+             [site for _, site in cases for _ in methods],
+             *([repr(v) for case in zip(*(rep.scores[m][key] for m in methods)) for v in case]
+               for key in vf.SCORE_KEYS)])
