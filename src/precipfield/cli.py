@@ -23,7 +23,7 @@ from . import fields as rf
 from . import forecasting as fc
 from .errors import InsufficientData, NoTrainingData, PrecipError, UsageError
 # Imported by name: perfbench's tracer wraps cli.run_verification, which verify calls.
-from .verification import run_verification, window_sweep
+from .verification import SWEEP_HEADER, run_verification, window_sweep
 
 log = logging.getLogger("precipfield")
 
@@ -50,7 +50,8 @@ class _Main(click.Group):
 
 
 def read_config(path):
-    """Line-oriented ``key = value`` config with ``#`` comments."""
+    """Line-oriented ``key = value`` config with ``#`` comments; a key given
+    twice is a usage error naming its second line."""
     conf = {}
     for lineno, line in enumerate(dm.read_text(path).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
@@ -58,8 +59,10 @@ def read_config(path):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        conf[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in conf:
+            raise UsageError(f"{path}:{lineno}: repeated config key {key!r}")
+        conf[key] = val
     return conf
 
 
@@ -267,9 +270,7 @@ def sweep(dataset, window_days_list, dates, members, seed, out):
     eligible = ds.dates[max(ms):]  # sorted and unique: dates with max(ms) earlier days
     if not eligible:
         raise NoTrainingData(f"not enough history for M={max(ms)}")
-    rows = window_sweep(ds, eligible[-dates:], ms, members, seed)
-    header = ["M", "mean_crps", "se_crps", "n_cases", "n_skipped"]
-    dm.write_csv(out, header, [dm.csv_lines([[str(row[key]) for row in rows] for key in header])])
+    dm.write_table(out, SWEEP_HEADER, window_sweep(ds, eligible[-dates:], ms, members, seed))
     log.info("wrote sweep table to %s", out)
 
 

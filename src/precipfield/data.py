@@ -116,11 +116,6 @@ def template_field(text):
     return csv_field(text).replace("%", "%%")
 
 
-def csv_lines(columns):
-    """Equal-length columns of formatted fields as CSV text, one line per row."""
-    return "".join([",".join(row) + "\n" for row in zip(*columns)])
-
-
 def write_csv(path, header, blocks):
     """Write the header line, then each block of CSV text, a run of whole
     lines, as it arrives: a writer that formats its rows a block at a time
@@ -128,6 +123,13 @@ def write_csv(path, header, blocks):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(blocks)
+
+
+def write_table(path, header, rows):
+    """Write a small table: ``rows`` are mappings from each header name to
+    a field, written by ``str`` and unquoted. For a Python float ``str`` is
+    its ``repr``, so a float reads back as the same float."""
+    write_csv(path, header, [",".join([str(row[key]) for key in header]) + "\n" for row in rows])
 
 
 def read_text(path):

@@ -298,75 +298,62 @@ def _mean(values):
 
 
 class VerificationReport:
-    """Per-method score columns and calibration tables; writes the report
-    CSV set.
+    """One record per verified date and the calibration tables; writes the
+    report CSV set.
 
-    ``dates`` and ``site_ids`` hold one entry per verified (date, site)
-    case, and ``scores[method][key]`` that method's ``mae``, ``crps`` or
-    ``bs`` of each case, in the same order.
+    ``days`` holds one ``(date, site_ids, scores)`` entry per verified
+    date, where ``scores`` maps each method, in the same order on every
+    date, to its ``mae``, ``crps`` and ``bs`` arrays over ``site_ids``.
     """
 
     def __init__(self):
-        self.dates = []
-        self.site_ids = []
-        self.scores = {}  # method -> key -> list of floats, one per case
+        self.days = []
         self.rank_hists = {}  # method -> counts
         self.pit_hists = {}
         self.mst_hists = {}
         self.reliability = {}  # method -> rows
         self.energy = {}  # method -> list of ES values
 
-    def add_date(self, date, site_ids, scores):
-        """Append one date's cases: ``scores`` maps each method to its mae,
-        crps and bs arrays over ``site_ids``."""
-        self.dates += [str(date)] * len(site_ids)
-        self.site_ids += site_ids
-        for method, values in scores.items():
-            columns = self.scores.setdefault(method, {key: [] for key in SCORE_KEYS})
-            for key, value in zip(SCORE_KEYS, values):
-                columns[key] += value.tolist()
-
     def summary(self):
         """One row per scored method: its number of cases and its mean
         scores, and its mean energy score (nan when it has none)."""
-        return [{"method": method, "n_cases": len(columns["mae"]),
-                 **{key: _mean(columns[key]) for key in SCORE_KEYS},
+        methods = self.days[0][2] if self.days else ()
+        columns = {m: [np.concatenate(c) for c in zip(*(scores[m] for _, _, scores in self.days))]
+                   for m in methods}  # method -> its mae, crps and bs over every date
+        return [{"method": method, "n_cases": len(values[0]),
+                 **{key: _mean(c) for key, c in zip(SCORE_KEYS, values)},
                  "es": _mean(self.energy.get(method, ()))}
-                for method, columns in sorted(self.scores.items())]
+                for method, values in sorted(columns.items())]
 
     def write(self, outdir):
-        """Write scores.csv, one row per case and method with the methods in
-        the order they were added; summary.csv; the rank, PIT and MST
-        histograms; and reliability.csv. Site ids are quoted as in a
-        dataset CSV."""
+        """Write scores.csv a date at a time, one row per case and method,
+        site by site with the methods in their order in ``days``;
+        summary.csv; the rank, PIT and MST histograms; and reliability.csv.
+        Site ids are quoted as in a dataset CSV."""
         os.makedirs(outdir, exist_ok=True)
         path = functools.partial(os.path.join, outdir)
-        methods = list(self.scores)
-        ids = [dm.csv_field(site_id) for site_id in self.site_ids]
-        dm.write_csv(path("scores.csv"), ["method", "date", "site_id", *SCORE_KEYS], [
-            dm.csv_lines([
-                methods * len(ids),
-                [date for date in self.dates for _ in methods],
-                [site_id for site_id in ids for _ in methods],
-                *([repr(v) for case in zip(*(self.scores[m][key] for m in methods)) for v in case]
-                  for key in SCORE_KEYS),
-            ])])
-        tables = {
-            "summary.csv": (["method", "n_cases", *SCORE_KEYS, "es"], self.summary()),
-            "reliability.csv": (
-                ["method", "bin_center", "mean_forecast_prob", "observed_frequency", "count"],
-                [{"method": method, **entry}
-                 for method in sorted(self.reliability) for entry in self.reliability[method]]),
-        }
+
+        def scores_blocks():
+            for date, site_ids, scores in self.days:
+                template = "".join([f"{method},{date},{site_id},%r,%r,%r\n"
+                                    for site_id in map(dm.template_field, site_ids)
+                                    for method in scores])
+                values = np.array(list(scores.values()), dtype=float)  # (methods, keys, sites)
+                yield template % tuple(values.transpose(2, 0, 1).ravel().tolist())
+
+        dm.write_csv(path("scores.csv"), ["method", "date", "site_id", *SCORE_KEYS],
+                     scores_blocks())
+        dm.write_table(path("summary.csv"), ["method", "n_cases", *SCORE_KEYS, "es"],
+                       self.summary())
+        dm.write_table(path("reliability.csv"), ["method", "bin_center", "mean_forecast_prob",
+                                                 "observed_frequency", "count"],
+                       [{"method": method, **entry} for method in sorted(self.reliability)
+                        for entry in self.reliability[method]])
         for name, hists in (("rank_hist.csv", self.rank_hists), ("pit_hist.csv", self.pit_hists),
                             ("mst_hist.csv", self.mst_hists)):
-            tables[name] = (["method", "bin", "count"], [
+            dm.write_table(path(name), ["method", "bin", "count"], [
                 {"method": method, "bin": b, "count": int(count)}
                 for method in sorted(hists) for b, count in enumerate(hists[method], start=1)])
-        for name, (header, rows) in tables.items():  # floats by repr, the rest by str
-            dm.write_csv(path(name), header, [dm.csv_lines([
-                [repr(v) if isinstance(v, float) else str(v) for v in (row[key] for row in rows)]
-                for key in header])])
 
 
 def warn_fit_diagnostics(model, valid_date, M):
@@ -396,9 +383,9 @@ def date_step(dataset, valid_date, M, forecast):
     """One step of rolling verification: fit on the ``M`` days before
     ``valid_date`` (warning about its diagnostics), look up that date's
     sites, forecasts and observations, and draw ``forecast(model, sites,
-    fcst)``. Returns ``(sites, fcst, obs, drawn)``, or None when a stage
-    raises a PrecipError: the date is then skipped with a WARNING naming
-    the stage (window, fit, load or forecast) and the error."""
+    fcst)``. Returns ``(model, sites, fcst, obs, drawn)``, or None when a
+    stage raises a PrecipError: the date is then skipped with a WARNING
+    naming the stage (window, fit, load or forecast) and the error."""
     stage = "window"
     try:
         window = est.make_window(dataset, valid_date, M)
@@ -408,7 +395,7 @@ def date_step(dataset, valid_date, M, forecast):
         stage = "load"
         sites, fcst, obs = dm.day_arrays(dataset, valid_date)
         stage = "forecast"
-        return sites, fcst, obs, forecast(model, sites, fcst)
+        return model, sites, fcst, obs, forecast(model, sites, fcst)
     except PrecipError as exc:
         log.warning("skip %s at stage %s: %s: %s",
                     valid_date, stage, type(exc).__name__, exc)
@@ -416,15 +403,13 @@ def date_step(dataset, valid_date, M, forecast):
 
 
 def _scoring_forecasts(model, sites, fcst, members, mst_members, seeds):
-    """What :func:`run_verification` scores on one date: the spatial and
-    independence ensembles of ``members`` and of ``mst_members`` members,
-    each site's probability of precipitation, and its Gamma shape and scale."""
-    mu, alpha, beta, _ = fc.two_stage_params(model, fcst)
+    """The ensembles :func:`run_verification` scores on one date: the
+    spatial and independence ensembles of ``members`` and of ``mst_members``
+    members."""
     return (fc.generate_site_ensemble(model, sites, fcst, members, seeds[0]),
             fc.independence_baseline_ensemble(model, sites, fcst, members, seeds[1]),
             fc.generate_site_ensemble(model, sites, fcst, mst_members, seeds[2]),
-            fc.independence_baseline_ensemble(model, sites, fcst, mst_members, seeds[3]),
-            ndtr(mu), alpha, beta)
+            fc.independence_baseline_ensemble(model, sites, fcst, mst_members, seeds[3]))
 
 
 def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
@@ -448,7 +433,10 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
         if step is None:
             n_skipped += 1
             continue
-        sites, fcst, obs, (ens_sp, ens_in, sp19, in19, p_wet, alpha, beta) = step
+        model, sites, fcst, obs, (ens_sp, ens_in, sp19, in19) = step
+        # The forecast stage computed these too, so they raise nothing here.
+        mu, alpha, beta, _ = fc.two_stage_params(model, fcst)
+        p_wet = ndtr(mu)
 
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed, spawn_key=(1000 + di,)))
@@ -470,8 +458,8 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
                   "nwp": (nwp_error, nwp_error)}
         for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
             scores[name] = (mae_of_median(ens.members.T, obs), crps_ensemble(ens.members.T, obs))
-        report.add_date(valid_date, [s.id for s in sites], {
-            m: (*scores[m], brier_score(prob[m], occurred)) for m in METHODS})
+        report.days.append((valid_date, [s.id for s in sites], {
+            m: (*scores[m], brier_score(prob[m], occurred)) for m in METHODS}))
         for m in METHODS:
             rel[m].append(prob[m])
         outcomes.append(occurred)
@@ -508,11 +496,14 @@ def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
     return report, n_skipped
 
 
+SWEEP_HEADER = ("M", "mean_crps", "se_crps", "n_cases", "n_skipped")
+
+
 def window_sweep(dataset, valid_dates, Ms, n_members, seed):
     """Mean site-level ensemble CRPS per training-window length.
 
-    Returns a list of rows {M, mean_crps, se_crps, n_cases, n_skipped}; a
-    (M, date) cell that :func:`date_step` skips is counted in n_skipped.
+    Returns a list of rows keyed by ``SWEEP_HEADER``; a (M, date) cell that
+    :func:`date_step` skips is counted in n_skipped.
     """
     if not valid_dates:
         return []
@@ -529,16 +520,9 @@ def window_sweep(dataset, valid_dates, Ms, n_members, seed):
             if step is None:
                 n_skipped += 1
                 continue
-            _, _, obs, ens = step
+            _, _, _, obs, ens = step
             scores.extend(crps_ensemble(ens.members.T, obs))
-        rows.append(
-            {
-                "M": M,
-                "mean_crps": float(np.mean(scores)) if scores else float("nan"),
-                "se_crps": float(np.std(scores, ddof=1) / np.sqrt(len(scores)))
-                if len(scores) > 1 else float("nan"),
-                "n_cases": len(scores),
-                "n_skipped": n_skipped,
-            }
-        )
+        se = np.std(scores, ddof=1) / np.sqrt(len(scores)) if len(scores) > 1 else np.nan
+        rows.append({"M": M, "mean_crps": _mean(scores), "se_crps": float(se),
+                     "n_cases": len(scores), "n_skipped": n_skipped})
     return rows

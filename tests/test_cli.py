@@ -16,6 +16,7 @@ from precipfield import errors
 from precipfield import estimation as est
 from precipfield import fields as rf
 from precipfield import transforms as tr
+from precipfield import verification as vf
 from precipfield.errors import ParseError, PrecipError, UsageError
 
 
@@ -72,6 +73,17 @@ class TestConfig:
         assert len(ds.dates) == 3
         assert len(ds.sites) == 4
 
+    def test_repeated_key_exits_2(self, tmp_path, runner, caplog):
+        # The last value used to win: this synth wrote 40 sites and exited 0.
+        out = tmp_path / "w"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"seed = 1\nout = {out}\nsites = 6\ndays = 3\nsites = 40\n")
+        with caplog.at_level("ERROR", logger="precipfield"):
+            res = runner.invoke(cli.main, ["synth", "--config", str(conf)])
+        assert res.exit_code == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{conf}:5: repeated config key 'sites'"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, line", [
         ("fit", "window-days = 10"),  # the flag's spelling, not the key's
@@ -390,6 +402,20 @@ def fitted(synth_dir, tmp_path, runner):
                        "--out", str(model_path)])
     assert res.exit_code == 0
     return synth_dir / "dataset.csv", date, model_path
+
+
+@pytest.mark.parametrize("M", [6, 15])
+def test_date_step_model_is_the_fit_command_model(synth_dir, tmp_path, runner, M):
+    # The per-date refit of verify and sweep fits what fit --date D -M M
+    # writes, byte for byte.
+    dataset = synth_dir / "dataset.csv"
+    date = dm.load_dataset(dataset).dates[-1]
+    model_path = tmp_path / "model.txt"
+    res = run(runner, ["fit", "--dataset", str(dataset), "--date", date.isoformat(),
+                       "-M", str(M), "--out", str(model_path)])
+    assert res.exit_code == 0
+    step = vf.date_step(dm.load_dataset(dataset), date, M, lambda model, sites, fcst: None)
+    assert step[0].to_text() == model_path.read_text(encoding="utf-8")
 
 
 class TestForecast:

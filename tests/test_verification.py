@@ -520,10 +520,11 @@ def _scores(*columns):
 class TestVerificationReport:
     def test_summary_means(self):
         rep = vf.VerificationReport()
-        rep.add_date("2004-01-01", ["s0", "s1"], {"a": _scores([1.0, 3.0], [2.0, 4.0], [0.0, 1.0]),
-                                                  "b": _scores([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])})
-        rep.add_date("2004-01-02", ["s0"], {"a": _scores([5.0], [6.0], [0.5]),
-                                            "b": _scores([4.0], [4.0], [0.0])})
+        rep.days.append(("2004-01-01", ["s0", "s1"],
+                         {"a": _scores([1.0, 3.0], [2.0, 4.0], [0.0, 1.0]),
+                          "b": _scores([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])}))
+        rep.days.append(("2004-01-02", ["s0"], {"a": _scores([5.0], [6.0], [0.5]),
+                                                "b": _scores([4.0], [4.0], [0.0])}))
         rep.energy["a"] = [1.0, 3.0]
         a, b = rep.summary()
         assert a == {"method": "a", "n_cases": 3, "mae": 3.0, "crps": 4.0, "bs": 0.5, "es": 2.0}
@@ -532,10 +533,10 @@ class TestVerificationReport:
 
     def test_write_files(self, tmp_path):
         rep = vf.VerificationReport()
-        rep.add_date("2004-01-01", ["s,0", "s\r1"], {
+        rep.days.append(("2004-01-01", ["s,0", "s\r1"], {
             "b": _scores([1.0, 2.0], [0.5, 0.25], [0.0, 1.0]),
             "a": _scores([3.0, 4.0], [1.5, 0.1], [0.25, 0.75]),
-        })
+        }))
         rep.rank_hists["a"] = np.array([3, 1])
         rep.pit_hists["a"] = np.array([2, 2])
         rep.mst_hists["a"] = np.array([1, 3])
@@ -578,24 +579,43 @@ class TestVerificationReport:
 
 class TestScoresCsv:
     @settings(max_examples=30, deadline=None)
-    @given(ids=st.lists(st.lists(st.sampled_from(TRICKY_ID_CHARS), min_size=1, max_size=4)
-                        .map("".join), min_size=1, max_size=4),
-           n_dates=st.integers(1, 3))
-    @example(ids=["p%s", "100%", "%r%%", 'q"1,\r\n'], n_dates=2)
-    def test_bytes_match_column_writer(self, tmp_path_factory, ids, n_dates):
-        rng = np.random.default_rng(len(ids) * n_dates)
+    @given(days=st.lists(st.lists(st.lists(st.sampled_from(TRICKY_ID_CHARS), min_size=1,
+                                           max_size=4).map("".join),
+                                  min_size=1, max_size=4, unique=True),
+                         min_size=1, max_size=3))
+    @example(days=[["p%s", "100%", "%r%%", 'q"1,\r\n'], ["100%", "s\r0"], ['q"1,\r\n']])
+    def test_bytes_match_column_writer(self, tmp_path_factory, days):
+        # Each date has its own site set, as in a network with gaps.
+        rng = np.random.default_rng(sum(map(len, days)))
+        methods = ["spatial", "nwp"]
         rep = vf.VerificationReport()
-        for d in range(n_dates):
-            rep.add_date(f"2004-01-0{d + 1}", ids, {
-                method: _scores(*rng.gamma(0.5, 2.0, (3, len(ids))))
-                for method in ("spatial", "nwp")})
+        rows = []  # one (method, date, site id, mae, crps, bs) per case and method
+        for d, ids in enumerate(days):
+            date = f"2004-01-0{d + 1}"
+            scores = {m: _scores(*rng.gamma(0.5, 2.0, (3, len(ids)))) for m in methods}
+            rep.days.append((date, ids, scores))
+            rows += [(m, date, dm.csv_field(site_id), *(repr(float(v[j])) for v in scores[m]))
+                     for j, site_id in enumerate(ids) for m in methods]
         out = tmp_path_factory.mktemp("report")
         rep.write(str(out))
-        methods = ["spatial", "nwp"]
-        cases = [(f"2004-01-0{d + 1}", dm.csv_field(i)) for d in range(n_dates) for i in ids]
         assert (out / "scores.csv").read_bytes() == column_csv(
-            ["method", "date", "site_id", *vf.SCORE_KEYS],
-            [methods * len(cases), [date for date, _ in cases for _ in methods],
-             [site for _, site in cases for _ in methods],
-             *([repr(v) for case in zip(*(rep.scores[m][key] for m in methods)) for v in case]
-               for key in vf.SCORE_KEYS)])
+            ["method", "date", "site_id", *vf.SCORE_KEYS], list(zip(*rows)))
+
+    def test_traced_peak_of_writing_a_large_report(self, tmp_path):
+        # 100 dates x 100 sites x 4 methods. Formatted as one block of
+        # per-field strings, scores.csv peaked near 20 MB.
+        rng = np.random.default_rng(5)
+        ids = [f"s{i:03d}" for i in range(100)]
+        rep = vf.VerificationReport()
+        for d in range(100):
+            rep.days.append((f"2004-{1 + d // 28:02d}-{1 + d % 28:02d}", ids,
+                             {m: _scores(*rng.gamma(0.5, 2.0, (3, 100))) for m in vf.METHODS}))
+        tracemalloc.start()
+        try:
+            rep.write(str(tmp_path / "report"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        with open(tmp_path / "report" / "scores.csv", newline="", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 1 + 100 * 100 * 4
