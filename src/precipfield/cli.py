@@ -1,8 +1,9 @@
 """Command-line surface: synth, fit, forecast, verify, sweep.
 
 Every stochastic command requires an explicit seed; identical inputs and
-seed produce byte-identical outputs. ``fit`` is deterministic and ignores
-its seed. Progress goes to stderr, data to files.
+seed produce byte-identical outputs for a fixed BLAS build and thread count.
+``fit`` is deterministic and ignores its seed. Progress goes to stderr, data
+to files.
 Exit codes: 0 success, else the ``exit_code`` of the error class (see
 ``errors``): 2 usage/config error or unreadable file, 3 data/fit error or
 input that is not UTF-8, 4 numerical failure.

@@ -72,13 +72,6 @@ class GridSpec:
         return np.meshgrid(xs, ys)
 
 
-def as_generator(seed):
-    """Accept an int seed, a SeedSequence, or a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def exp_correlation(d, range_km):
     """Exponential correlation at distance ``d`` km."""
     d = np.asarray(d, dtype=float)
@@ -136,7 +129,7 @@ def sample_mvn(mean, corr_matrix, seed, n_samples=1):
 
     Returns a vector for ``n_samples == 1``, else an (n_samples, dim) array.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     mean = np.asarray(mean, dtype=float)
     chol = cholesky_pd(corr_matrix)
     draws = mean + rng.standard_normal((n_samples, mean.size)) @ chol.T
@@ -188,7 +181,7 @@ class CirculantEmbedding:
     def sample(self, rng, n_fields=1):
         """Draw ``n_fields`` independent (ny, nx) fields in pairs, the real and
         imaginary parts of one FFT; an odd count still draws its last pair."""
-        rng = as_generator(rng)
+        rng = np.random.default_rng(rng)
         ny, nx = self.grid.ny, self.grid.nx
         out = np.empty((n_fields + n_fields % 2, ny, nx))
         for i in range(0, n_fields, 2):
@@ -241,7 +234,7 @@ def sample_truncated_mvn(mean, corr_matrix, signs, n_samples, burn_in, seed):
     signs = np.atleast_1d(np.asarray(signs, dtype=float))
     if mean.ndim != 1 or mean.shape != signs.shape:
         raise DomainError("mean and signs must be vectors of equal length")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     inv_chol = linalg.solve_triangular(cholesky_pd(corr_matrix), np.eye(mean.size), lower=True)
     precision = inv_chol.T @ inv_chol
     cond_sd = 1.0 / np.sqrt(np.diag(precision))

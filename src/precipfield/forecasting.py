@@ -43,25 +43,23 @@ def two_stage_params(model, fcst_accum):
     probability of precipitation.
 
     Sites whose implied mean is nonpositive get the smallest valid mean
-    seen in training (forecasts must still be emitted); they are flagged in
-    the returned boolean array.
+    seen in training, the model's ``diag.min_training_mean`` (forecasts
+    must still be emitted); they are flagged in the returned boolean array.
+    A model without that key raises :class:`NonpositiveMean` instead.
     """
     fcst_cr = tr.cube_root(fcst_accum)
     zero_flag = fcst_accum == 0.0
     mu = tr.occurrence_trend(model.occurrence, fcst_cr, zero_flag)
-    alpha, beta, fell_back = _gamma_params(model, fcst_cr, zero_flag)
+    alpha, beta, fell_back = tr.gamma_marginals(model.amount, fcst_cr, zero_flag,
+                                                model.diagnostics.get("min_training_mean"))
     return mu, alpha, beta, fell_back
-
-
-def _gamma_params(model, fcst_cr, zero_flag):
-    fallback_mean = model.diagnostics.get("min_training_mean", 0.1)
-    return tr.gamma_marginals(model.amount, fcst_cr, zero_flag, fallback_mean)
 
 
 def _site_marginals(model, fcst_cr, zero_flag):
     """Per-site Gamma marginals with the nonpositive-mean fallback, as a
     list, plus the indices of the sites that fell back."""
-    alpha, beta, fell_back = _gamma_params(model, fcst_cr, zero_flag)
+    alpha, beta, fell_back = tr.gamma_marginals(model.amount, fcst_cr, zero_flag,
+                                                model.diagnostics.get("min_training_mean"))
     marginals = [tr.GammaMarginal(float(a), float(b)) for a, b in zip(alpha, beta)]
     return marginals, np.flatnonzero(fell_back).tolist()
 

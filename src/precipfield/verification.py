@@ -3,9 +3,11 @@
 CRPS (ensemble and numeric forms), MAE of the predictive median, Brier
 score, energy score, verification-rank / PIT / minimum-spanning-tree rank
 histograms with point-mass randomization, and reliability tables;
-:func:`run_verification` refits, forecasts and scores each valid date, and
-:func:`window_sweep` scores each window length, both through the per-date
-refit :func:`date_step`.
+:func:`verify_date` refits, forecasts and scores one date into a record,
+:func:`run_verification` maps it over the valid dates into a report whose
+tables are reductions of the records, and :func:`window_sweep` maps
+:func:`_sweep_cell` over (window length, date) cells, all through the
+per-date refit :func:`date_step`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import forecasting as fc
 from . import transforms as tr
 from .errors import DomainError, NumericalError, PrecipError
 
-METHODS = ("climatology", "nwp", "independence", "spatial")
 SCORE_KEYS = ("mae", "crps", "bs")
 
 log = logging.getLogger("precipfield")
@@ -298,45 +299,47 @@ def _mean(values):
 
 
 class VerificationReport:
-    """One record per verified date and the calibration tables; writes the
-    report CSV set.
+    """The records of the verified dates (see :func:`verify_date`), in date
+    order, and the two ensemble sizes that bin their ranks. Every table of
+    the report is a reduction of the records; :meth:`write` writes them."""
 
-    ``days`` holds one ``(date, site_ids, scores)`` entry per verified
-    date, where ``scores`` maps each method, in the same order on every
-    date, to its ``mae``, ``crps`` and ``bs`` arrays over ``site_ids``.
-    """
+    def __init__(self, days, members, mst_members):
+        self.days = days
+        self.members = members
+        self.mst_members = mst_members
 
-    def __init__(self):
-        self.days = []
-        self.rank_hists = {}  # method -> counts
-        self.pit_hists = {}
-        self.mst_hists = {}
-        self.reliability = {}  # method -> rows
-        self.energy = {}  # method -> list of ES values
+    def _pooled(self, key):
+        """Each method's ``key`` values over every date, in date order."""
+        values = {}
+        for record in self.days:
+            for method, entry in record["methods"].items():
+                if key in entry:
+                    values.setdefault(method, []).append(entry[key])
+        return {method: np.hstack(v) for method, v in values.items()}
 
     def summary(self):
         """One row per scored method: its number of cases and its mean
         scores, and its mean energy score (nan when it has none)."""
-        methods = self.days[0][2] if self.days else ()
-        columns = {m: [np.concatenate(c) for c in zip(*(scores[m] for _, _, scores in self.days))]
-                   for m in methods}  # method -> its mae, crps and bs over every date
-        return [{"method": method, "n_cases": len(values[0]),
-                 **{key: _mean(c) for key, c in zip(SCORE_KEYS, values)},
-                 "es": _mean(self.energy.get(method, ()))}
-                for method, values in sorted(columns.items())]
+        energy = self._pooled("energy")
+        return [{"method": method, "n_cases": scores.shape[1],
+                 **{key: _mean(row) for key, row in zip(SCORE_KEYS, scores)},
+                 "es": _mean(energy.get(method, ()))}
+                for method, scores in sorted(self._pooled("scores").items())]
 
     def write(self, outdir):
         """Write scores.csv a date at a time, one row per case and method,
-        site by site with the methods in their order in ``days``;
-        summary.csv; the rank, PIT and MST histograms; and reliability.csv.
-        Site ids are quoted as in a dataset CSV."""
+        site by site with the methods in their record order; summary.csv;
+        reliability.csv; and the rank, PIT and MST histograms. Site ids are
+        quoted as in a dataset CSV."""
         os.makedirs(outdir, exist_ok=True)
         path = functools.partial(os.path.join, outdir)
 
         def scores_blocks():
-            for date, site_ids, scores in self.days:
-                template = "".join([f"{method},{date},{site_id},%r,%r,%r\n"
-                                    for site_id in map(dm.template_field, site_ids)
+            for record in self.days:
+                scores = {method: entry["scores"] for method, entry in record["methods"].items()
+                          if "scores" in entry}
+                template = "".join([f"{method},{record['date']},{site_id},%r,%r,%r\n"
+                                    for site_id in map(dm.template_field, record["site_ids"])
                                     for method in scores])
                 values = np.array(list(scores.values()), dtype=float)  # (methods, keys, sites)
                 yield template % tuple(values.transpose(2, 0, 1).ravel().tolist())
@@ -345,15 +348,21 @@ class VerificationReport:
                      scores_blocks())
         dm.write_table(path("summary.csv"), ["method", "n_cases", *SCORE_KEYS, "es"],
                        self.summary())
+        # The leading [] lets a report without dates write its empty tables.
+        occurred = np.hstack([[], *(record["occurred"] for record in self.days)])
         dm.write_table(path("reliability.csv"), ["method", "bin_center", "mean_forecast_prob",
                                                  "observed_frequency", "count"],
-                       [{"method": method, **entry} for method in sorted(self.reliability)
-                        for entry in self.reliability[method]])
-        for name, hists in (("rank_hist.csv", self.rank_hists), ("pit_hist.csv", self.pit_hists),
-                            ("mst_hist.csv", self.mst_hists)):
+                       [{"method": method, **row}
+                        for method, probs in sorted(self._pooled("prob").items())
+                        for row in reliability_table(probs, occurred)])
+        for name, key, histogram in (
+                ("rank_hist.csv", "ranks", lambda v: rank_histogram(v, self.members + 1)),
+                ("pit_hist.csv", "pit", pit_histogram),
+                ("mst_hist.csv", "mst", lambda v: rank_histogram(v, self.mst_members + 1))):
             dm.write_table(path(name), ["method", "bin", "count"], [
                 {"method": method, "bin": b, "count": int(count)}
-                for method in sorted(hists) for b, count in enumerate(hists[method], start=1)])
+                for method, values in sorted(self._pooled(key).items())
+                for b, count in enumerate(histogram(values), start=1)])
 
 
 def warn_fit_diagnostics(model, valid_date, M):
@@ -402,101 +411,106 @@ def date_step(dataset, valid_date, M, forecast):
         return None
 
 
-def _scoring_forecasts(model, sites, fcst, members, mst_members, seeds):
-    """The ensembles :func:`run_verification` scores on one date: the
-    spatial and independence ensembles of ``members`` and of ``mst_members``
-    members."""
-    return (fc.generate_site_ensemble(model, sites, fcst, members, seeds[0]),
-            fc.independence_baseline_ensemble(model, sites, fcst, members, seeds[1]),
-            fc.generate_site_ensemble(model, sites, fcst, mst_members, seeds[2]),
-            fc.independence_baseline_ensemble(model, sites, fcst, mst_members, seeds[3]))
+def verify_date(ds, di, valid_date, window_days, members, mst_members, seed):
+    """Refit, forecast (by :func:`date_step`) and score the ``di``-th date of
+    a run for empirical climatology, the raw NWP point forecast, the
+    no-spatial-correlation baseline and the two-stage spatial model; its
+    draws are seeded by ``seed`` and ``di`` alone. Returns None for a skipped
+    date, else its record: the ``date``, ``site_ids``, each site's
+    ``occurred`` flag and, under ``methods``, each method's ``scores`` (a
+    (3, sites) array of ``SCORE_KEYS``), ``prob``, ``ranks``, ``pit``,
+    ``mst`` and ``energy``, where it has them; the climatology PIT from its
+    ranks is the method ``climatology_rank``."""
+    seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(di, k)) for k in range(4)]
+
+    def draw(model, sites, fcst):
+        # The spatial and independence ensembles of members and of mst_members.
+        return (fc.generate_site_ensemble(model, sites, fcst, members, seeds[0]),
+                fc.independence_baseline_ensemble(model, sites, fcst, members, seeds[1]),
+                fc.generate_site_ensemble(model, sites, fcst, mst_members, seeds[2]),
+                fc.independence_baseline_ensemble(model, sites, fcst, mst_members, seeds[3]))
+
+    step = date_step(ds, valid_date, window_days, draw)
+    if step is None:
+        return None
+    model, sites, fcst, obs, (ens_sp, ens_in, sp19, in19) = step
+    # The forecast stage computed these too, so they raise nothing here.
+    mu, alpha, beta, _ = fc.two_stage_params(model, fcst)
+    p_wet = ndtr(mu)
+
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(1000 + di,)))
+    clim = dm.split_by_date(ds, valid_date)[0].obs
+    clim_p0 = float((clim == 0).mean())
+    clim_cdf = empirical_cdf(clim)
+
+    # Every site's scores at once. The history is one ensemble shared by
+    # all sites: its spread term is taken once, and its absolute errors
+    # one site at a time, so that memory stays O(history). The raw NWP
+    # point forecast's CRPS reduces to its absolute error.
+    occurred = obs > 0
+    clim_crps = (np.array([np.abs(clim - o).mean() for o in obs.tolist()])
+                 - _half_spread(_ensembles(clim)))
+    nwp_error = np.abs(fcst - obs)
+    columns = {  # method -> its probabilities of precipitation, MAEs and CRPSs
+        "climatology": (np.full(len(obs), 1.0 - clim_p0), mae_of_median(clim, obs), clim_crps),
+        "nwp": ((fcst > 0).astype(float), nwp_error, nwp_error)}
+    for name, ens in (("independence", ens_in.members.T), ("spatial", ens_sp.members.T)):
+        columns[name] = (p_wet, mae_of_median(ens, obs), crps_ensemble(ens, obs))
+    methods = {m: {"prob": prob, "scores": np.array([mae, crps, brier_score(prob, occurred)])}
+               for m, (prob, mae, crps) in columns.items()}
+    methods["nwp"]["energy"] = float(np.linalg.norm(fcst - obs))
+
+    # The random draws, one site at a time in a fixed order, so that the
+    # random stream stays the same.
+    ranks = {"independence": [], "spatial": []}
+    pit = {"climatology": [], "climatology_rank": [], "spatial": []}
+    for j, o in enumerate(obs.tolist()):
+        pit["climatology"].append(rng.uniform(0.0, clim_p0) if o == 0.0 else clim_cdf(o))
+        for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
+            ranks[name].append(verification_rank(ens.members[:, j], o, rng))
+        # Climatology ranks scale to [0, 1] (the history is large).
+        pit["climatology_rank"].append((verification_rank(clim, o, rng) - 0.5) / (clim.size + 1))
+        marginal = tr.GammaMarginal(float(alpha[j]), float(beta[j]))
+        pit["spatial"].append(pit_value(1.0 - float(p_wet[j]), marginal, o, rng))
+    for key, draws in (("pit", pit), ("ranks", ranks)):
+        for name, values in draws.items():
+            methods.setdefault(name, {})[key] = np.array(values)
+
+    # Multivariate scores over the day's sites.
+    for name, ens in (("independence", in19), ("spatial", sp19)):
+        methods[name]["energy"] = energy_score(ens.members, obs)
+        methods[name]["mst"] = mst_rank(ens.members, obs, rng)
+    return {"date": valid_date, "site_ids": [s.id for s in sites], "occurred": occurred,
+            "methods": methods}
 
 
 def run_verification(ds, valid_dates, window_days, members, mst_members, seed):
-    """Rolling verification over ``valid_dates``: each date is refitted and
-    forecast by :func:`date_step`, which may skip it, then scored
-    for empirical climatology, the raw NWP point forecast, the
-    no-spatial-correlation baseline and the two-stage spatial model.
-    Returns the report and the number of dates skipped."""
-    report = VerificationReport()
-    ranks = {"independence": [], "spatial": []}
-    pit_vals = {"climatology": [], "climatology_rank": [], "spatial": []}
-    mst_ranks = {"independence": [], "spatial": []}
-    rel = {m: [] for m in METHODS}  # forecast probabilities, one array per date
-    outcomes = []
-    n_skipped = 0
-
-    for di, valid_date in enumerate(valid_dates):
-        seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(di, k)) for k in range(4)]
-        step = date_step(ds, valid_date, window_days, functools.partial(
-            _scoring_forecasts, members=members, mst_members=mst_members, seeds=seeds))
-        if step is None:
-            n_skipped += 1
-            continue
-        model, sites, fcst, obs, (ens_sp, ens_in, sp19, in19) = step
-        # The forecast stage computed these too, so they raise nothing here.
-        mu, alpha, beta, _ = fc.two_stage_params(model, fcst)
-        p_wet = ndtr(mu)
-
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=(1000 + di,)))
-        clim = dm.split_by_date(ds, valid_date)[0].obs
-        clim_p0 = float((clim == 0).mean())
-        clim_cdf = empirical_cdf(clim)
-
-        # Every site's scores at once. The history is one ensemble shared by
-        # all sites: its spread term is taken once, and its absolute errors
-        # one site at a time, so that memory stays O(history). The raw NWP
-        # point forecast's CRPS reduces to its absolute error.
-        occurred = obs > 0
-        prob = {"climatology": np.full(len(obs), 1.0 - clim_p0),
-                "nwp": (fcst > 0).astype(float), "independence": p_wet, "spatial": p_wet}
-        clim_crps = (np.array([np.abs(clim - o).mean() for o in obs.tolist()])
-                     - _half_spread(_ensembles(clim)))
-        nwp_error = np.abs(fcst - obs)
-        scores = {"climatology": (mae_of_median(clim, obs), clim_crps),
-                  "nwp": (nwp_error, nwp_error)}
-        for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
-            scores[name] = (mae_of_median(ens.members.T, obs), crps_ensemble(ens.members.T, obs))
-        report.days.append((valid_date, [s.id for s in sites], {
-            m: (*scores[m], brier_score(prob[m], occurred)) for m in METHODS}))
-        for m in METHODS:
-            rel[m].append(prob[m])
-        outcomes.append(occurred)
-
-        # The random draws, one site at a time in a fixed order, so that the
-        # random stream stays the same.
-        for j, o in enumerate(obs.tolist()):
-            pit_vals["climatology"].append(rng.uniform(0.0, clim_p0) if o == 0.0 else clim_cdf(o))
-            for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
-                ranks[name].append(verification_rank(ens.members[:, j], o, rng))
-            # Climatology ranks scale to [0, 1] (the history is large).
-            pit_vals["climatology_rank"].append(
-                (verification_rank(clim, o, rng) - 0.5) / (clim.size + 1))
-            marginal = tr.GammaMarginal(float(alpha[j]), float(beta[j]))
-            pit_vals["spatial"].append(pit_value(1.0 - float(p_wet[j]), marginal, o, rng))
-
-        # Multivariate scores over the day's sites.
-        for name, ens in (("independence", in19), ("spatial", sp19)):
-            report.energy.setdefault(name, []).append(energy_score(ens.members, obs))
-            mst_ranks[name].append(mst_rank(ens.members, obs, rng))
-        report.energy.setdefault("nwp", []).append(float(np.linalg.norm(fcst - obs)))
-
-    if not outcomes:  # every date was skipped
-        return report, n_skipped
-    for name, vals in ranks.items():
-        report.rank_hists[name] = rank_histogram(vals, members + 1)
-    for name, vals in pit_vals.items():
-        report.pit_hists[name] = pit_histogram(vals)
-    for name, vals in mst_ranks.items():
-        report.mst_hists[name] = rank_histogram(vals, mst_members + 1)
-    occurred = np.concatenate(outcomes).astype(float)
-    for name, probs in rel.items():
-        report.reliability[name] = reliability_table(np.concatenate(probs), occurred)
-    return report, n_skipped
+    """Rolling verification over ``valid_dates``: :func:`verify_date` on
+    each date, in order. Returns the report of the verified dates and the
+    number of dates skipped."""
+    records = [verify_date(ds, di, valid_date, window_days, members, mst_members, seed)
+               for di, valid_date in enumerate(valid_dates)]
+    days = [record for record in records if record is not None]
+    return VerificationReport(days, members, mst_members), len(records) - len(days)
 
 
 SWEEP_HEADER = ("M", "mean_crps", "se_crps", "n_cases", "n_skipped")
+
+
+def _sweep_cell(dataset, di, valid_date, M, n_members, seed):
+    """The site CRPS of the spatial ensemble of ``n_members`` for the
+    ``di``-th date and window length ``M``, or None when :func:`date_step`
+    skips the cell; its members are seeded by ``seed``, ``M`` and ``di``."""
+    def draw(model, sites, fcst):
+        member_seed = np.random.SeedSequence(entropy=seed, spawn_key=(M, di))
+        return fc.generate_site_ensemble(model, sites, fcst, n_members, member_seed)
+
+    step = date_step(dataset, valid_date, M, draw)
+    if step is None:
+        return None
+    _, _, _, obs, ens = step
+    return crps_ensemble(ens.members.T, obs)
 
 
 def window_sweep(dataset, valid_dates, Ms, n_members, seed):
@@ -509,20 +523,10 @@ def window_sweep(dataset, valid_dates, Ms, n_members, seed):
         return []
     rows = []
     for M in Ms:
-        scores = []
-        n_skipped = 0
-        for di, valid_date in enumerate(valid_dates):
-            def draw(model, sites, fcst):
-                member_seed = np.random.SeedSequence(entropy=seed, spawn_key=(M, di))
-                return fc.generate_site_ensemble(model, sites, fcst, n_members, member_seed)
-
-            step = date_step(dataset, valid_date, M, draw)
-            if step is None:
-                n_skipped += 1
-                continue
-            _, _, _, obs, ens = step
-            scores.extend(crps_ensemble(ens.members.T, obs))
+        cells = [_sweep_cell(dataset, di, valid_date, M, n_members, seed)
+                 for di, valid_date in enumerate(valid_dates)]
+        scores = [s for cell in cells if cell is not None for s in cell]
         se = np.std(scores, ddof=1) / np.sqrt(len(scores)) if len(scores) > 1 else np.nan
         rows.append({"M": M, "mean_crps": _mean(scores), "se_crps": float(se),
-                     "n_cases": len(scores), "n_skipped": n_skipped})
+                     "n_cases": len(scores), "n_skipped": sum(cell is None for cell in cells)})
     return rows

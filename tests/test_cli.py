@@ -617,6 +617,25 @@ class TestForecast:
         assert warnings == [f"implied Gamma mean not positive at {where}; forecast with the "
                             "fallback mean diag.min_training_mean"]
 
+    def test_model_without_fallback_mean_exits_2(self, synth_dir, tmp_path, runner, caplog):
+        # truth.txt has no diag.min_training_mean. At eta0 = -1 it used to
+        # forecast with a hidden fallback mean of 0.1 and exit 0, warning
+        # about a key the file does not have.
+        model_path = tmp_path / "truth.txt"
+        model_path.write_text((synth_dir / "truth.txt").read_text()
+                              .replace("eta0 = 1.5", "eta0 = -1"))
+        ds = dm.load_dataset(synth_dir / "dataset.csv")
+        out = tmp_path / "ens.csv"
+        with caplog.at_level("INFO", logger="precipfield"):
+            res = run(runner, ["forecast", "--model", str(model_path),
+                               "--dataset", str(synth_dir / "dataset.csv"),
+                               "--date", ds.dates[-1].isoformat(), "--members", "3",
+                               "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert caplog.records[0].getMessage().startswith("implied mean ")
+
     @pytest.mark.parametrize("cell_km", ["1e200", "1e308"])
     def test_huge_grid_cell_keeps_stderr_to_cli_lines(self, tmp_path, cell_km):
         # Lags this long overflow to infinity, whose correlation is exactly

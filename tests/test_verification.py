@@ -514,34 +514,37 @@ class TestHistograms:
 
 
 def _scores(*columns):
-    return tuple(np.array(column, dtype=float) for column in columns)
+    """A record's (3, sites) scores from its mae, crps and bs columns."""
+    return np.array(columns, dtype=float)
+
+
+def _record(date, site_ids, methods, occurred=()):
+    """A verified date's record, in the shape :func:`vf.verify_date` returns."""
+    return {"date": date, "site_ids": site_ids, "occurred": np.array(occurred, dtype=bool),
+            "methods": methods}
 
 
 class TestVerificationReport:
     def test_summary_means(self):
-        rep = vf.VerificationReport()
-        rep.days.append(("2004-01-01", ["s0", "s1"],
-                         {"a": _scores([1.0, 3.0], [2.0, 4.0], [0.0, 1.0]),
-                          "b": _scores([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])}))
-        rep.days.append(("2004-01-02", ["s0"], {"a": _scores([5.0], [6.0], [0.5]),
-                                                "b": _scores([4.0], [4.0], [0.0])}))
-        rep.energy["a"] = [1.0, 3.0]
+        rep = vf.VerificationReport([
+            _record("2004-01-01", ["s0", "s1"],
+                    {"a": {"scores": _scores([1.0, 3.0], [2.0, 4.0], [0.0, 1.0]), "energy": 1.0},
+                     "b": {"scores": _scores([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])}}),
+            _record("2004-01-02", ["s0"],
+                    {"a": {"scores": _scores([5.0], [6.0], [0.5]), "energy": 3.0},
+                     "b": {"scores": _scores([4.0], [4.0], [0.0])}}),
+        ], members=1, mst_members=1)
         a, b = rep.summary()
         assert a == {"method": "a", "n_cases": 3, "mae": 3.0, "crps": 4.0, "bs": 0.5, "es": 2.0}
         assert b["method"] == "b" and b["n_cases"] == 3 and b["mae"] == 2.0
         assert np.isnan(b["es"])  # no energy score
 
     def test_write_files(self, tmp_path):
-        rep = vf.VerificationReport()
-        rep.days.append(("2004-01-01", ["s,0", "s\r1"], {
-            "b": _scores([1.0, 2.0], [0.5, 0.25], [0.0, 1.0]),
-            "a": _scores([3.0, 4.0], [1.5, 0.1], [0.25, 0.75]),
-        }))
-        rep.rank_hists["a"] = np.array([3, 1])
-        rep.pit_hists["a"] = np.array([2, 2])
-        rep.mst_hists["a"] = np.array([1, 3])
-        rep.reliability["a"] = vf.reliability_table(np.array([0.5]), np.array([1.0]))
-        rep.energy["a"] = [1.0, 3.0]
+        rep = vf.VerificationReport([_record("2004-01-01", ["s,0", "s\r1"], {
+            "b": {"scores": _scores([1.0, 2.0], [0.5, 0.25], [0.0, 1.0]), "prob": [0.5, 0.0]},
+            "a": {"scores": _scores([3.0, 4.0], [1.5, 0.1], [0.25, 0.75]), "prob": [0.5, 0.5],
+                  "ranks": [1, 1], "pit": [0.12, 0.97], "mst": 2, "energy": 1.0},
+        }, occurred=[True, False])], members=1, mst_members=2)
         out = tmp_path / "report"
         rep.write(str(out))
         names = {p.name for p in out.iterdir()}
@@ -554,8 +557,8 @@ class TestVerificationReport:
             with open(out / name, newline="", encoding="utf-8") as fh:
                 return list(csv.reader(fh))
 
-        # One row per case and method, the methods in the order added; site
-        # ids that need quoting read back whole.
+        # One row per case and method, the methods in their record order;
+        # site ids that need quoting read back whole.
         assert rows("scores.csv") == [
             ["method", "date", "site_id", "mae", "crps", "bs"],
             ["b", "2004-01-01", "s,0", "1.0", "0.5", "0.0"],
@@ -565,16 +568,63 @@ class TestVerificationReport:
         ]
         assert rows("summary.csv") == [
             ["method", "n_cases", "mae", "crps", "bs", "es"],
-            ["a", "2", "3.5", "0.8", "0.5", "2.0"],
+            ["a", "2", "3.5", "0.8", "0.5", "1.0"],
             ["b", "2", "1.5", "0.375", "0.5", "nan"],
         ]
-        assert rows("rank_hist.csv") == [["method", "bin", "count"], ["a", "1", "3"], ["a", "2", "1"]]
-        assert rows("mst_hist.csv")[1:] == [["a", "1", "1"], ["a", "2", "3"]]
+        # Ranks bin into members + 1 categories, MST ranks into
+        # mst_members + 1 and PIT values into 20 bins.
+        assert rows("rank_hist.csv") == [["method", "bin", "count"],
+                                         ["a", "1", "2"], ["a", "2", "0"]]
+        assert rows("mst_hist.csv")[1:] == [["a", "1", "0"], ["a", "2", "1"], ["a", "3", "0"]]
+        pit = rows("pit_hist.csv")[1:]
+        assert len(pit) == 20
+        assert [row for row in pit if row[2] != "0"] == [["a", "3", "1"], ["a", "20", "1"]]
         reliability = rows("reliability.csv")
         assert reliability[0] == ["method", "bin_center", "mean_forecast_prob",
                                   "observed_frequency", "count"]
-        assert ["a", "0.55", "0.5", "1.0", "1"] in reliability
-        assert len(reliability) == 11
+        assert len(reliability) == 21
+        assert [row for row in reliability[1:] if row[4] != "0"] == [
+            ["a", "0.55", "0.5", "0.5", "2"],
+            ["b", "0.05", "0.0", "0.0", "1"], ["b", "0.55", "0.5", "1.0", "1"]]
+
+    def test_empty_report_writes_header_only_files(self, tmp_path):
+        # A run that skips every date has no record to reduce.
+        vf.VerificationReport([], members=50, mst_members=19).write(str(tmp_path))
+        assert {p.name: p.read_text(encoding="utf-8").count("\n") for p in tmp_path.iterdir()} == {
+            name: 1 for name in ("scores.csv", "summary.csv", "rank_hist.csv", "pit_hist.csv",
+                                 "mst_hist.csv", "reliability.csv")}
+
+
+def _skipping_world():
+    """A world whose first two eligible dates are skipped at stage fit (too
+    few wet records in a window of 10 days) and whose next two are scored."""
+    ds = dm.synth_generate(dm.SynthSpec(n_sites=12, n_days=18, seed=1))
+    return ds, ds.dates[1:5]
+
+
+class TestRecords:
+    def test_each_date_verified_alone_gives_its_record(self):
+        # The record of a date depends only on verify_date's arguments, so
+        # dates can be verified in any order, or apart.
+        ds, dates = _skipping_world()
+        rep, n_skipped = vf.run_verification(ds, dates, 10, 15, 9, seed=1)
+        alone = {di: vf.verify_date(ds, di, dates[di], 10, 15, 9, seed=1)
+                 for di in reversed(range(len(dates)))}
+        assert n_skipped == sum(record is None for record in alone.values()) == 2
+        assert [record["date"] for record in rep.days] == list(dates[2:])
+        np.testing.assert_equal(rep.days, [alone[di] for di in range(len(dates))
+                                           if alone[di] is not None])
+
+    def test_sweep_pools_its_cells_and_counts_skipped_ones(self):
+        ds, dates = _skipping_world()
+        (row,) = vf.window_sweep(ds, dates, [10], 10, seed=2)
+        cells = [vf._sweep_cell(ds, di, dates[di], 10, 10, seed=2)
+                 for di in reversed(range(len(dates)))][::-1]
+        assert [cell is None for cell in cells] == [True, True, False, False]
+        scores = np.concatenate(cells[2:])
+        assert row == {"M": 10, "mean_crps": float(np.mean(scores)),
+                       "se_crps": float(np.std(scores, ddof=1) / np.sqrt(24)),
+                       "n_cases": 24, "n_skipped": 2}
 
 
 class TestScoresCsv:
@@ -588,12 +638,12 @@ class TestScoresCsv:
         # Each date has its own site set, as in a network with gaps.
         rng = np.random.default_rng(sum(map(len, days)))
         methods = ["spatial", "nwp"]
-        rep = vf.VerificationReport()
+        rep = vf.VerificationReport([], members=1, mst_members=1)
         rows = []  # one (method, date, site id, mae, crps, bs) per case and method
         for d, ids in enumerate(days):
             date = f"2004-01-0{d + 1}"
             scores = {m: _scores(*rng.gamma(0.5, 2.0, (3, len(ids)))) for m in methods}
-            rep.days.append((date, ids, scores))
+            rep.days.append(_record(date, ids, {m: {"scores": scores[m]} for m in methods}))
             rows += [(m, date, dm.csv_field(site_id), *(repr(float(v[j])) for v in scores[m]))
                      for j, site_id in enumerate(ids) for m in methods]
         out = tmp_path_factory.mktemp("report")
@@ -606,10 +656,11 @@ class TestScoresCsv:
         # per-field strings, scores.csv peaked near 20 MB.
         rng = np.random.default_rng(5)
         ids = [f"s{i:03d}" for i in range(100)]
-        rep = vf.VerificationReport()
-        for d in range(100):
-            rep.days.append((f"2004-{1 + d // 28:02d}-{1 + d % 28:02d}", ids,
-                             {m: _scores(*rng.gamma(0.5, 2.0, (3, 100))) for m in vf.METHODS}))
+        methods = ("climatology", "nwp", "independence", "spatial")
+        rep = vf.VerificationReport([
+            _record(f"2004-{1 + d // 28:02d}-{1 + d % 28:02d}", ids,
+                    {m: {"scores": _scores(*rng.gamma(0.5, 2.0, (3, 100)))} for m in methods})
+            for d in range(100)], members=1, mst_members=1)
         tracemalloc.start()
         try:
             rep.write(str(tmp_path / "report"))
