@@ -1,7 +1,8 @@
 """Command-line surface: synth, fit, forecast, verify, sweep.
 
 Every stochastic command requires an explicit seed; identical inputs and
-seed produce byte-identical outputs for a fixed BLAS build and thread count.
+seed produce byte-identical outputs, whatever the BLAS thread count: each
+command runs numpy's bundled OpenBLAS on one thread (:func:`_one_blas_thread`).
 ``fit`` is deterministic and ignores its seed. Progress goes to stderr, data
 to files.
 Exit codes: 0 success, else the ``exit_code`` of the error class (see
@@ -11,12 +12,16 @@ input that is not UTF-8, 4 numerical failure.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import logging
 import os
 import sys
 import warnings
 
 import click
+import numpy as np
 
 from . import data as dm
 from . import estimation as est
@@ -48,6 +53,23 @@ class _Main(click.Group):
             code, message = 2, str(exc)
         log.error(message)
         sys.exit(code)
+
+
+@functools.cache
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread for the rest of the
+    process. Its blocked Cholesky rounds differently on one and on two
+    threads once a matrix has 128 or more rows, so without this a forecast
+    at 150 sites would depend on OPENBLAS_NUM_THREADS. Does nothing where
+    numpy does not bundle that library or it lacks the setter."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def read_config(path):
@@ -111,6 +133,7 @@ def main(verbose):
     )
     # A Python warning shows as one WARNING line, not with its source line.
     warnings.showwarning = lambda message, *_, **__: log.warning("%s", message)
+    _one_blas_thread()
 
 
 @main.command()

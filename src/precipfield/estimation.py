@@ -36,6 +36,7 @@ RANGE_SEARCH_KM = (1.0, 2000.0)
 # where the correlation is below 0.05 and a pair carries little information.
 PAIR_CUTOFF_KM = 100.0
 _RANGE_XTOL = 1e-3  # in log km
+_BRENT_MAX_EVALS = 500
 # Newton search for the occurrence range, in log km: start, largest step,
 # stopping step and the step count after which it reports no convergence.
 _NEWTON_START_KM = 50.0
@@ -43,6 +44,10 @@ _NEWTON_MAX_STEP = 2.0
 _NEWTON_XTOL = 1e-6
 _NEWTON_MAX_STEPS = 50
 _MIN_NU0 = 1e-6
+# Newton search for the Gamma variance (which shares the occurrence range's
+# step cap and step count): it stops when the score times the Newton step,
+# twice the gain in log likelihood the Newton model predicts, is at most this.
+_VARIANCE_GAIN_TOL = 1e-10
 _LOG2PI = math.log(2.0 * math.pi)
 
 
@@ -371,17 +376,72 @@ def _newton_range(loglik):
 
 
 def _maximize_range(objective):
-    """Bounded Brent (Brent 1973) maximum of ``objective(log range)`` over
-    RANGE_SEARCH_KM to _RANGE_XTOL: the range in km and the evaluation count
-    (about a dozen; the 500 of scipy's cap would show a search that ran out)."""
-    from scipy import optimize  # deferred: synth and forecast never fit
+    """Bounded Brent maximum of ``objective(log range)`` over RANGE_SEARCH_KM
+    to _RANGE_XTOL (:func:`_bounded_brent`): the range in km and the
+    evaluation count (about a dozen; _BRENT_MAX_EVALS shows a search that ran
+    out)."""
+    x, value, evals = _bounded_brent(lambda x: -objective(x),
+                                     *(math.log(b) for b in RANGE_SEARCH_KM))
+    if not math.isfinite(value):
+        raise NumericalError(f"range likelihood is {-value} at its optimum")
+    return math.exp(x), evals
 
-    res = optimize.minimize_scalar(lambda x: -objective(x), method="bounded",
-                                   bounds=[math.log(b) for b in RANGE_SEARCH_KM],
-                                   options={"xatol": _RANGE_XTOL})
-    if not math.isfinite(res.fun):
-        raise NumericalError(f"range likelihood is {-res.fun} at its optimum")
-    return math.exp(res.x), int(res.nfev)
+
+def _bounded_brent(func, a, b):
+    """Minimum of ``func`` on [a, b] to the absolute tolerance _RANGE_XTOL in
+    x, by Brent's (1973, *Algorithms for Minimization without Derivatives*,
+    ch. 5) golden-section search with parabolic interpolation; at most
+    _BRENT_MAX_EVALS evaluations. Returns (x, func(x), evaluations).
+
+    A port of SciPy's ``_minimize_scalar_bounded`` (BSD 3-clause, Copyright
+    the SciPy Developers) with the same steps, so that for the same function
+    it returns the same three values, bit for bit, as
+    ``minimize_scalar(func, bounds=(a, b), method="bounded",
+    options={"xatol": _RANGE_XTOL})``."""
+    sqrt_eps, golden = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    xf = nfc = fulc = a + golden * (b - a)
+    fx = fnfc = ffulc = func(xf)
+    evals, rat, e = 1, 0.0, 0.0
+    tol1 = sqrt_eps * abs(xf) + _RANGE_XTOL / 3.0
+    while abs(xf - 0.5 * (a + b)) > 2.0 * tol1 - 0.5 * (b - a) and evals < _BRENT_MAX_EVALS:
+        xm, parabolic = 0.5 * (a + b), False
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                parabolic, rat = True, p / q
+                x = xf + rat
+                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:
+            e = (a if xf >= xm else b) - xf
+            rat = golden * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        tol1 = sqrt_eps * abs(xf) + _RANGE_XTOL / 3.0
+    return xf, fx, evals
 
 
 def _at_bound(range_km):
@@ -413,9 +473,11 @@ def fit_gamma_mean(window):
 
 def _gamma_loglik(nu0, nu1, y, means, fcst_acc):
     """Independence log likelihood of wet cube-root amounts under the
-    moment-parameterized Gamma, and its gradient in (nu0, nu1). With variance
-    v = nu0 + nu1 * fcst, shape a = m^2 / v and scale b = v / m, each record
-    adds dl/dv = (a / v)(digamma(a) + log b - log y - 1) + y m / v^2."""
+    moment-parameterized Gamma, its gradient in (nu0, nu1), and a function of
+    no arguments that returns its 2 x 2 Hessian there. With variance v = nu0
+    + nu1 * fcst, shape a = m^2 / v and scale b = v / m, each record adds
+    dl/dv = (a / v)(digamma(a) + log b - log y - 1) + y m / v^2 and d2l/dv2 =
+    (a (1 - a trigamma(a)) - 2 v dl/dv) / v^2."""
     var = nu0 + nu1 * fcst_acc
     alpha = means ** 2 / var
     log_beta = np.log(var / means)
@@ -423,22 +485,29 @@ def _gamma_loglik(nu0, nu1, y, means, fcst_acc):
     loglik = np.sum(-special.gammaln(alpha) - alpha * log_beta
                     + (alpha - 1.0) * log_y - y * means / var)
     dvar = alpha / var * (special.digamma(alpha) + log_beta - log_y - 1.0) + y * means / var ** 2
-    return float(loglik), np.array([dvar.sum(), dvar @ fcst_acc])
+
+    def hessian():
+        d2var = (alpha * (1.0 - alpha * special.zeta(2.0, alpha)) - 2.0 * var * dvar) / var ** 2
+        cross = float(d2var @ fcst_acc)
+        return np.array([[d2var.sum(), cross], [cross, d2var @ fcst_acc ** 2]])
+
+    return float(loglik), np.array([dvar.sum(), dvar @ fcst_acc]), hessian
 
 
 def fit_gamma_variance(window, eta):
     """Constrained ML for the Gamma variance coefficients.
 
     Maximizes the wet-record independence likelihood over nu0 >= _MIN_NU0,
-    nu1 >= 0 by one L-BFGS-B search (Byrd et al. 1995) over (log nu0, nu1)
-    from (residual variance, 0); nu1 = 0 exactly on that bound. Wet records
-    with nonpositive implied mean are excluded. Returns (nu0, nu1) and the
-    diagnostics variance_records_dropped, variance_evals, variance_converged,
+    nu1 >= 0 by a safeguarded projected Newton search over (log nu0, nu1)
+    (:func:`_newton_variance`) from the moment estimate, the least-squares
+    line of the squared residuals on the forecast (or from the residual
+    variance and nu1 = 0 where that line puts nu0 below 10 _MIN_NU0); nu1 =
+    0 exactly on its bound. Wet records with nonpositive implied mean are
+    excluded. Returns (nu0, nu1) and the diagnostics
+    variance_records_dropped, variance_evals, variance_converged,
     n_wet_records and min_training_mean, the smallest positive implied mean:
     the forecast-time fallback where a site's implied mean is nonpositive.
     """
-    from scipy import optimize  # deferred: synth and forecast never fit
-
     wet = window.obs > 0
     if wet.sum() < 10:
         raise InsufficientData(f"only {int(wet.sum())} wet records")
@@ -450,21 +519,71 @@ def fit_gamma_variance(window, eta):
     n_dropped = int((~usable).sum())
     y, means, fcst_acc = y[usable], means[usable], window.fcst[wet][usable]
 
-    resid_var = max(float(np.var(y - means)), _MIN_NU0 * 10)
-
-    def neg(params):
-        nu0 = math.exp(params[0])
-        loglik, grad = _gamma_loglik(nu0, params[1], y, means, fcst_acc)
-        return -loglik, -grad * (nu0, 1.0)
-
-    res = optimize.minimize(neg, (math.log(resid_var), 0.0), jac=True, method="L-BFGS-B",
-                            bounds=[(math.log(_MIN_NU0), None), (0.0, None)])
-    if not (np.isfinite(res.fun) and np.all(np.isfinite(res.x))):
-        raise NumericalError(f"variance likelihood is {-res.fun} at {res.x}")
-    nu = (max(math.exp(res.x[0]), _MIN_NU0), float(res.x[1]))
-    return nu, {"variance_records_dropped": n_dropped, "variance_evals": int(res.nfev),
-                "variance_converged": bool(res.success), "n_wet_records": int(wet.sum()),
+    # Start from the moment estimate: squared residuals regressed on the forecast.
+    resid_sq, fcst_dev = (y - means) ** 2, fcst_acc - fcst_acc.mean()
+    fcst_ss = float(fcst_dev @ fcst_dev)
+    nu1 = max(float(fcst_dev @ resid_sq) / fcst_ss, 0.0) if fcst_ss > 0.0 else 0.0
+    nu0 = float(resid_sq.mean()) - nu1 * float(fcst_acc.mean())
+    if nu0 < 10 * _MIN_NU0:
+        nu0, nu1 = max(float(np.var(y - means)), 10 * _MIN_NU0), 0.0
+    nu, evals, converged = _newton_variance(
+        lambda nu0, nu1: _gamma_loglik(nu0, nu1, y, means, fcst_acc), nu0, nu1)
+    return nu, {"variance_records_dropped": n_dropped, "variance_evals": evals,
+                "variance_converged": converged, "n_wet_records": int(wet.sum()),
                 "min_training_mean": float(means.min())}
+
+
+def _newton_variance(loglik, nu0, nu1):
+    """Safeguarded projected Newton maximum of ``loglik`` ((nu0, nu1) ->
+    value, gradient, Hessian function) over x = (log nu0, nu1) with nu0 >=
+    _MIN_NU0 and nu1 >= 0, from (nu0, nu1).
+
+    A coordinate on its bound is held there while its score points past it.
+    The step of the free coordinates solves the 2 x 2 Newton system in closed
+    form where the curvature (minus the Hessian, computed only at accepted
+    points) is positive definite; elsewhere each coordinate steps by its
+    score over its own curvature, or by one unit along its score where that
+    curvature is not positive. The step is capped at _NEWTON_MAX_STEP in each
+    coordinate, projected on the bounds and halved while it loses or gives a
+    likelihood that is not finite. Stops when the score times the step (twice
+    the gain the Newton model predicts) is at most _VARIANCE_GAIN_TOL, or
+    halving has brought it there. Returns (nu0, nu1), the evaluation count
+    and whether it stopped before _NEWTON_MAX_STEPS steps."""
+    lo = math.log(_MIN_NU0)
+    x = (math.log(nu0), nu1)
+    value, grad, hessian = loglik(math.exp(x[0]), x[1])
+    evals = 1
+    for _ in range(_NEWTON_MAX_STEPS):
+        nu0 = math.exp(x[0])
+        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+            raise NumericalError(f"variance likelihood {value} and gradient {grad.tolist()} "
+                                 f"at nu = ({nu0!r}, {x[1]!r})")
+        (d0, d1), ((h00, h01), (_, h11)) = grad.tolist(), hessian().tolist()
+        g0, g1 = nu0 * d0, d1  # the score in (log nu0, nu1), and the curvature:
+        c00, c01, c11 = -nu0 * (nu0 * h00 + d0), -nu0 * h01, -h11
+        if x[0] <= lo and g0 <= 0.0:
+            g0, c00, c01 = 0.0, 1.0, 0.0
+        if x[1] <= 0.0 and g1 <= 0.0:
+            g1, c11, c01 = 0.0, 1.0, 0.0
+        det = c00 * c11 - c01 * c01
+        if c00 > 0.0 and det > 0.0:
+            s0, s1 = (c11 * g0 - c01 * g1) / det, (c00 * g1 - c01 * g0) / det
+        else:
+            s0, s1 = (g / c if c > 0.0 else math.copysign(1.0, g)
+                      for g, c in ((g0, c00), (g1, c11)))
+        gain = g0 * s0 + g1 * s1
+        t = _NEWTON_MAX_STEP / max(abs(s0), abs(s1), _NEWTON_MAX_STEP)
+        while t * gain > _VARIANCE_GAIN_TOL:
+            x_new = (max(x[0] + t * s0, lo), max(x[1] + t * s1, 0.0))
+            trial = loglik(math.exp(x_new[0]), x_new[1])
+            evals += 1
+            if math.isfinite(trial[0]) and trial[0] >= value:
+                break
+            t *= 0.5
+        else:
+            return (max(nu0, _MIN_NU0), x[1]), evals, True
+        x, (value, grad, hessian) = x_new, trial
+    return (max(math.exp(x[0]), _MIN_NU0), x[1]), evals, False
 
 
 def fit_amount_range(window, eta, nu):

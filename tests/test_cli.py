@@ -1015,23 +1015,21 @@ def test_config_file_matches_flags(fitted, tmp_path, runner, case):
     assert outputs[0] == outputs[1]
 
 
-# Runs commands in-process in a fresh interpreter (the test process has long
-# since imported all of SciPy) and prints which of the SciPy submodules that
-# the package imports only where it calls them are loaded at each checkpoint.
+# Runs every command in-process in a fresh interpreter (the test process has
+# long since imported all of SciPy) and prints which of the SciPy submodules
+# that the package never imports on a command's path are loaded after each.
 STARTUP_PROBE = """
 import sys
 from precipfield import cli
 
-def checkpoint(name):
-    loaded = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.integrate")
-              if m in sys.modules]
-    print(name, *loaded)
-
 def run(*args):
     assert cli.main.main(args=list(args), standalone_mode=False) in (None, 0), args
+    loaded = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.integrate")
+              if m in sys.modules]
+    print(args[0], *loaded)
 
 out, model, grid = sys.argv[1:]
-checkpoint("import")
+print("import")
 run("synth", "--seed", "3", "--out", out, "--sites", "12", "--days", "16")
 dataset = out + "/dataset.csv"
 common = ["--model", model, "--seed", "0", "--members", "3"]
@@ -1041,16 +1039,18 @@ run("forecast", *common, "--dataset", dataset, "--date", "2004-01-16", "--mode",
     "--site-ids", "s000,s001", "--out", out + "/areal.csv")
 run("forecast", *common, "--mode", "grid", "--grid-forecast", grid, "--grid-cell-km", "10",
     "--grid-nx", "3", "--grid-ny", "3", "--out", out + "/grid")
-checkpoint("forecast")
 run("fit", "--dataset", dataset, "--date", "2004-01-16", "-M", "15",
     "--out", out + "/model.txt")
-checkpoint("fit")
+run("verify", "--dataset", dataset, "-M", "10", "--members", "5", "--mst-members", "3",
+    "--dates", "2", "--seed", "0", "--out", out + "/report")
+run("sweep", "--dataset", dataset, "--window-days-list", "6,10", "--dates", "2",
+    "--members", "5", "--seed", "0", "--out", out + "/sweep.csv")
 """
 
 
-def test_scipy_optimize_loads_at_first_fit(tmp_path):
-    # Every command used to import scipy.optimize, scipy.linalg and
-    # scipy.integrate at start-up, about 0.3 s of each process.
+def test_no_command_loads_scipy_optimize(tmp_path):
+    # Loading scipy.optimize alone costs a process about 0.27 s and 22 MB of
+    # RSS, and no command needs it or the other two.
     model_path = tmp_path / "model.txt"
     model_path.write_text(toy_model_text())
     grid_csv = write_grid_csv(tmp_path / "g.csv", full_grid_rows(3, 3, 8.0))
@@ -1060,6 +1060,35 @@ def test_scipy_optimize_loads_at_first_fit(tmp_path):
                           str(grid_csv)], capture_output=True, text=True,
                          env=fresh_interpreter_env())
     assert res.returncode == 0, res.stderr
-    loaded = {name: rest for name, *rest in map(str.split, res.stdout.splitlines())}
-    assert loaded["import"] == loaded["forecast"] == []
-    assert "scipy.optimize" in loaded["fit"]  # which itself imports scipy.linalg
+    lines = [line.split() for line in res.stdout.splitlines()]
+    assert [name for name, *_ in lines] == ["import", "synth", *["forecast"] * 3,
+                                            "fit", "verify", "sweep"]
+    assert all(loaded == [] for _, *loaded in lines), lines
+    imports_optimize = re.compile(r"scipy\.optimize|from scipy import [^\n]*\boptimize\b")
+    assert not [path.name for path in Path(cli.__file__).parent.glob("*.py")
+                if imports_optimize.search(path.read_text(encoding="utf-8"))]
+
+
+def test_forecast_bytes_do_not_depend_on_blas_threads(tmp_path, runner):
+    # At 150 sites OpenBLAS's blocked Cholesky rounds differently on one and
+    # on two threads: without the CLI's one-thread pin, 4,347 of these 45,000
+    # rows differ.
+    world = tmp_path / "world"
+    world.mkdir()
+    assert run(runner, ["synth", "--seed", "5", "--sites", "150", "--days", "60",
+                        "--out", str(world)]).exit_code == 0
+    dataset, model = world / "dataset.csv", world / "model.txt"
+    assert run(runner, ["fit", "--dataset", str(dataset), "--date", "2004-02-29",
+                        "-M", "30", "--out", str(model)]).exit_code == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        res = subprocess.run(
+            [sys.executable, "-m", "precipfield.cli", "forecast", "--model", str(model),
+             "--dataset", str(dataset), "--date", "2004-02-29", "--members", "300",
+             "--seed", "0", "--out", str(out)], capture_output=True, text=True,
+            env={**fresh_interpreter_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0].count(b"\n") == 45_001
+    assert outputs[0] == outputs[1]

@@ -366,8 +366,8 @@ class TestGammaVariance:
         assert nu1 == 0.0
         # Grid-search confirmation that the boundary is optimal.
         data = variance_data(w, (2.0, 0.0, 0.0))
-        ll_boundary, _ = est._gamma_loglik(nu0, 0.0, *data)
-        ll_interior, _ = est._gamma_loglik(nu0, 0.01, *data)
+        ll_boundary = est._gamma_loglik(nu0, 0.0, *data)[0]
+        ll_interior = est._gamma_loglik(nu0, 0.01, *data)[0]
         assert ll_boundary > ll_interior
 
     def test_recovers_generating_parameters(self):
@@ -398,8 +398,8 @@ class TestVarianceSearch:
         nu, diag = est.fit_gamma_variance(w, eta)
         assert diag["variance_converged"] is True
         assert 0 < diag["variance_evals"] < 100
-        loglik, _ = est._gamma_loglik(*nu, *data)
-        oracle_loglik, _ = est._gamma_loglik(*nelder_mead_variance(*data), *data)
+        loglik = est._gamma_loglik(*nu, *data)[0]
+        oracle_loglik = est._gamma_loglik(*nelder_mead_variance(*data), *data)[0]
         assert loglik >= oracle_loglik - 1e-6
 
     @pytest.mark.parametrize("nu", [(0.3, 0.0), (0.12, 0.04), (0.02, 0.3)])
@@ -407,12 +407,126 @@ class TestVarianceSearch:
         spec = dm.SynthSpec(n_sites=20, n_days=15, seed=7)
         w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 15)
         data = variance_data(w, spec.eta)
-        _, grad = est._gamma_loglik(*nu, *data)
+        _, grad, _ = est._gamma_loglik(*nu, *data)
         for i in range(2):
             step = 1e-6 * np.eye(2)[i]
             up = est._gamma_loglik(*(np.array(nu) + step), *data)[0]
             down = est._gamma_loglik(*(np.array(nu) - step), *data)[0]
             assert grad[i] == pytest.approx((up - down) / 2e-6, rel=1e-6, abs=1e-4)
+
+
+def lbfgsb_variance(y, means, fcst_acc):
+    """One L-BFGS-B search (Byrd et al. 1995) over (log nu0, nu1) from
+    (residual variance, 0): the search fit_gamma_variance ran before its
+    Newton search, kept as a reference it must match or beat."""
+    resid_var = max(float(np.var(y - means)), est._MIN_NU0 * 10)
+
+    def neg(params):
+        nu0 = math.exp(params[0])
+        loglik, grad, _ = est._gamma_loglik(nu0, params[1], y, means, fcst_acc)
+        return -loglik, -grad * (nu0, 1.0)
+
+    res = optimize.minimize(neg, (math.log(resid_var), 0.0), jac=True, method="L-BFGS-B",
+                            bounds=[(math.log(est._MIN_NU0), None), (0.0, None)])
+    return max(math.exp(res.x[0]), est._MIN_NU0), float(res.x[1])
+
+
+def variance_world(case):
+    """A window and its fitted Gamma mean: a 25 x 10 or a 30 x 30 synthetic
+    world (nu1 = 0 in every fourth) for an int ``case``, else the pooled
+    nu1-boundary window or the 100 x 160 window of criterion 2."""
+    if case == "nu1_boundary":
+        return decreasing_variance_window(5), (2.0, 0.0, 0.0)
+    if case == "100x160":
+        sites, days, seed, nu1 = 100, 160, 3, 0.05
+    else:
+        sites, days = (25, 10) if case % 2 else (30, 30)
+        seed, nu1 = 500 + case, 0.05 * (case % 4)
+    ds = dm.synth_generate(dm.SynthSpec(n_sites=sites, n_days=days, seed=seed, nu=(0.15, nu1)))
+    w = est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), days)
+    return w, est.fit_gamma_mean(w)
+
+
+class TestNewtonVariance:
+    @pytest.mark.parametrize("case", [*range(24), "nu1_boundary", "100x160"])
+    def test_matches_or_beats_lbfgsb(self, case):
+        w, eta = variance_world(case)
+        data = variance_data(w, eta)
+        nu, diag = est.fit_gamma_variance(w, eta)
+        assert diag["variance_converged"] is True
+        assert 0 < diag["variance_evals"] < 20
+        assert type(nu[0]) is float and type(nu[1]) is float
+        loglik = est._gamma_loglik(*nu, *data)[0]
+        assert loglik >= est._gamma_loglik(*lbfgsb_variance(*data), *data)[0] - 1e-9
+        if case == "nu1_boundary":
+            assert nu[1] == 0.0
+
+    @pytest.mark.parametrize("nu", [(0.3, 0.0), (0.12, 0.04), (0.02, 0.3)])
+    def test_hessian_matches_central_differences_of_the_score(self, nu):
+        spec = dm.SynthSpec(n_sites=20, n_days=15, seed=7)
+        w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 15)
+        data = variance_data(w, spec.eta)
+        hess = est._gamma_loglik(*nu, *data)[2]()
+        assert hess[0, 1] == hess[1, 0]
+        for i in range(2):
+            step = 1e-6 * np.eye(2)[i]
+            up = est._gamma_loglik(*(np.array(nu) + step), *data)[1]
+            down = est._gamma_loglik(*(np.array(nu) - step), *data)[1]
+            assert hess[:, i] == pytest.approx((up - down) / 2e-6, rel=1e-6)
+
+    def test_out_of_steps_reports_unconverged(self, monkeypatch):
+        monkeypatch.setattr(est, "_NEWTON_MAX_STEPS", 1)
+        w, eta = variance_world(1)
+        _, diag = est.fit_gamma_variance(w, eta)
+        assert diag["variance_converged"] is False
+        assert diag["variance_evals"] == 2
+
+    def test_nonfinite_likelihood_raises(self):
+        with pytest.raises(NumericalError, match="variance likelihood nan"):
+            est._newton_variance(lambda nu0, nu1: (math.nan, np.zeros(2), None), 1.0, 0.0)
+
+
+def scipy_bounded_brent(func, lo, hi, maxiter=500):
+    """SciPy's bounded Brent search with the amount range's tolerance: the
+    reference that est._bounded_brent ports."""
+    res = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": est._RANGE_XTOL, "maxiter": maxiter})
+    return float(res.x), float(res.fun), int(res.nfev)
+
+
+class TestBoundedBrent:
+    @pytest.mark.parametrize("case", range(22))
+    def test_equals_scipy_on_amount_likelihoods(self, case):
+        # The last two worlds fit at the lower and the upper search bound.
+        r_km = {20: 0.01, 21: 1e5}.get(case, 25.0)
+        spec = dm.SynthSpec(n_sites=15 + 10 * (case % 3), n_days=10, r_km=r_km, seed=300 + case)
+        ds = dm.synth_generate(spec)
+        w = est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), 10)
+        objective = est._amount_loglik(est._amount_stacks(w, spec.eta, spec.nu))
+        bounds = [math.log(b) for b in est.RANGE_SEARCH_KM]
+        got = est._bounded_brent(lambda x: -objective(x), *bounds)
+        assert got == scipy_bounded_brent(lambda x: -objective(x), *bounds)
+        if case >= 20:
+            assert est._at_bound(math.exp(got[0]))
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (lambda x: (x - 1.3) ** 2, 0.0, 7.6),
+        (lambda x: math.sin(3.0 * x) + 0.1 * x, -3.0, 2.0),
+        (lambda x: math.cos(x) * math.exp(-x), 0.0, 7.6),
+        (lambda x: abs(x - 2.0), 0.0, 7.6),
+        (lambda x: x, 0.0, 7.6),
+        (lambda x: -x, 0.0, 7.6),
+        (lambda x: 0.0, -1.0, 1.0),
+    ])
+    def test_equals_scipy_on_analytic_functions(self, func, lo, hi):
+        assert est._bounded_brent(func, lo, hi) == scipy_bounded_brent(func, lo, hi)
+
+    def test_evaluation_cap_equals_scipy(self, monkeypatch):
+        monkeypatch.setattr(est, "_BRENT_MAX_EVALS", 4)
+        func = lambda x: math.sin(3.0 * x) + 0.1 * x  # noqa: E731
+        got = est._bounded_brent(func, -3.0, 2.0)
+        assert got == scipy_bounded_brent(func, -3.0, 2.0, maxiter=4)
+        assert got[2] == 4
 
 
 class TestRangeSearch:
