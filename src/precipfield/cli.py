@@ -29,7 +29,7 @@ from . import fields as rf
 from . import forecasting as fc
 from .errors import InsufficientData, NoTrainingData, PrecipError, UsageError
 # Imported by name: perfbench's tracer wraps cli.run_verification, which verify calls.
-from .verification import SWEEP_HEADER, run_verification, window_sweep
+from .verification import SWEEP_HEADER, run_verification, warn_fit_diagnostics, window_sweep
 
 log = logging.getLogger("precipfield")
 
@@ -167,6 +167,7 @@ def fit(dataset, date, window_days, seed, out):
     del seed  # the fit draws no random numbers
     ds = dm.load_dataset(dataset)
     model = est.fit_model(est.make_window(ds, date.date(), window_days))
+    warn_fit_diagnostics(model, date.date(), window_days)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(model.to_text())
     log.info("wrote model to %s", out)

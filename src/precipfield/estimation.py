@@ -221,7 +221,7 @@ def fit_probit_trend(window):
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
             raise InsufficientData("rank-deficient probit design") from None
-        # Step halving on the log likelihood.
+        # Step halving on the log likelihood; when all fail, the last scale is taken.
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
@@ -229,8 +229,10 @@ def fit_probit_trend(window):
             if cand_ll >= loglik - 1e-12:
                 break
             scale *= 0.5
-        beta = beta + scale * step
-        loglik = _probit_loglik(beta, design, wet)
+        else:
+            cand = beta + scale * step
+            cand_ll = _probit_loglik(cand, design, wet)
+        beta, loglik = cand, cand_ll
         if np.linalg.norm(beta) > 1e3:
             raise SeparationDetected("probit coefficients diverge")
     gamma2 = 0.0 if dropped else float(beta[2])

@@ -53,15 +53,15 @@ class GammaCoeffs:
 
 @dataclass(frozen=True)
 class GammaMarginal:
-    """Gamma(shape=alpha, scale=beta) marginal for cube-root wet amounts."""
+    """Gamma(shape=alpha, scale=beta) marginals, element-wise, for cube-root wet amounts."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+        if not np.all((self.alpha > 0) & np.isfinite(self.alpha)):
             raise DomainError("alpha must be positive and finite")
-        if not (self.beta > 0 and np.isfinite(self.beta)):
+        if not np.all((self.beta > 0) & np.isfinite(self.beta)):
             raise DomainError("beta must be positive and finite")
 
     @property
@@ -200,9 +200,9 @@ def mixed_cdf(p0, marginal, y0):
     """Predictive CDF of the zero/Gamma mixture at accumulation ``y0``.
 
     ``p0`` is the point mass at zero; the continuous part is the Gamma
-    marginal on the cube-root scale.
+    marginal on the cube-root scale. Element-wise.
     """
-    if not (0.0 <= p0 <= 1.0):
+    if not np.all((0.0 <= p0) & (p0 <= 1.0)):
         raise DomainError("p0 must lie in [0, 1]")
     y0 = np.asarray(y0, dtype=float)
     if np.any(y0 < 0) or not np.all(np.isfinite(y0)):

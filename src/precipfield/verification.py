@@ -170,36 +170,37 @@ def _distance_matrix(pts):
 
 
 def verification_rank(members, obs, rng):
-    """Rank of the observation in the ensemble, in {1, ..., m + 1}.
-
-    For a zero observation with m0 zero members the rank is drawn uniformly
-    from {1, ..., m0 + 1}; nonzero ties are randomized uniformly.
+    """Rank of each observation in its ensemble over the last axis of
+    ``members``, in {1, ..., m + 1}: 1 + (members below) + a uniform draw
+    from {0, ..., ties}, so a zero observation (members are nonnegative)
+    ranks uniformly among the zero members. The draws are one
+    ``rng.integers`` call, which numpy fills element by element, as 1-D
+    calls in row order would. A 1-D ensemble, shared by every observation,
+    is sorted once and searched: memory stays O(members + observations).
     """
-    x = np.asarray(members, dtype=float)
-    m = x.size
-    if m < 1:
-        raise DomainError("empty ensemble")
-    if obs == 0.0:
-        m0 = int((x == 0.0).sum())
-        if m0 == 0:
-            return 1
-        return int(rng.integers(1, m0 + 2))
-    below = int((x < obs).sum())
-    ties = int((x == obs).sum())
-    return 1 + below + int(rng.integers(0, ties + 1))
+    x = _ensembles(members)
+    obs = np.asarray(obs, dtype=float)
+    if x.ndim == 1:
+        x = np.sort(x)
+        below = np.searchsorted(x, obs, "left")
+        ties = np.searchsorted(x, obs, "right") - below
+    else:
+        below = (x < obs[..., None]).sum(axis=-1)
+        ties = (x == obs[..., None]).sum(axis=-1)
+    ranks = 1 + below + rng.integers(0, ties + 1)
+    return int(ranks) if np.ndim(ranks) == 0 else ranks
 
 
 def pit_value(p0, marginal, obs, rng):
-    """Randomized probability integral transform of the mixed predictive CDF.
-
-    A zero observation draws uniformly over the CDF's jump [0, p0]; a
-    positive observation evaluates the mixture CDF.
+    """Randomized PIT of the mixed predictive CDF, element-wise: the CDF at
+    a positive observation, and a uniform draw over the CDF's jump [0, p0]
+    at a zero one, all in one ``rng.uniform`` call as in
+    :func:`verification_rank`.
     """
-    if not (0.0 <= p0 <= 1.0):
-        raise DomainError("p0 must lie in [0, 1]")
-    if obs == 0.0:
-        return float(rng.uniform(0.0, p0))
-    return float(tr.mixed_cdf(p0, marginal, obs))
+    pit = np.asarray(tr.mixed_cdf(p0, marginal, obs))
+    zero = np.asarray(obs) == 0.0
+    pit[zero] = rng.uniform(0.0, pit[zero])  # the CDF at zero is p0, bit for bit
+    return _float_or_array(pit)
 
 
 def _mst_lengths_without(dist):
@@ -241,10 +242,8 @@ def mst_rank(members, obs, rng):
         raise DomainError("empty ensemble")
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
     lengths = _mst_lengths_without(_distance_matrix(np.vstack([x, obs])))
-    base, lengths = lengths[m], lengths[:m]  # without the observation: the ensemble's own tree
-    below = int((lengths < base).sum())
-    ties = int((lengths == base).sum())
-    return 1 + below + int(rng.integers(0, ties + 1))
+    # Without the observation (the last point) the tree is the ensemble's own.
+    return verification_rank(lengths[:m], lengths[m], rng)
 
 
 def reliability_table(probs, outcomes, n_bins=10):
@@ -376,15 +375,15 @@ def warn_fit_diagnostics(model, valid_date, M):
                                      ("r_km", model.r, "r_at_bound"))
             if diag.get(flag)]
     if hits:
-        log.warning("%s M=%d: %s at the search bound %s km; scoring it anyway",
+        log.warning("%s M=%d: %s at the search bound %s km; using it anyway",
                     valid_date, M, ", ".join(hits), est.RANGE_SEARCH_KM)
     if not diag.get("rho_converged", True):
         log.warning("%s M=%d: the occurrence-range search stopped unconverged after %d "
-                    "evaluations at rho_km = %r; scoring it anyway", valid_date, M,
+                    "evaluations at rho_km = %r; using it anyway", valid_date, M,
                     diag["rho_evals"], model.rho.range_km)
     if not diag.get("variance_converged", True):
         log.warning("%s M=%d: the Gamma variance search stopped unconverged after %d "
-                    "evaluations at nu0 = %r, nu1 = %r; scoring it anyway", valid_date, M,
+                    "evaluations at nu0 = %r, nu1 = %r; using it anyway", valid_date, M,
                     diag["variance_evals"], model.amount.nu0, model.amount.nu1)
 
 
@@ -414,26 +413,28 @@ def date_step(dataset, valid_date, M, forecast):
 def verify_date(ds, di, valid_date, window_days, members, mst_members, seed):
     """Refit, forecast (by :func:`date_step`) and score the ``di``-th date of
     a run for empirical climatology, the raw NWP point forecast, the
-    no-spatial-correlation baseline and the two-stage spatial model; its
-    draws are seeded by ``seed`` and ``di`` alone. Returns None for a skipped
-    date, else its record: the ``date``, ``site_ids``, each site's
-    ``occurred`` flag and, under ``methods``, each method's ``scores`` (a
-    (3, sites) array of ``SCORE_KEYS``), ``prob``, ``ranks``, ``pit``,
-    ``mst`` and ``energy``, where it has them; the climatology PIT from its
-    ranks is the method ``climatology_rank``."""
-    seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(di, k)) for k in range(4)]
+    no-spatial-correlation baseline and the two-stage spatial model, the
+    last two from one ensemble each; its draws are seeded by ``seed`` and
+    ``di`` alone. Returns None for a skipped date, else its record: the
+    ``date``, ``site_ids``, each site's ``occurred`` flag and, under
+    ``methods``, each method's ``scores`` (a (3, sites) array of
+    ``SCORE_KEYS``), ``prob``, ``ranks``, ``pit``, ``mst`` and ``energy``,
+    where it has them; the climatology PIT from its ranks is the method
+    ``climatology_rank``."""
+    n = max(members, mst_members)
+    seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(di, k)) for k in range(2)]
 
     def draw(model, sites, fcst):
-        # The spatial and independence ensembles of members and of mst_members.
-        return (fc.generate_site_ensemble(model, sites, fcst, members, seeds[0]),
-                fc.independence_baseline_ensemble(model, sites, fcst, members, seeds[1]),
-                fc.generate_site_ensemble(model, sites, fcst, mst_members, seeds[2]),
-                fc.independence_baseline_ensemble(model, sites, fcst, mst_members, seeds[3]))
+        # By the prefix contract, the first k members of an ensemble of n are
+        # the k-member ensemble, for k = members and for k = mst_members.
+        spatial = fc.generate_site_ensemble(model, sites, fcst, n, seeds[0]).members
+        return {"independence": fc.independence_baseline_ensemble(
+            model, sites, fcst, n, seeds[1]).members, "spatial": spatial}
 
     step = date_step(ds, valid_date, window_days, draw)
     if step is None:
         return None
-    model, sites, fcst, obs, (ens_sp, ens_in, sp19, in19) = step
+    model, sites, fcst, obs, ensembles = step
     # The forecast stage computed these too, so they raise nothing here.
     mu, alpha, beta, _ = fc.two_stage_params(model, fcst)
     p_wet = ndtr(mu)
@@ -442,7 +443,6 @@ def verify_date(ds, di, valid_date, window_days, members, mst_members, seed):
         entropy=seed, spawn_key=(1000 + di,)))
     clim = dm.split_by_date(ds, valid_date)[0].obs
     clim_p0 = float((clim == 0).mean())
-    clim_cdf = empirical_cdf(clim)
 
     # Every site's scores at once. The history is one ensemble shared by
     # all sites: its spread term is taken once, and its absolute errors
@@ -455,32 +455,28 @@ def verify_date(ds, di, valid_date, window_days, members, mst_members, seed):
     columns = {  # method -> its probabilities of precipitation, MAEs and CRPSs
         "climatology": (np.full(len(obs), 1.0 - clim_p0), mae_of_median(clim, obs), clim_crps),
         "nwp": ((fcst > 0).astype(float), nwp_error, nwp_error)}
-    for name, ens in (("independence", ens_in.members.T), ("spatial", ens_sp.members.T)):
-        columns[name] = (p_wet, mae_of_median(ens, obs), crps_ensemble(ens, obs))
+    for name, ens in ensembles.items():
+        columns[name] = (p_wet, mae_of_median(ens[:members].T, obs),
+                         crps_ensemble(ens[:members].T, obs))
     methods = {m: {"prob": prob, "scores": np.array([mae, crps, brier_score(prob, occurred)])}
                for m, (prob, mae, crps) in columns.items()}
     methods["nwp"]["energy"] = float(np.linalg.norm(fcst - obs))
 
-    # The random draws, one site at a time in a fixed order, so that the
-    # random stream stays the same.
-    ranks = {"independence": [], "spatial": []}
-    pit = {"climatology": [], "climatology_rank": [], "spatial": []}
-    for j, o in enumerate(obs.tolist()):
-        pit["climatology"].append(rng.uniform(0.0, clim_p0) if o == 0.0 else clim_cdf(o))
-        for name, ens in (("independence", ens_in), ("spatial", ens_sp)):
-            ranks[name].append(verification_rank(ens.members[:, j], o, rng))
-        # Climatology ranks scale to [0, 1] (the history is large).
-        pit["climatology_rank"].append((verification_rank(clim, o, rng) - 0.5) / (clim.size + 1))
-        marginal = tr.GammaMarginal(float(alpha[j]), float(beta[j]))
-        pit["spatial"].append(pit_value(1.0 - float(p_wet[j]), marginal, o, rng))
-    for key, draws in (("pit", pit), ("ranks", ranks)):
-        for name, values in draws.items():
-            methods.setdefault(name, {})[key] = np.array(values)
+    # The random draws, each a block over the sites, in a fixed order.
+    clim_pit = methods["climatology"]["pit"] = empirical_cdf(clim)(obs)
+    zero = obs == 0.0
+    clim_pit[zero] = rng.uniform(0.0, clim_pit[zero])  # the history's CDF at zero is clim_p0
+    for name, ens in ensembles.items():
+        methods[name]["ranks"] = verification_rank(ens[:members].T, obs, rng)
+    # Climatology ranks scale to [0, 1] (the history is large).
+    methods["climatology_rank"] = {"pit": (verification_rank(clim, obs, rng) - 0.5)
+                                   / (clim.size + 1)}
+    methods["spatial"]["pit"] = pit_value(1.0 - p_wet, tr.GammaMarginal(alpha, beta), obs, rng)
 
     # Multivariate scores over the day's sites.
-    for name, ens in (("independence", in19), ("spatial", sp19)):
-        methods[name]["energy"] = energy_score(ens.members, obs)
-        methods[name]["mst"] = mst_rank(ens.members, obs, rng)
+    for name, ens in ensembles.items():
+        methods[name]["energy"] = energy_score(ens[:mst_members], obs)
+        methods[name]["mst"] = mst_rank(ens[:mst_members], obs, rng)
     return {"date": valid_date, "site_ids": [s.id for s in sites], "occurred": occurred,
             "methods": methods}
 

@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,24 @@ class TestFit:
             assert res.exit_code == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_range_at_search_bound_warns(self, bound_world, tmp_path, runner, caplog):
+        # fit used to write this model, with diag.r_at_bound = True, without
+        # a word, while verify and sweep warned about the same fit.
+        ds, path = bound_world
+        out = tmp_path / "model.txt"
+        date = ds.dates[-2]
+        with caplog.at_level("WARNING", logger="precipfield"):
+            res = run(runner, ["fit", "--dataset", str(path), "--date", date.isoformat(),
+                               "-M", "10", "--out", str(out)])
+        assert res.exit_code == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        model = est.fit_model(est.make_window(dm.load_dataset(path), date, 10))
+        assert model.diagnostics["r_at_bound"]
+        assert warnings == [f"{date} M=10: r_km = {model.r.range_km!r} at the search bound "
+                            f"{est.RANGE_SEARCH_KM} km; using it anyway"]
+        # The warning changes nothing in the model file.
+        assert out.read_text(encoding="utf-8") == model.to_text()
 
     def test_no_history_exits_3(self, synth_dir, tmp_path, runner):
         res = runner.invoke(cli.main, [
@@ -1092,3 +1111,27 @@ def test_forecast_bytes_do_not_depend_on_blas_threads(tmp_path, runner):
         outputs.append(out.read_bytes())
     assert outputs[0].count(b"\n") == 45_001
     assert outputs[0] == outputs[1]
+
+
+def test_readme_quickstart_runs(tmp_path, runner, monkeypatch):
+    # The README's CLI example block, run as written. Its synth used to exit
+    # 2 (no world/ directory) and its forecasts 3 (a date that no synthetic
+    # world holds).
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S)
+                 if "precipfield synth" in b)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.strip() and not line.startswith("#")]
+    assert [words[:2] for words in commands] == [
+        ["mkdir", "-p"], *[["precipfield", name] for name in
+                           ("synth", "fit", "forecast", "forecast", "forecast", "verify",
+                            "sweep")]]
+    monkeypatch.chdir(tmp_path)
+    # The gridded forecast the block asks the reader for.
+    write_grid_csv("grid_fcst.csv", [[iy, ix, 4.0 * ((iy + ix) % 3)]
+                                     for iy in range(20) for ix in range(20)])
+    for program, *args in commands:
+        if program == "mkdir":
+            os.makedirs(args[-1], exist_ok=True)
+        else:
+            assert run(runner, args).exit_code == 0, args

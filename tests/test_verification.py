@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from precipfield import data as dm
+from precipfield import estimation as est
+from precipfield import forecasting as fc
 from precipfield import verification as vf
 from precipfield.errors import DomainError
 from precipfield.transforms import GammaMarginal, mixed_cdf
@@ -295,7 +297,51 @@ class TestVerificationRank:
         assert vf.chi_square_uniform(counts) < 27.9
 
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_block_equals_site_calls_in_order(self, seed):
+        # One integers call over the block, filled element by element: the
+        # ranks and the Generator's next draw are those of the 1-D calls.
+        g = np.random.default_rng(seed)
+        x = g.choice([0.0, 0.0, 1.5, 2.0, 7.0], size=(40, 9))
+        obs = g.choice([0.0, 1.5, 2.0, 3.0, 7.0], size=40)
+        x[0], obs[0] = 1.0, 0.0  # a zero observation without zero members
+        x[1], obs[1] = 0.0, 0.0  # one whose members are all zero
+        x[2], obs[2] = 2.0, 2.0  # one tied with every member
+        history = x[3:6].ravel()  # one ensemble shared by every observation
+        for members in (x, history):
+            block_rng, site_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = vf.verification_rank(members, obs, block_rng)
+            rows = members if members.ndim == 2 else [members] * len(obs)
+            sites = [vf.verification_rank(row, o, site_rng) for row, o in zip(rows, obs)]
+            np.testing.assert_array_equal(block, sites)
+            assert block_rng.random() == site_rng.random()
+
+
 class TestPitValue:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_block_equals_site_calls_in_order(self, seed):
+        # One uniform call over the zero observations, filled element by
+        # element: the values and the Generator's next draw are those of the
+        # scalar calls.
+        g = np.random.default_rng(seed)
+        n = 40
+        obs = np.where(g.random(n) < 0.5, 0.0, g.gamma(2.0, 30.0, n))
+        p0 = g.uniform(size=n)
+        p0[:4], obs[:4] = [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 5.0, 5.0]
+        alpha, beta = g.uniform(0.5, 4.0, n), g.uniform(0.5, 3.0, n)
+        block_rng, site_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = vf.pit_value(p0, GammaMarginal(alpha, beta), obs, block_rng)
+        sites = [vf.pit_value(p, GammaMarginal(a, b), o, site_rng)
+                 for p, a, b, o in zip(p0.tolist(), alpha.tolist(), beta.tolist(),
+                                       obs.tolist())]
+        np.testing.assert_array_equal(block, sites)
+        assert block_rng.random() == site_rng.random()
+
+    def test_p0_out_of_range_in_a_block(self):
+        with pytest.raises(DomainError):
+            vf.pit_value(np.array([0.2, 1.5]), GammaMarginal(np.ones(2), np.ones(2)),
+                         np.zeros(2), np.random.default_rng(0))
+
     def test_zero_obs_in_jump(self):
         rng = np.random.default_rng(0)
         vals = [vf.pit_value(0.4, GammaMarginal(1.0, 1.0), 0.0, rng) for _ in range(5000)]
@@ -625,6 +671,27 @@ class TestRecords:
         assert row == {"M": 10, "mean_crps": float(np.mean(scores)),
                        "se_crps": float(np.std(scores, ddof=1) / np.sqrt(24)),
                        "n_cases": 24, "n_skipped": 2}
+
+
+    @pytest.mark.parametrize("members, mst_members", [(15, 9), (6, 9)])
+    def test_one_ensemble_per_method_serves_both_sizes(self, members, mst_members):
+        # Each method's one ensemble of max(members, mst_members) holds the
+        # smaller ensembles of its seed as its first members.
+        ds, dates = _skipping_world()
+        di, date = 3, dates[3]
+        record = vf.verify_date(ds, di, date, 10, members, mst_members, seed=1)
+        model = est.fit_model(est.make_window(ds, date, 10))
+        sites, fcst, obs = dm.day_arrays(ds, date)
+        for k, (name, draw) in enumerate([("spatial", fc.generate_site_ensemble),
+                                          ("independence", fc.independence_baseline_ensemble)]):
+            def fresh(n):
+                seed = np.random.SeedSequence(entropy=1, spawn_key=(di, k))
+                return draw(model, sites, fcst, n, seed).members
+
+            entry = record["methods"][name]
+            assert entry["energy"] == vf.energy_score(fresh(mst_members), obs)
+            assert entry["scores"][1].tolist() == vf.crps_ensemble(fresh(members).T,
+                                                                   obs).tolist()
 
 
 class TestScoresCsv:
