@@ -3,13 +3,13 @@
 Runs ``synth``, ``fit``, ``forecast`` (site, areal and grid mode), ``verify``
 and ``sweep`` in-process at three seeds and prints one ``<sha256>  <path>``
 line per output file, paths relative to the output directory. Each seed also
-verifies every eligible date of its world, so that dates skipped for a
-window too short to fit are covered; fits and verifies a gappy copy of its
-world, one or two sites missing on every date, so that windows where some
-sites do not report are covered; and fits, forecasts and verifies a copy
-whose site ids need quoting, so that quoted fields are covered on the way in
-and out, and a copy whose site ids hold ``%``, so that the writers'
-``%``-templates are covered. Two checkouts whose listings agree produce
+verifies every eligible date of its world with a two-day window, too short
+to fit some dates, so that skipped dates are covered; fits and verifies a
+gappy copy of its world, one or two sites missing on every date, so that
+windows where some sites do not report are covered; and fits, forecasts and
+verifies a copy whose site ids need quoting, so that quoted fields are
+covered on the way in and out, and a copy whose site ids hold ``%``, so
+that the writers' ``%``-templates are covered. Two checkouts whose listings agree produce
 byte-identical outputs, which is the gate for a refactor that must not move
 any result.
 
@@ -117,9 +117,9 @@ def produce(cli, top, seed):
         run(cli, ["verify", "--dataset", dataset, "-M", 10, "--members", members,
                   "--mst-members", 9, "--dates", 2, "--seed", seed,
                   "--out", os.path.join(out, name)])
-    # Every eligible date: a window of 10 days is too short to fit the
-    # first ones, so the run skips dates.
-    run(cli, ["verify", "--dataset", dataset, "-M", 10, "--dates", DAYS - 1, "--seed", seed,
+    # Every eligible date: a window of 2 days is too short to fit some
+    # dates, so the run skips them (a full 10-day window skips none).
+    run(cli, ["verify", "--dataset", dataset, "-M", 2, "--seed", seed,
               "--out", os.path.join(out, "verify_skips")])
     run(cli, ["sweep", "--dataset", dataset, "--window-days-list", "6,10",
               "--dates", 2, "--members", 10, "--seed", seed,

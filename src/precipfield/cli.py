@@ -27,9 +27,10 @@ from . import data as dm
 from . import estimation as est
 from . import fields as rf
 from . import forecasting as fc
-from .errors import InsufficientData, NoTrainingData, PrecipError, UsageError
+from .errors import InsufficientData, PrecipError, UsageError
 # Imported by name: perfbench's tracer wraps cli.run_verification, which verify calls.
-from .verification import SWEEP_HEADER, run_verification, warn_fit_diagnostics, window_sweep
+from .verification import (SWEEP_HEADER, eligible_dates, run_verification,
+                           warn_fit_diagnostics, window_sweep)
 
 log = logging.getLogger("precipfield")
 
@@ -258,11 +259,7 @@ def verify(dataset, window_days, members, mst_members, dates, seed, out):
     no-spatial-correlation baseline, and the two-stage spatial model.
     """
     ds = dm.load_dataset(dataset)
-    eligible = ds.dates[1:]  # sorted and unique: every later date has history
-    if dates:
-        eligible = eligible[-dates:]
-    if not eligible:
-        raise NoTrainingData("no date has any history to train on")
+    eligible = eligible_dates(ds, window_days, dates)
     report, n_skipped = run_verification(
         ds, eligible, window_days, members, mst_members, seed)
     if n_skipped == len(eligible):
@@ -292,10 +289,8 @@ def sweep(dataset, window_days_list, dates, members, seed, out):
     if min(ms) < 1:
         raise UsageError(f"window lengths must be positive, got {window_days_list!r}")
     ds = dm.load_dataset(dataset)
-    eligible = ds.dates[max(ms):]  # sorted and unique: dates with max(ms) earlier days
-    if not eligible:
-        raise NoTrainingData(f"not enough history for M={max(ms)}")
-    dm.write_table(out, SWEEP_HEADER, window_sweep(ds, eligible[-dates:], ms, members, seed))
+    eligible = eligible_dates(ds, max(ms), dates)
+    dm.write_table(out, SWEEP_HEADER, window_sweep(ds, eligible, ms, members, seed))
     log.info("wrote sweep table to %s", out)
 
 

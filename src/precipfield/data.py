@@ -157,35 +157,37 @@ def _csv_blocks(reader, path, width):
     is empty), then its rows of ``width`` fields in blocks of up to
     ``_BLOCK_ROWS``. Blank rows are skipped.
 
-    A block is ``(fields, line, stop)``: the fields of its rows as one flat
-    list, ``line(i)`` the physical line of its row i, and the
-    :class:`ParseError` that ends the file after those rows, or None: a row
-    without ``width`` fields or malformed CSV, naming the line, or bytes
-    that are not UTF-8, naming the file. ``line_num`` is the physical line
-    last read, so a line stays right after a quoted field that holds a
-    newline.
+    A block is ``(fields, line)``: the fields of its rows as one flat list
+    and ``line(i)`` the physical line of its row i. A row without ``width``
+    fields or malformed CSV, naming the line, or bytes that are not UTF-8,
+    naming the file, raise :class:`ParseError` when the generator is
+    resumed after the block of the rows before it, so that a reader meets
+    an earlier bad row first. ``line_num`` is the physical line last read,
+    so a line stays right after a quoted field that holds a newline.
     """
     try:
         header = next(reader, None)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise _read_error(path, reader, exc) from None
     yield header
-    fields, lines, stop = [], [], None
+    fields, lines, error = [], [], None
     try:
         for row in reader:
             if not row:
                 continue
             if len(row) != width:
-                stop = ParseError(f"{path}:{reader.line_num}: expected {width} fields")
+                error = ParseError(f"{path}:{reader.line_num}: expected {width} fields")
                 break
             fields += row
             lines.append(reader.line_num)
             if len(lines) == _BLOCK_ROWS:
-                yield fields, lines.__getitem__, None
+                yield fields, lines.__getitem__
                 fields, lines = [], []
     except (csv.Error, UnicodeDecodeError) as exc:
-        stop = _read_error(path, reader, exc)
-    yield fields, lines.__getitem__, stop
+        error = _read_error(path, reader, exc)
+    yield fields, lines.__getitem__
+    if error:
+        raise error
 
 
 def _read_error(path, reader, exc):
@@ -220,7 +222,7 @@ def load_dataset(path):
             raise ParseError(f"{path}: empty file, expected header")
         if [h.strip() for h in header] != CSV_HEADER:
             raise ParseError(f"{path}:1: bad header {header!r}")
-        for fields, line, stop in blocks:
+        for fields, line in blocks:
             n = len(fields) // 6
             strings = fields[3::6]
             try:
@@ -232,8 +234,6 @@ def load_dataset(path):
             except ValueError:
                 # The row checks convert as the block does, so one fails.
                 raise _first_bad_row(path, fields, 6, line, _check_dataset_row) from None
-            if stop:
-                raise stop
             site_id += map(ids.setdefault, fields[0::6], fields[0::6])
             date += map(days.__getitem__, strings)
             del fields, strings  # before the next block is read
@@ -270,8 +270,8 @@ def load_grid_field(path, grid):
         header = next(blocks)
         if header is None or [h.strip() for h in header] != GRID_HEADER:
             raise ParseError(f"{path}: expected header row,col,value_hundredths_inch")
-        for fields, line, stop in blocks:
-            error = _first_bad_row(path, fields, 3, line, check) or stop
+        for fields, line in blocks:
+            error = _first_bad_row(path, fields, 3, line, check)
             if error:
                 raise error
         if None in field:
@@ -356,13 +356,10 @@ class SynthSpec:
     fcst_wet_fraction: float = 0.6
     fcst_amp: float = 8.0
     wet_bias_offset: float = 0.0
-    sites: list = None  # explicit Site list overrides n_sites/extent_km
     seed: int = 0
 
 
 def _synth_sites(spec, rng):
-    if spec.sites is not None:
-        return list(spec.sites)
     pts = rng.uniform(0, spec.extent_km, size=(spec.n_sites, 2))
     return [rf.Site(f"s{i:03d}", float(p[0]), float(p[1])) for i, p in enumerate(pts)]
 

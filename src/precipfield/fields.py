@@ -83,13 +83,24 @@ def exp_correlation(d, range_km):
     return float(out) if out.ndim == 0 else out
 
 
-def pairwise_distances(xy):
-    """Euclidean distance matrix for an (n, 2) coordinate array or a (g, n, 2)
-    stack. A distance past the float range is infinite, with correlation 0."""
-    xy = np.asarray(xy, dtype=float)
+_DIFF_FLOATS = 1 << 17  # one row block of point differences: 1 MiB
+
+
+def pairwise_distances(pts):
+    """Euclidean distances between the rows of an (n, d) array, built a
+    block of rows at a time so that the difference array of a block stays
+    near 1 MiB whatever n and d. Each distance reduces one row of
+    differences, so it comes out as from the whole difference array. A
+    distance past the float range is infinite, with correlation 0."""
+    pts = np.asarray(pts, dtype=float)
+    n, d = pts.shape
+    rows = max(1, _DIFF_FLOATS // max(1, n * d))
+    dist = np.empty((n, n))
     with np.errstate(over="ignore"):
-        diff = xy[..., :, None, :] - xy[..., None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=-1))
+        for i in range(0, n, rows):
+            diff = pts[i:i + rows, None, :] - pts[None, :, :]
+            np.sqrt((diff ** 2).sum(axis=-1), out=dist[i:i + rows])
+    return dist
 
 
 def correlation_matrix(sites, corr):
@@ -180,15 +191,15 @@ class CirculantEmbedding:
 
     def sample(self, rng, n_fields=1):
         """Draw ``n_fields`` independent (ny, nx) fields in pairs, the real and
-        imaginary parts of one FFT; an odd count still draws its last pair."""
-        rng = np.random.default_rng(rng)
+        imaginary parts of one FFT, from the Generator ``rng``, as an
+        (n_fields, ny, nx) array; an odd count still draws its last pair."""
         ny, nx = self.grid.ny, self.grid.nx
         out = np.empty((n_fields + n_fields % 2, ny, nx))
         for i in range(0, n_fields, 2):
             eps = rng.standard_normal((2, self._my, self._mx))
             f = np.fft.fft2(self._sqrt_lam * (eps[0] + 1j * eps[1]))[:ny, :nx]
             out[i], out[i + 1] = f.real, f.imag
-        return out[0] if n_fields == 1 else out[:n_fields]
+        return out[:n_fields]
 
 
 def _trunc_norm_draw(rng, mean, sd, sign):

@@ -64,14 +64,6 @@ class GammaMarginal:
         if not np.all((self.beta > 0) & np.isfinite(self.beta)):
             raise DomainError("beta must be positive and finite")
 
-    @property
-    def mean(self):
-        return self.alpha * self.beta
-
-    @property
-    def variance(self):
-        return self.alpha * self.beta ** 2
-
 
 def cube_root(y0):
     """Cube root of a nonnegative accumulation (scalar or array)."""

@@ -7,7 +7,8 @@ histograms with point-mass randomization, and reliability tables;
 :func:`run_verification` maps it over the valid dates into a report whose
 tables are reductions of the records, and :func:`window_sweep` maps
 :func:`_sweep_cell` over (window length, date) cells, all through the
-per-date refit :func:`date_step`.
+per-date refit :func:`date_step`; :func:`eligible_dates` is the one rule
+for the dates that the two run over.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from scipy.special import ndtr
 
 from . import data as dm
 from . import estimation as est
+from . import fields as rf
 from . import forecasting as fc
 from . import transforms as tr
-from .errors import DomainError, NumericalError, PrecipError
+from .errors import DomainError, NoTrainingData, NumericalError, PrecipError
 
 SCORE_KEYS = ("mae", "crps", "bs")
 
@@ -149,24 +151,8 @@ def energy_score(members, obs):
     if x.shape[1] != obs.size:
         raise DomainError("dimension mismatch between members and observation")
     term1 = np.linalg.norm(x - obs, axis=1).mean()
-    term2 = 0.5 * _distance_matrix(x).mean()
+    term2 = 0.5 * rf.pairwise_distances(x).mean()
     return float(term1 - term2)
-
-
-_DIFF_FLOATS = 1 << 17  # one row block of member differences: 1 MiB
-
-
-def _distance_matrix(pts):
-    """Euclidean distances between the rows of ``pts``, built a block of
-    rows at a time so that the difference array of a block stays near 1 MiB
-    whatever the member and site counts. Each distance reduces one row of
-    differences, so it comes out as from the whole difference array."""
-    n, d = pts.shape
-    rows = max(1, _DIFF_FLOATS // max(1, n * d))
-    dist = np.empty((n, n))
-    for i in range(0, n, rows):
-        dist[i:i + rows] = np.linalg.norm(pts[i:i + rows, None, :] - pts[None, :, :], axis=-1)
-    return dist
 
 
 def verification_rank(members, obs, rng):
@@ -241,23 +227,25 @@ def mst_rank(members, obs, rng):
     if m < 1:
         raise DomainError("empty ensemble")
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
-    lengths = _mst_lengths_without(_distance_matrix(np.vstack([x, obs])))
+    lengths = _mst_lengths_without(rf.pairwise_distances(np.vstack([x, obs])))
     # Without the observation (the last point) the tree is the ensemble's own.
     return verification_rank(lengths[:m], lengths[m], rng)
 
 
-def reliability_table(probs, outcomes, n_bins=10):
-    """Observed frequency of occurrence per equal-width probability bin."""
+RELIABILITY_BINS = 10
+
+
+def reliability_table(probs, outcomes):
+    """Observed frequency of occurrence per equal-width probability bin,
+    one row for each of the ``RELIABILITY_BINS``."""
     probs = np.asarray(probs, dtype=float)
     outcomes = np.asarray(outcomes, dtype=float)
     if probs.shape != outcomes.shape:
         raise DomainError("probs and outcomes must have equal length")
-    if n_bins < 1:
-        raise DomainError("need at least one bin")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, RELIABILITY_BINS + 1)
     rows = []
-    idx = np.clip(np.digitize(probs, edges[1:-1]), 0, n_bins - 1)
-    for b in range(n_bins):
+    idx = np.clip(np.digitize(probs, edges[1:-1]), 0, RELIABILITY_BINS - 1)
+    for b in range(RELIABILITY_BINS):
         mask = idx == b
         count = int(mask.sum())
         rows.append(
@@ -385,6 +373,16 @@ def warn_fit_diagnostics(model, valid_date, M):
         log.warning("%s M=%d: the Gamma variance search stopped unconverged after %d "
                     "evaluations at nu0 = %r, nu1 = %r; using it anyway", valid_date, M,
                     diag["variance_evals"], model.amount.nu0, model.amount.nu1)
+
+
+def eligible_dates(dataset, M, last=None):
+    """The last ``last`` dates of ``dataset`` (all of them when None) that
+    have ``M`` earlier dates, so that a window of ``M`` days fits before
+    each; raises :class:`NoTrainingData` when no date has."""
+    eligible = dataset.dates[M:]  # sorted and unique
+    if not eligible:
+        raise NoTrainingData(f"not enough history for M={M}")
+    return eligible if last is None else eligible[-last:]
 
 
 def date_step(dataset, valid_date, M, forecast):

@@ -868,6 +868,50 @@ class TestVerify:
         ])
         assert res.exit_code == 3
 
+    def test_scores_every_date_with_a_full_window(self, synth_dir, tmp_path, runner):
+        # Dates before the 13th of 16 used to be fitted on windows shorter
+        # than -M, down to one day for the second date.
+        dataset = synth_dir / "dataset.csv"
+        out = tmp_path / "rep"
+        res = run(runner, ["verify", "--dataset", str(dataset), "-M", "12", "--members", "5",
+                           "--mst-members", "3", "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 0
+        with open(out / "scores.csv", newline="", encoding="utf-8") as fh:
+            scored = sorted({row["date"] for row in csv.DictReader(fh)})
+        assert scored == [d.isoformat() for d in dm.load_dataset(dataset).dates[12:]]
+
+    def test_verify_and_sweep_score_the_same_dates(self, synth_dir, tmp_path, runner,
+                                                    monkeypatch):
+        fitted, date_step = [], vf.date_step
+
+        def spy(dataset, valid_date, M, forecast):
+            fitted.append((valid_date, M))
+            return date_step(dataset, valid_date, M, forecast)
+
+        monkeypatch.setattr(vf, "date_step", spy)
+        dataset = str(synth_dir / "dataset.csv")
+        assert run(runner, ["verify", "--dataset", dataset, "-M", "12", "--members", "5",
+                            "--mst-members", "3", "--dates", "3", "--seed", "0",
+                            "--out", str(tmp_path / "rep")]).exit_code == 0
+        verified, fitted[:] = list(fitted), []
+        assert run(runner, ["sweep", "--dataset", dataset, "--window-days-list", "12",
+                            "--dates", "3", "--members", "5", "--seed", "0",
+                            "--out", str(tmp_path / "s.csv")]).exit_code == 0
+        assert fitted == verified
+        assert [d for d, _ in verified] == dm.load_dataset(dataset).dates[-3:]
+
+    @pytest.mark.parametrize("args", [["verify", "-M", "5"],
+                                      ["sweep", "--window-days-list", "2,5"]])
+    def test_no_full_window_exits_3_naming_m(self, tmp_path, runner, caplog, args):
+        path = tmp_path / "five_days.csv"
+        dm.save_dataset(dm.synth_generate(dm.SynthSpec(n_sites=4, n_days=5, seed=0)), path)
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="precipfield"):
+            res = runner.invoke(cli.main, [args[0], "--dataset", str(path), *args[1:],
+                                           "--seed", "0", "--out", str(out)])
+        assert res.exit_code == 3
+        assert caplog.records[-1].getMessage() == "not enough history for M=5"
+        assert not out.exists()
 
     def test_skipped_date_warns_with_stage_and_error(self, tmp_path, runner, caplog):
         ds = dm.synth_generate(dm.SynthSpec(n_sites=4, n_days=2, seed=0))
@@ -877,7 +921,7 @@ class TestVerify:
         dm.save_dataset(dataset_from_rows(dry), path)
         with caplog.at_level("WARNING", logger="precipfield"):
             res = runner.invoke(cli.main, [
-                "verify", "--dataset", str(path), "--seed", "0",
+                "verify", "--dataset", str(path), "-M", "1", "--seed", "0",
                 "--out", str(tmp_path / "rep"),
             ])
         assert res.exit_code == 3

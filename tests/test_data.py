@@ -174,6 +174,21 @@ class TestLoadSave:
         monkeypatch.setattr(dm, "_BLOCK_ROWS", block)
         assert loaded() == expected
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_grid_errors_cross_blocks(self, tmp_path, monkeypatch, block):
+        # A grid file's bad rows fall across block edges: an earlier bad
+        # value is named before a later short row, and a short row after a
+        # full block is named with its line.
+        monkeypatch.setattr(dm, "_BLOCK_ROWS", block)
+        grid = rf.GridSpec(0.0, 0.0, 10.0, 2, 2)
+        head = "row,col,value_hundredths_inch\n0,0,1\n0,1,2\n1,0,3\n"
+        path = tmp_path / "g.csv"
+        for tail, message in (("1,1,-1\n1,1\n", r"g\.csv:5: value -1\.0 is not"),
+                              ("\n1,1\n", r"g\.csv:6: expected 3 fields")):
+            path.write_text(head + tail)
+            with pytest.raises(ParseError, match=message):
+                dm.load_grid_field(path, grid)
+
     def test_traced_peak_of_a_large_file(self, tmp_path):
         # 73,000 rows: they are converted a block at a time, so the loader's
         # Python allocations stay well under those of every row held as a
@@ -412,9 +427,3 @@ class TestSynthGenerate:
         zero = fcst == 0.0
         mu = spec.gamma[0] + spec.gamma[1] * fcst_cr + spec.gamma[2] * zero
         assert abs((obs > 0).mean() - ndtr(mu).mean()) < 0.03
-
-    def test_explicit_sites_used(self):
-        sites = dm._synth_sites(dm.SynthSpec(n_sites=3, seed=0),
-                                np.random.default_rng(0))
-        ds = dm.synth_generate(dm.SynthSpec(sites=sites, n_days=2, seed=0))
-        assert set(ds.sites) == {s.id for s in sites}

@@ -156,6 +156,7 @@ class TestCirculantEmbedding:
         corr = fd.ExpCorrelation(20.0)
         a = fd.CirculantEmbedding(grid, corr).sample(np.random.default_rng(5))
         b = fd.CirculantEmbedding(grid, corr).sample(np.random.default_rng(5))
+        assert a.shape == (1, 8, 8)
         assert np.array_equal(a, b)
 
     def test_output_shape(self):
@@ -245,5 +246,5 @@ def test_embedding_never_indefinite_for_exponential(nx, ny, range_km):
     grid = fd.GridSpec(0.0, 0.0, 10.0, nx, ny)
     emb = fd.CirculantEmbedding(grid, fd.ExpCorrelation(range_km))
     out = emb.sample(np.random.default_rng(0))
-    assert out.shape == (ny, nx)
+    assert out.shape == (1, ny, nx)
     assert np.all(np.isfinite(out))

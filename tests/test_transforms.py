@@ -87,9 +87,9 @@ class TestGammaMarginal:
     )
     def test_moment_consistency(self, eta0, nu0, fcst_cr):
         c = tr.GammaCoeffs(eta0, 0.5, 0.0, nu0, 0.1)
-        m = tr.GammaMarginal(*tr.gamma_marginals(c, fcst_cr, False)[:2])
-        assert m.mean == pytest.approx(eta0 + 0.5 * fcst_cr, rel=1e-12)
-        assert m.variance == pytest.approx(nu0 + 0.1 * fcst_cr ** 3, rel=1e-12)
+        alpha, beta, _ = tr.gamma_marginals(c, fcst_cr, False)
+        assert alpha * beta == pytest.approx(eta0 + 0.5 * fcst_cr, rel=1e-12)
+        assert alpha * beta ** 2 == pytest.approx(nu0 + 0.1 * fcst_cr ** 3, rel=1e-12)
 
     def test_variance_nonpositive_runtime(self):
         # nu0 = 0 is allowed by the type but yields v = 0 for zero forecast

@@ -2,6 +2,7 @@ import csv
 import itertools
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy import stats
 
 from precipfield import data as dm
 from precipfield import estimation as est
+from precipfield import fields as rf
 from precipfield import forecasting as fc
 from precipfield import verification as vf
 from precipfield.errors import DomainError
@@ -477,17 +479,29 @@ class TestMstRank:
 
 
 class TestDistanceBlocks:
-    """mst_rank and energy_score build their distance matrix in row blocks
-    of about 1 MiB of differences, with the bits of the whole-array form."""
+    """mst_rank and energy_score, like the site distances, take their
+    distance matrix from fields.pairwise_distances: row blocks of about
+    1 MiB of differences, with the bits of the whole-array form."""
 
     @pytest.mark.parametrize("n, dim", [(1, 1), (2, 100), (20, 3), (61, 100), (201, 100),
-                                        (400, 1)])
+                                        (400, 1), (300, 2)])
     def test_equals_whole_difference_array(self, n, dim):
         pts = np.random.default_rng(n * dim).gamma(0.5, 20.0, (n, dim))
+        if dim == 2:
+            pts = np.floor(pts)  # coordinates with ties and zeros
         whole = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        blocks = vf._distance_matrix(pts)
+        blocks = rf.pairwise_distances(pts)
         assert np.array_equal(blocks.view(np.uint64), whole.view(np.uint64))
         assert blocks.mean() == whole.mean()
+
+    def test_distance_past_float_range_is_infinite(self):
+        # Coordinates near 1e200 square past the float range, silently.
+        pts = np.array([[0.0, 0.0], [3e200, 0.0], [0.0, -4e200], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = rf.pairwise_distances(pts)
+        assert np.isinf(dist[0, 1]) and np.isinf(dist[1, 2]) and np.isinf(dist[2, 3])
+        assert dist[0, 3] == np.sqrt(2.0) and np.all(np.diag(dist) == 0.0)
 
     @pytest.mark.parametrize("score", ["mst_rank", "energy_score"])
     def test_traced_peak_at_200_members_100_sites(self, score):
@@ -508,7 +522,7 @@ class TestReliabilityTable:
     def test_single_populated_bin(self):
         probs = np.full(10, 0.5)
         outcomes = np.array([1, 0] * 5)
-        rows = vf.reliability_table(probs, outcomes, n_bins=10)
+        rows = vf.reliability_table(probs, outcomes)
         populated = [r for r in rows if r["count"] > 0]
         assert len(populated) == 1
         assert populated[0]["observed_frequency"] == pytest.approx(0.5)
@@ -518,14 +532,14 @@ class TestReliabilityTable:
         rng = np.random.default_rng(17)
         probs = rng.random(100_000)
         outcomes = rng.random(100_000) < probs
-        rows = vf.reliability_table(probs, outcomes, n_bins=10)
+        rows = vf.reliability_table(probs, outcomes)
         for r in rows:
             assert r["count"] > 0
             assert abs(r["observed_frequency"] - r["mean_forecast_prob"]) < 0.02
 
     def test_empty_input(self):
-        rows = vf.reliability_table(np.array([]), np.array([]), n_bins=5)
-        assert len(rows) == 5
+        rows = vf.reliability_table(np.array([]), np.array([]))
+        assert len(rows) == vf.RELIABILITY_BINS == 10
         assert all(r["count"] == 0 for r in rows)
 
     def test_length_mismatch(self):
