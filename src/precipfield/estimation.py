@@ -2,9 +2,10 @@
 
 Stages, in order: probit occurrence trend, pairwise composite likelihood for
 the occurrence range, OLS for the Gamma mean, constrained ML for the Gamma
-variance, and a profile marginal likelihood for the amount range. Every
-stage is a deterministic function of the window and the earlier stages; all
-but the Gamma mean also return a dict of deterministic fit diagnostics.
+variance (it and the occurrence range by one Newton search, :func:`_newton_max`),
+and a profile marginal likelihood for the amount range. Every stage is a
+deterministic function of the window and the earlier stages; all but the
+Gamma mean also return a dict of deterministic fit diagnostics.
 """
 
 from __future__ import annotations
@@ -37,30 +38,28 @@ RANGE_SEARCH_KM = (1.0, 2000.0)
 PAIR_CUTOFF_KM = 100.0
 _RANGE_XTOL = 1e-3  # in log km
 _BRENT_MAX_EVALS = 500
-# Newton search for the occurrence range, in log km: start, largest step,
-# stopping step and the step count after which it reports no convergence.
-_NEWTON_START_KM = 50.0
+# The Newton search of the occurrence range and the Gamma variance: the
+# largest move of a coordinate in one step, the stopping gain (the score times
+# the step, twice the gain in log likelihood the Newton model predicts) and
+# the step count after which it reports no convergence; the range starts here.
 _NEWTON_MAX_STEP = 2.0
-_NEWTON_XTOL = 1e-6
+_NEWTON_GAIN_TOL = 1e-10
 _NEWTON_MAX_STEPS = 50
+_NEWTON_START_KM = 50.0
 _MIN_NU0 = 1e-6
-# Newton search for the Gamma variance (which shares the occurrence range's
-# step cap and step count): it stops when the score times the Newton step,
-# twice the gain in log likelihood the Newton model predicts, is at most this.
-_VARIANCE_GAIN_TOL = 1e-10
 _LOG2PI = math.log(2.0 * math.pi)
 
 
 class TrainingWindow:
     """The rows of the most recent dates strictly before a valid date: a span
     view of the dataset (``rows``), whose ``site``, ``date`` (counted from the
-    first date), ``obs`` and ``fcst`` columns it exposes with each row's
-    forecast cube root and zero flag. ``site_dist`` is the distance matrix of
-    the dataset's sites, computed at its first use."""
+    first date) and ``obs`` columns it exposes, and the forecast as each row's
+    cube root and zero flag. ``site_dist`` is the distance matrix of the
+    dataset's sites, computed at its first use."""
 
     def __init__(self, rows):
         self.rows = rows
-        self.site, self.date, self.obs, self.fcst = rows.site, rows.date, rows.obs, rows.fcst
+        self.site, self.date, self.obs = rows.site, rows.date, rows.obs
         self.fcst_cr, self.zero_flag = np.cbrt(rows.fcst), rows.fcst == 0.0
 
     @functools.cached_property
@@ -291,10 +290,10 @@ def fit_occurrence_range(window, trend):
     Each same-day pair of sites closer than PAIR_CUTOFF_KM contributes the
     probability of its observed wet (s = +1) and dry (s = -1) signs,
     Phi2(s_i mu_i, s_j mu_j; s_i s_j rho(d_ij)) with mu the probit trend
-    (Heagerty & Lele 1998). A safeguarded Newton search over the log range
-    (:func:`_newton_range`) maximizes the summed log probability. Returns
-    the range in km and ``{"occurrence_pairs": n, "rho_evals": n,
-    "rho_converged": bool}``."""
+    (Heagerty & Lele 1998). A safeguarded Newton search (:func:`_newton_max`)
+    over the log range in RANGE_SEARCH_KM from _NEWTON_START_KM maximizes the
+    summed log probability. Returns the range in km and
+    ``{"occurrence_pairs": n, "rho_evals": n, "rho_converged": bool}``."""
     if np.bincount(window.date).max() < 2:
         raise RangeUnidentifiable("no day has two or more sites")
     first, second, dist = _close_pairs(window)
@@ -305,16 +304,17 @@ def fit_occurrence_range(window, trend):
     signed_mean = sign * tr.occurrence_trend(trend, window.fcst_cr, window.zero_flag)
     loglik = _pair_loglik(signed_mean[first], signed_mean[second],
                           sign[first] * sign[second], dist)
-    rho, evals, converged = _newton_range(loglik)
-    return rho, {"occurrence_pairs": int(dist.size), "rho_evals": evals,
-                 "rho_converged": converged}
+    (x,), evals, converged = _newton_max(loglik, [math.log(_NEWTON_START_KM)],
+                                         *([math.log(b)] for b in RANGE_SEARCH_KM))
+    return math.exp(x), {"occurrence_pairs": int(dist.size), "rho_evals": evals,
+                         "rho_converged": converged}
 
 
 def _pair_loglik(h, k, sign_product, dist):
     """The pairwise log likelihood sum log Phi2(h, k; r) of the occurrence
-    range, r = sign_product * exp(-dist / range), as a function of x = log
-    range that returns its value, score and curvature (minus the second
-    derivative).
+    range, r = sign_product * exp(-dist / range), over x = [log range] in the
+    form of :func:`_newton_max`: value, [score], and [[curvature]] (minus the
+    second derivative) from a function of no arguments.
 
     Plackett's (1954) identity dPhi2/dr = phi2 gives, with lam = phi2 / Phi2,
     r' = r d/R and r'' = r (d/R)(d/R - 1) (derivatives in x), the score
@@ -325,7 +325,7 @@ def _pair_loglik(h, k, sign_product, dist):
     tiny = np.finfo(float).tiny
 
     def loglik(x):
-        range_km = math.exp(x)
+        range_km = math.exp(x[0])
         r = sign_product * rf.exp_correlation(dist, range_km)
         cdf = bivariate_normal_cdf(h, k, r)
         value = float(np.sum(np.log(np.maximum(cdf, tiny))))
@@ -340,41 +340,9 @@ def _pair_loglik(h, k, sign_product, dist):
         score = float(np.sum(lam * dr))
         curvature = -float(np.sum((lam * dlog_pdf - lam * lam) * dr * dr
                                   + lam * dr * (ratio - 1.0)))
-        return value, score, curvature
+        return value, [score], lambda: [[curvature]]
 
     return loglik
-
-
-def _newton_range(loglik):
-    """Safeguarded Newton maximum of ``loglik`` (x -> value, score,
-    curvature) over x = log range in RANGE_SEARCH_KM.
-
-    Starts at _NEWTON_START_KM. Each step is score / curvature, or a unit
-    step in the direction of the score where the curvature is not positive,
-    capped at _NEWTON_MAX_STEP, clamped to the search interval and halved
-    while it loses. Stops when a step moves less than _NEWTON_XTOL. Returns
-    the range in km, the evaluation count and whether it stopped before
-    _NEWTON_MAX_STEPS steps."""
-    lo, hi = (math.log(b) for b in RANGE_SEARCH_KM)
-    x = math.log(_NEWTON_START_KM)
-    value, score, curvature = loglik(x)
-    evals = 1
-    for _ in range(_NEWTON_MAX_STEPS):
-        if not all(map(math.isfinite, (value, score, curvature))):
-            raise NumericalError(f"range likelihood {value}, score {score} and curvature "
-                                 f"{curvature} at {math.exp(x)!r} km")
-        step = score / curvature if curvature > 0 else math.copysign(1.0, score)
-        x_new = min(max(x + min(max(step, -_NEWTON_MAX_STEP), _NEWTON_MAX_STEP), lo), hi)
-        while abs(x_new - x) >= _NEWTON_XTOL:
-            trial = loglik(x_new)
-            evals += 1
-            if trial[0] >= value:
-                break
-            x_new = x + 0.5 * (x_new - x)
-        else:
-            return math.exp(x), evals, True
-        x, (value, score, curvature) = x_new, trial
-    return math.exp(x), evals, False
 
 
 def _maximize_range(objective):
@@ -499,12 +467,14 @@ def _gamma_loglik(nu0, nu1, y, means, fcst_acc):
 def fit_gamma_variance(window, eta):
     """Constrained ML for the Gamma variance coefficients.
 
-    Maximizes the wet-record independence likelihood over nu0 >= _MIN_NU0,
-    nu1 >= 0 by a safeguarded projected Newton search over (log nu0, nu1)
-    (:func:`_newton_variance`) from the moment estimate, the least-squares
-    line of the squared residuals on the forecast (or from the residual
-    variance and nu1 = 0 where that line puts nu0 below 10 _MIN_NU0); nu1 =
-    0 exactly on its bound. Wet records with nonpositive implied mean are
+    Maximizes the wet-record independence likelihood of
+    :func:`_gamma_loglik` over nu0 >= _MIN_NU0, nu1 >= 0 by a safeguarded
+    projected Newton search (:func:`_newton_max`) over (log nu0, nu1) from
+    the moment estimate, the least-squares line of the squared residuals on
+    the forecast (or from the residual variance and nu1 = 0 where that line
+    puts nu0 below 10 _MIN_NU0); nu1 = 0 exactly on its bound. The forecast
+    is the cube of its cube root, as :func:`transforms.gamma_marginals`
+    evaluates the variance. Wet records with nonpositive implied mean are
     excluded. Returns (nu0, nu1) and the diagnostics
     variance_records_dropped, variance_evals, variance_converged,
     n_wet_records and min_training_mean, the smallest positive implied mean:
@@ -519,7 +489,8 @@ def fit_gamma_variance(window, eta):
     if not usable.any():
         raise NonpositiveMean("all implied means are nonpositive")
     n_dropped = int((~usable).sum())
-    y, means, fcst_acc = y[usable], means[usable], window.fcst[wet][usable]
+    y, means = y[usable], means[usable]
+    fcst_acc = np.float_power(window.fcst_cr[wet][usable], 3)
 
     # Start from the moment estimate: squared residuals regressed on the forecast.
     resid_sq, fcst_dev = (y - means) ** 2, fcst_acc - fcst_acc.mean()
@@ -528,64 +499,92 @@ def fit_gamma_variance(window, eta):
     nu0 = float(resid_sq.mean()) - nu1 * float(fcst_acc.mean())
     if nu0 < 10 * _MIN_NU0:
         nu0, nu1 = max(float(np.var(y - means)), 10 * _MIN_NU0), 0.0
-    nu, evals, converged = _newton_variance(
-        lambda nu0, nu1: _gamma_loglik(nu0, nu1, y, means, fcst_acc), nu0, nu1)
+
+    def loglik(x):  # the likelihood over (log nu0, nu1), by the chain rule
+        nu0 = math.exp(x[0])
+        value, grad, hessian = _gamma_loglik(nu0, x[1], y, means, fcst_acc)
+        d0, d1 = grad.tolist()
+
+        def curvature():
+            (h00, h01), (_, h11) = hessian().tolist()
+            return [[-nu0 * (nu0 * h00 + d0), -nu0 * h01], [-nu0 * h01, -h11]]
+
+        return value, [nu0 * d0, d1], curvature
+
+    (x0, nu1), evals, converged = _newton_max(loglik, [math.log(nu0), nu1],
+                                              [math.log(_MIN_NU0), 0.0], [math.inf] * 2)
+    nu = max(math.exp(x0), _MIN_NU0), nu1
     return nu, {"variance_records_dropped": n_dropped, "variance_evals": evals,
                 "variance_converged": converged, "n_wet_records": int(wet.sum()),
                 "min_training_mean": float(means.min())}
 
 
-def _newton_variance(loglik, nu0, nu1):
-    """Safeguarded projected Newton maximum of ``loglik`` ((nu0, nu1) ->
-    value, gradient, Hessian function) over x = (log nu0, nu1) with nu0 >=
-    _MIN_NU0 and nu1 >= 0, from (nu0, nu1).
+def _newton_max(loglik, x, lo, hi):
+    """Safeguarded projected Newton maximum of ``loglik`` over the box lo <= x
+    <= hi (lists of floats; a bound may be infinite), from x.
 
-    A coordinate on its bound is held there while its score points past it.
-    The step of the free coordinates solves the 2 x 2 Newton system in closed
-    form where the curvature (minus the Hessian, computed only at accepted
-    points) is positive definite; elsewhere each coordinate steps by its
-    score over its own curvature, or by one unit along its score where that
-    curvature is not positive. The step is capped at _NEWTON_MAX_STEP in each
-    coordinate, projected on the bounds and halved while it loses or gives a
-    likelihood that is not finite. Stops when the score times the step (twice
-    the gain the Newton model predicts) is at most _VARIANCE_GAIN_TOL, or
-    halving has brought it there. Returns (nu0, nu1), the evaluation count
-    and whether it stopped before _NEWTON_MAX_STEPS steps."""
-    lo = math.log(_MIN_NU0)
-    x = (math.log(nu0), nu1)
-    value, grad, hessian = loglik(math.exp(x[0]), x[1])
+    ``loglik(x)`` returns the value, the score and a function of no arguments
+    that returns the curvature (minus the Hessian), which is called only at
+    accepted points. A coordinate on its bound is held there while its score
+    points past it. The step solves the Newton system where the curvature is
+    positive definite (:func:`_newton_step`); elsewhere each coordinate steps
+    by its score over its own curvature, or by one unit along its score where
+    that curvature is not positive. The step is scaled so that no coordinate
+    moves more than _NEWTON_MAX_STEP, projected onto the box and halved while
+    it loses or gives a likelihood that is not finite. Stops when the score
+    times the step (twice the gain the Newton model predicts) is at most
+    _NEWTON_GAIN_TOL, or halving has brought it there. Returns x, the
+    evaluation count and whether it stopped before _NEWTON_MAX_STEPS steps;
+    raises :class:`NumericalError` where the value, score or curvature at an
+    accepted point is not finite."""
+    value, score, curvature = loglik(x)
     evals = 1
     for _ in range(_NEWTON_MAX_STEPS):
-        nu0 = math.exp(x[0])
-        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
-            raise NumericalError(f"variance likelihood {value} and gradient {grad.tolist()} "
-                                 f"at nu = ({nu0!r}, {x[1]!r})")
-        (d0, d1), ((h00, h01), (_, h11)) = grad.tolist(), hessian().tolist()
-        g0, g1 = nu0 * d0, d1  # the score in (log nu0, nu1), and the curvature:
-        c00, c01, c11 = -nu0 * (nu0 * h00 + d0), -nu0 * h01, -h11
-        if x[0] <= lo and g0 <= 0.0:
-            g0, c00, c01 = 0.0, 1.0, 0.0
-        if x[1] <= 0.0 and g1 <= 0.0:
-            g1, c11, c01 = 0.0, 1.0, 0.0
-        det = c00 * c11 - c01 * c01
-        if c00 > 0.0 and det > 0.0:
-            s0, s1 = (c11 * g0 - c01 * g1) / det, (c00 * g1 - c01 * g0) / det
-        else:
-            s0, s1 = (g / c if c > 0.0 else math.copysign(1.0, g)
-                      for g, c in ((g0, c00), (g1, c11)))
-        gain = g0 * s0 + g1 * s1
-        t = _NEWTON_MAX_STEP / max(abs(s0), abs(s1), _NEWTON_MAX_STEP)
-        while t * gain > _VARIANCE_GAIN_TOL:
-            x_new = (max(x[0] + t * s0, lo), max(x[1] + t * s1, 0.0))
-            trial = loglik(math.exp(x_new[0]), x_new[1])
+        curv = curvature()
+        if not all(map(math.isfinite, [value, *score, *(c for row in curv for c in row)])):
+            raise NumericalError(f"likelihood {value}, score {score} and curvature {curv} "
+                                 f"at x = {x}")
+        held = [(xi <= a and g <= 0.0) or (xi >= b and g >= 0.0)
+                for xi, g, a, b in zip(x, score, lo, hi)]
+        score = [0.0 if held_i else g for held_i, g in zip(held, score)]
+        curv = [[float(i == j) if held[i] or held[j] else c for j, c in enumerate(row)]
+                for i, row in enumerate(curv)]
+        step = _newton_step(score, curv)
+        if step is None:
+            step = [g / row[i] if row[i] > 0.0 else math.copysign(1.0, g)
+                    for i, (g, row) in enumerate(zip(score, curv))]
+        gain = sum(g * s for g, s in zip(score, step))
+        t = _NEWTON_MAX_STEP / max(_NEWTON_MAX_STEP, *map(abs, step))
+        while t * gain > _NEWTON_GAIN_TOL:
+            x_new = [min(max(xi + t * si, a), b) for xi, si, a, b in zip(x, step, lo, hi)]
+            trial = loglik(x_new)
             evals += 1
             if math.isfinite(trial[0]) and trial[0] >= value:
                 break
             t *= 0.5
         else:
-            return (max(nu0, _MIN_NU0), x[1]), evals, True
-        x, (value, grad, hessian) = x_new, trial
-    return (max(math.exp(x[0]), _MIN_NU0), x[1]), evals, False
+            return x, evals, True
+        x, (value, score, curvature) = x_new, trial
+    return x, evals, False
+
+
+def _newton_step(score, curv):
+    """The Newton step, the solution of curv @ step = score, by elimination
+    without pivoting; None where a pivot is not positive, that is where the
+    (symmetric) curvature is not positive definite."""
+    n = len(score)
+    rows = [row + [g] for row, g in zip(curv, score)]
+    for i in range(n):
+        pivot = rows[i][i]
+        if not pivot > 0.0:
+            return None
+        for j in range(i + 1, n):
+            f = rows[j][i] / pivot
+            rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+    step = [0.0] * n
+    for i in reversed(range(n)):
+        step[i] = (rows[i][n] - sum(rows[i][k] * step[k] for k in range(i + 1, n))) / rows[i][i]
+    return step
 
 
 def fit_amount_range(window, eta, nu):

@@ -513,8 +513,6 @@ def window_sweep(dataset, valid_dates, Ms, n_members, seed):
     Returns a list of rows keyed by ``SWEEP_HEADER``; a (M, date) cell that
     :func:`date_step` skips is counted in n_skipped.
     """
-    if not valid_dates:
-        return []
     rows = []
     for M in Ms:
         cells = [_sweep_cell(dataset, di, valid_date, M, n_members, seed)
