@@ -16,7 +16,7 @@ any result.
 Usage::
 
     python scripts/cli_digests.py                 # outputs in a temp dir
-    python scripts/cli_digests.py --keep out/     # keep outputs for diffing
+    python scripts/cli_digests.py --keep out/     # keep outputs (new or empty dir)
     python scripts/cli_digests.py --src other/src # digest another checkout
 
 Takes about 2.5 s on a 2-core host; ``verify`` and ``sweep`` dominate.
@@ -166,7 +166,8 @@ def main():
     parser.add_argument("--src", default=os.path.join(os.path.dirname(here), "src"),
                         help="source tree holding the precipfield package")
     parser.add_argument("--keep", default=None,
-                        help="write outputs here (must not exist) instead of a temp dir")
+                        help="write outputs here (a new or empty directory) instead of "
+                             "a temp dir")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from precipfield import cli
@@ -178,7 +179,11 @@ def main():
             print(f"{digest}  {rel}")
 
     if args.keep:
-        os.makedirs(args.keep)
+        if os.path.exists(args.keep) and not (os.path.isdir(args.keep)
+                                              and not os.listdir(args.keep)):
+            print(f"--keep {args.keep}: not an empty directory", file=sys.stderr)
+            sys.exit(2)
+        os.makedirs(args.keep, exist_ok=True)
         emit(args.keep)
     else:
         with tempfile.TemporaryDirectory() as top:

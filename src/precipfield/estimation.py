@@ -2,10 +2,11 @@
 
 Stages, in order: probit occurrence trend, pairwise composite likelihood for
 the occurrence range, OLS for the Gamma mean, constrained ML for the Gamma
-variance (it and the occurrence range by one Newton search, :func:`_newton_max`),
-and a profile marginal likelihood for the amount range. Every stage is a
-deterministic function of the window and the earlier stages; all but the
-Gamma mean also return a dict of deterministic fit diagnostics.
+variance and a pairwise Gaussian composite likelihood for the amount range.
+The two ranges and the variance are maximized by one Newton search,
+:func:`_newton_max`; the two ranges read the same close pairs of sites. Every
+stage is a deterministic function of the window and the earlier stages; all
+but the Gamma mean also return a dict of deterministic fit diagnostics.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from .errors import (
 )
 
 RANGE_SEARCH_KM = (1.0, 2000.0)
-# Occurrence-range pairs: about three ranges at the 35 km synthetic truth,
+# Range pairs: about three ranges at the 35 km synthetic truth,
 # where the correlation is below 0.05 and a pair carries little information.
 PAIR_CUTOFF_KM = 100.0
-_RANGE_XTOL = 1e-3  # in log km
-_BRENT_MAX_EVALS = 500
-# The Newton search of the occurrence range and the Gamma variance: the
+_RANGE_XTOL = 1e-3  # _at_bound's tolerance, in log km
+# The Newton search of the two ranges and the Gamma variance: the
 # largest move of a coordinate in one step, the stopping gain (the score times
 # the step, twice the gain in log likelihood the Newton model predicts) and
 # the step count after which it reports no convergence; the range starts here.
@@ -55,7 +55,8 @@ class TrainingWindow:
     view of the dataset (``rows``), whose ``site``, ``date`` (counted from the
     first date) and ``obs`` columns it exposes, and the forecast as each row's
     cube root and zero flag. ``site_dist`` is the distance matrix of the
-    dataset's sites, computed at its first use."""
+    dataset's sites and ``close_pairs`` the window's same-day pairs of sites
+    closer than PAIR_CUTOFF_KM, each computed at its first use."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -65,6 +66,19 @@ class TrainingWindow:
     @functools.cached_property
     def site_dist(self):
         return rf.pairwise_distances(self.rows.site_xy)
+
+    @functools.cached_property
+    def close_pairs(self):
+        """The row positions of both sites of each same-day pair closer than
+        PAIR_CUTOFF_KM, and their distance. The close pairs of the site
+        distance matrix are kept, day by day and in site order, where a
+        (days, sites) table of row positions has both sites reporting."""
+        first, second = np.nonzero(np.triu(self.site_dist < PAIR_CUTOFF_KM, k=1))
+        row = np.full((len(self.rows.dates), len(self.rows.sites)), -1)
+        row[self.date, self.site] = np.arange(len(self.site))
+        day, pair = np.nonzero((row[:, first] >= 0) & (row[:, second] >= 0))
+        first, second = first[pair], second[pair]
+        return row[day, first], row[day, second], self.site_dist[first, second]
 
     @property
     def days(self):  # date -> row views; read only by perfbench, goes with ROADMAP item 1 PR B
@@ -271,19 +285,6 @@ def bivariate_normal_cdf(h, k, r):
     return out
 
 
-def _close_pairs(window):
-    """Same-day site pairs closer than PAIR_CUTOFF_KM: the row positions of
-    both sites in the window, and their distance. The close pairs of the
-    site distance matrix are kept, day by day and in site order, where a
-    (days, sites) table of row positions has both sites reporting."""
-    first, second = np.nonzero(np.triu(window.site_dist < PAIR_CUTOFF_KM, k=1))
-    row = np.full((len(window.rows.dates), len(window.rows.sites)), -1)
-    row[window.date, window.site] = np.arange(len(window.site))
-    day, pair = np.nonzero((row[:, first] >= 0) & (row[:, second] >= 0))
-    first, second = first[pair], second[pair]
-    return row[day, first], row[day, second], window.site_dist[first, second]
-
-
 def fit_occurrence_range(window, trend):
     """Pairwise composite-likelihood estimate of the occurrence range.
 
@@ -296,7 +297,7 @@ def fit_occurrence_range(window, trend):
     ``{"occurrence_pairs": n, "rho_evals": n, "rho_converged": bool}``."""
     if np.bincount(window.date).max() < 2:
         raise RangeUnidentifiable("no day has two or more sites")
-    first, second, dist = _close_pairs(window)
+    first, second, dist = window.close_pairs
     if not dist.size:
         raise RangeUnidentifiable(
             f"no same-day site pair is closer than {PAIR_CUTOFF_KM:g} km")
@@ -317,11 +318,11 @@ def _pair_loglik(h, k, sign_product, dist):
     second derivative) from a function of no arguments.
 
     Plackett's (1954) identity dPhi2/dr = phi2 gives, with lam = phi2 / Phi2,
-    r' = r d/R and r'' = r (d/R)(d/R - 1) (derivatives in x), the score
-    sum lam r' and the second derivative sum (lam dlog phi2/dr - lam^2) r'^2
-    + lam r''. A pair whose probability is floored at ``tiny`` (impossible
-    at every range: co-located and discordant) or whose correlation rounds
-    to +-1 (co-located) is constant in the range and adds to neither."""
+    the derivatives lam and lam dlog phi2/dr - lam^2 in r
+    (:func:`_log_pdf2`), which :func:`_log_range_derivatives` carries to x. A
+    pair whose probability is floored at ``tiny`` (impossible at every range:
+    co-located and discordant) or whose correlation rounds to +-1
+    (co-located) is constant in the range and adds to neither."""
     tiny = np.finfo(float).tiny
 
     def loglik(x):
@@ -330,88 +331,41 @@ def _pair_loglik(h, k, sign_product, dist):
         cdf = bivariate_normal_cdf(h, k, r)
         value = float(np.sum(np.log(np.maximum(cdf, tiny))))
         live = (cdf > tiny) & (np.abs(r) < 1.0)
-        hl, kl, rl, ratio = h[live], k[live], r[live], dist[live] / range_km
-        one_minus = (1.0 - rl) * (1.0 + rl)
-        quad = hl * hl - 2.0 * rl * hl * kl + kl * kl
-        lam = np.exp(-0.5 * quad / one_minus - 0.5 * np.log(one_minus) - _LOG2PI
-                     - np.log(cdf[live]))
-        dlog_pdf = (rl + hl * kl) / one_minus - rl * quad / one_minus ** 2
-        dr = rl * ratio
-        score = float(np.sum(lam * dr))
-        curvature = -float(np.sum((lam * dlog_pdf - lam * lam) * dr * dr
-                                  + lam * dr * (ratio - 1.0)))
-        return value, [score], lambda: [[curvature]]
+        rl = r[live]
+        log_pdf, dlog_pdf, _ = _log_pdf2(h[live], k[live], rl)
+        lam = np.exp(log_pdf - np.log(cdf[live]))
+        return (value, *_log_range_derivatives(lam, lambda: lam * dlog_pdf - lam * lam, rl,
+                                               dist[live] / range_km))
 
     return loglik
 
 
-def _maximize_range(objective):
-    """Bounded Brent maximum of ``objective(log range)`` over RANGE_SEARCH_KM
-    to _RANGE_XTOL (:func:`_bounded_brent`): the range in km and the
-    evaluation count (about a dozen; _BRENT_MAX_EVALS shows a search that ran
-    out)."""
-    x, value, evals = _bounded_brent(lambda x: -objective(x),
-                                     *(math.log(b) for b in RANGE_SEARCH_KM))
-    if not math.isfinite(value):
-        raise NumericalError(f"range likelihood is {-value} at its optimum")
-    return math.exp(x), evals
+def _log_pdf2(h, k, r):
+    """The standard bivariate normal log density log phi2(h, k; r), its
+    derivative in the correlation r and a function of no arguments that
+    returns its second derivative in r, element-wise for |r| < 1. With s = 1
+    - r^2 and q = h^2 - 2 r h k + k^2, log phi2 = -q / 2s - log(s) / 2 - log
+    2 pi, its derivative is (r + h k) / s - r q / s^2 and its second
+    derivative 1 / s + (2 r^2 + 4 r h k - q) / s^2 - 4 r^2 q / s^3."""
+    s = (1.0 - r) * (1.0 + r)
+    q = h * h - 2.0 * r * h * k + k * k
+    log_pdf = -0.5 * q / s - 0.5 * np.log(s) - _LOG2PI
+    first = (r + h * k) / s - r * q / s ** 2
+    return log_pdf, first, lambda: (1.0 / s + (2.0 * r * r + 4.0 * r * h * k - q) / s ** 2
+                                    - 4.0 * r * r * q / s ** 3)
 
 
-def _bounded_brent(func, a, b):
-    """Minimum of ``func`` on [a, b] to the absolute tolerance _RANGE_XTOL in
-    x, by Brent's (1973, *Algorithms for Minimization without Derivatives*,
-    ch. 5) golden-section search with parabolic interpolation; at most
-    _BRENT_MAX_EVALS evaluations. Returns (x, func(x), evaluations).
-
-    A port of SciPy's ``_minimize_scalar_bounded`` (BSD 3-clause, Copyright
-    the SciPy Developers) with the same steps, so that for the same function
-    it returns the same three values, bit for bit, as
-    ``minimize_scalar(func, bounds=(a, b), method="bounded",
-    options={"xatol": _RANGE_XTOL})``."""
-    sqrt_eps, golden = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
-    xf = nfc = fulc = a + golden * (b - a)
-    fx = fnfc = ffulc = func(xf)
-    evals, rat, e = 1, 0.0, 0.0
-    tol1 = sqrt_eps * abs(xf) + _RANGE_XTOL / 3.0
-    while abs(xf - 0.5 * (a + b)) > 2.0 * tol1 - 0.5 * (b - a) and evals < _BRENT_MAX_EVALS:
-        xm, parabolic = 0.5 * (a + b), False
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                parabolic, rat = True, p / q
-                x = xf + rat
-                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
-                    rat = tol1 if xm >= xf else -tol1
-        if not parabolic:
-            e = (a if xf >= xm else b) - xf
-            rat = golden * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        evals += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        tol1 = sqrt_eps * abs(xf) + _RANGE_XTOL / 3.0
-    return xf, fx, evals
+def _log_range_derivatives(first, second, r, ratio):
+    """The [score] and a function of no arguments for the [[curvature]]
+    (minus the second derivative) in x = log range, the form of
+    :func:`_newton_max`, of a sum of terms f(r), r = c exp(-d / range) for a
+    constant c, from each term's first derivative in r, a function of no
+    arguments for its second and its d / range (``ratio``): r' = r d/R and
+    r'' = r (d/R)(d/R - 1) give the score sum f' r' and the second
+    derivative sum f'' r'^2 + f' r''."""
+    dr = r * ratio
+    return ([float(np.sum(first * dr))],
+            lambda: [[-float(np.sum(second() * dr * dr + first * dr * (ratio - 1.0)))]])
 
 
 def _at_bound(range_km):
@@ -588,63 +542,47 @@ def _newton_step(score, curv):
 
 
 def fit_amount_range(window, eta, nu):
-    """Profile marginal likelihood estimate of the amount range.
+    """Pairwise Gaussian composite-likelihood estimate of the amount range.
 
-    Transforms wet cube-root amounts to Gaussian scores through the
-    site-specific anamorphosis and maximizes the summed zero-mean MVN log
-    density (:func:`_amount_loglik`) over the range by bounded Brent. The
-    Jacobian factors of the transformed-data likelihood do not depend on the
-    range and are omitted. Returns the range in km and ``{"r_evals": n}``."""
-    r_hat, evals = _maximize_range(_amount_loglik(_amount_stacks(window, eta, nu)))
-    return r_hat, {"r_evals": evals}
-
-
-def _amount_stacks(window, eta, nu):
-    """Each day's wet-site distance matrix and Gaussian scores, stacked by
-    wet-site count k (in order of first appearance) into (g, k, k) and
-    (g, k, 1) arrays; the distances index the site distance matrix. Wet
-    records with a nonpositive implied mean are left out, and so is a day
-    left with fewer than two wet sites."""
+    The kept records, wet with a positive implied mean, are transformed to
+    Gaussian scores z through the site-specific anamorphosis. Each same-day
+    pair of kept records at distinct sites closer than PAIR_CUTOFF_KM adds
+    log phi2(z_i, z_j; exp(-d_ij / range)) (Curriero & Lele 1999), which
+    :func:`_newton_max` maximizes over the log range in RANGE_SEARCH_KM from
+    _NEWTON_START_KM, as for the occurrence range. A co-located pair is left
+    out: its correlation is 1 at every range. The Jacobian of the transform
+    does not depend on the range and is omitted. Returns the range in km and
+    ``{"r_pairs": n, "r_evals": n, "r_converged": bool}``."""
     kept = (window.obs > 0) & (tr.gamma_mean(eta, window.fcst_cr, window.zero_flag) > 0)
-    counts = np.bincount(window.date[kept], minlength=len(window.rows.dates))
-    kept &= counts[window.date] >= 2
-    if not kept.any():
-        raise RangeUnidentifiable("no day has two or more wet sites")
+    first, second, dist = window.close_pairs
+    use = kept[first] & kept[second] & (dist > 0.0)
+    if not use.any():
+        raise RangeUnidentifiable("no same-day pair of wet sites is closer than "
+                                  f"{PAIR_CUTOFF_KM:g} km")
     alpha, beta, _ = tr.gamma_marginals(tr.GammaCoeffs(*eta, *nu), window.fcst_cr[kept],
                                         window.zero_flag[kept])
-    scores = tr.gaussian_scores(np.cbrt(window.obs[kept]), alpha, beta)
-    site, k_of = window.site[kept], counts[window.date[kept]]
-    stacks = [(site[k_of == k].reshape(-1, k), scores[k_of == k].reshape(-1, k, 1))
-              for k in dict.fromkeys(counts[counts >= 2].tolist())]
-    return [(window.site_dist[codes[:, :, None], codes[:, None, :]], z) for codes, z in stacks]
+    scores = np.zeros(len(kept))
+    scores[kept] = tr.gaussian_scores(np.cbrt(window.obs[kept]), alpha, beta)
+    loglik = _gauss_pair_loglik(scores[first[use]], scores[second[use]], dist[use])
+    (x,), evals, converged = _newton_max(loglik, [math.log(_NEWTON_START_KM)],
+                                         *([math.log(b)] for b in RANGE_SEARCH_KM))
+    return math.exp(x), {"r_pairs": int(use.sum()), "r_evals": evals,
+                         "r_converged": converged}
 
 
-def _amount_loglik(stacks):
-    """Summed zero-mean MVN log density of the stacked scores as a function
-    of the log range. Each stack is held as bordered matrices [[C, z], [zᵀ, ∞]]
-    and factored by one batched Cholesky per evaluation: the first k diagonal
-    entries give log det C, and the last row is L⁻¹z, so its squared norm is
-    zᵀC⁻¹z. The ∞ corner never fails, so a stack retries only when C fails."""
-    bordered = []
-    for dist, scores in stacks:
-        g, k, _ = dist.shape
-        mat = np.full((g, k + 1, k + 1), np.inf)  # C is written at each evaluation
-        mat[:, :k, k:] = scores
-        mat[:, k:, :k] = scores.transpose(0, 2, 1)
-        bordered.append((dist, mat))
+def _gauss_pair_loglik(z1, z2, dist):
+    """The pairwise log likelihood sum log phi2(z1, z2; exp(-dist / range))
+    of the amount range over x = [log range], in the form of
+    :func:`_newton_max`, with the exact curvature (:func:`_log_pdf2`,
+    :func:`_log_range_derivatives`)."""
+    def loglik(x):
+        range_km = math.exp(x[0])
+        r = rf.exp_correlation(dist, range_km)
+        log_pdf, first, second = _log_pdf2(z1, z2, r)
+        return (float(np.sum(log_pdf)),
+                *_log_range_derivatives(first, second, r, dist / range_km))
 
-    def objective(log_range):
-        range_km = math.exp(log_range)
-        total = 0.0
-        for dist, mat in bordered:
-            g, k, _ = dist.shape
-            mat[:, :k, :k] = rf.exp_correlation(dist, range_km)
-            chol = rf.cholesky_pd(mat)
-            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :k]).sum()
-            total -= 0.5 * (g * k * _LOG2PI + logdet + np.sum(chol[:, k, :k] ** 2))
-        return float(total)
-
-    return objective
+    return loglik
 
 
 def _stage(name, fit, *args):

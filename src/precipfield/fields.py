@@ -122,9 +122,8 @@ def correlation_matrix(sites, corr):
 
 
 def cholesky_pd(mat):
-    """Lower Cholesky factor of a matrix or a (g, k, k) stack of them, with a
-    single jitter retry on failure; the retry adds the jitter to every matrix
-    of the stack (to a bordered matrix's ∞ corner too, which stays ∞)."""
+    """Lower Cholesky factor of a matrix, with a single jitter retry on
+    failure."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:

@@ -355,8 +355,8 @@ class VerificationReport:
 def warn_fit_diagnostics(model, valid_date, M):
     """Log a WARNING when a range fitted for ``valid_date`` with window
     length ``M`` stopped at an end of ``estimation.RANGE_SEARCH_KM``, one
-    when its occurrence-range search did not converge and one when its
-    variance search did not converge."""
+    for each range search and one when the variance search did not
+    converge."""
     diag = model.diagnostics
     hits = [f"{name} = {corr.range_km!r}"
             for name, corr, flag in (("rho_km", model.rho, "rho_at_bound"),
@@ -365,10 +365,11 @@ def warn_fit_diagnostics(model, valid_date, M):
     if hits:
         log.warning("%s M=%d: %s at the search bound %s km; using it anyway",
                     valid_date, M, ", ".join(hits), est.RANGE_SEARCH_KM)
-    if not diag.get("rho_converged", True):
-        log.warning("%s M=%d: the occurrence-range search stopped unconverged after %d "
-                    "evaluations at rho_km = %r; using it anyway", valid_date, M,
-                    diag["rho_evals"], model.rho.range_km)
+    for name, corr, kind in (("rho", model.rho, "occurrence"), ("r", model.r, "amount")):
+        if not diag.get(f"{name}_converged", True):
+            log.warning("%s M=%d: the %s-range search stopped unconverged after %d "
+                        "evaluations at %s_km = %r; using it anyway", valid_date, M, kind,
+                        diag[f"{name}_evals"], name, corr.range_km)
     if not diag.get("variance_converged", True):
         log.warning("%s M=%d: the Gamma variance search stopped unconverged after %d "
                     "evaluations at nu0 = %r, nu1 = %r; using it anyway", valid_date, M,

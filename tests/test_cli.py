@@ -944,7 +944,7 @@ class TestVerify:
         assert len(bound) == 2
         for date, message in zip(ds.dates[-2:], bound):
             assert message.startswith(f"{date} M=10: ")
-            assert "r_km = 1.000" in message and "rho_km" not in message
+            assert "r_km = 1.0 at the search bound" in message and "rho_km" not in message
 
 
 class TestSweep:

@@ -23,6 +23,7 @@ from precipfield.errors import (
     NumericalError,
     PrecipError,
     RangeUnidentifiable,
+    SeparationDetected,
 )
 
 
@@ -98,6 +99,17 @@ class TestMakeWindow:
 
 
 class TestProbitTrend:
+    def test_perfect_separation_raises(self):
+        # Wet exactly where the forecast exceeds 8: the likelihood rises
+        # without bound as the coefficients grow along the separating line.
+        rng = np.random.default_rng(3)
+        fcst = rng.gamma(1.0, 8.0, size=400)
+        fcst[rng.random(400) < 0.3] = 0.0
+        obs = np.where(fcst > 8.0, rng.gamma(2.0, 3.0, size=400), 0.0)
+        assert 0 < (obs > 0).sum() < 400
+        with pytest.raises(SeparationDetected):
+            est.fit_probit_trend(pooled_window(obs, fcst))
+
     def test_no_covariate_effect(self):
         rng = np.random.default_rng(5)
         n = 10_000
@@ -227,7 +239,7 @@ class TestOccurrenceRange:
 
 def per_day_close_pairs(window):
     """The occurrence-range pairs built one day at a time from that day's
-    coordinates: the oracle for the table-indexed ``est._close_pairs``."""
+    coordinates: the oracle for the table-indexed ``TrainingWindow.close_pairs``."""
     first, second, dist, offset = [], [], [], 0
     for xy, obs, _ in window_days(window):
         i, j = np.triu_indices(len(obs), k=1)
@@ -245,7 +257,7 @@ class TestClosePairs:
     def test_match_per_day_loop_bit_for_bit(self, seed, drop):
         ds = dataset_from_rows(gappy_rows(seed, n_sites=40, n_days=12, drop=drop))
         w = est.make_window(ds, ds.dates[-1], 10)
-        got, want = est._close_pairs(w), per_day_close_pairs(w)
+        got, want = w.close_pairs, per_day_close_pairs(w)
         assert want[2].size > 100
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -254,7 +266,7 @@ class TestClosePairs:
         xy = np.array([[0.0, 0.0], [0.0, 0.0], [15.0, 0.0], [40.0, 0.0], [400.0, 0.0]])
         w = window_from_days([(xy, [1.0] * 5, [2.0] * 5), (xy[1:4], [1.0] * 3, [2.0] * 3),
                               (xy[[0, 3, 4]], [1.0] * 3, [2.0] * 3), (xy[4:], [1.0], [2.0])])
-        got = est._close_pairs(w)
+        got = w.close_pairs
         assert got[0].tolist() == [0, 0, 0, 1, 1, 2, 5, 5, 6, 8]
         for a, b in zip(got, per_day_close_pairs(w)):
             assert np.array_equal(a, b)
@@ -488,47 +500,72 @@ class TestNewtonVariance:
                             [0.0, 0.0], [-1.0, 0.0], [math.inf, math.inf])
 
 
-def scipy_bounded_brent(func, lo, hi, maxiter=500):
-    """SciPy's bounded Brent search with the amount range's tolerance: the
-    reference that est._bounded_brent ports."""
+def record_searches(monkeypatch):
+    """Patch est._newton_max to record each likelihood it maximizes; returns
+    the list they are appended to, in call order."""
+    logliks, newton = [], est._newton_max
+
+    def record(loglik, *args):
+        logliks.append(loglik)
+        return newton(loglik, *args)
+
+    monkeypatch.setattr(est, "_newton_max", record)
+    return logliks
+
+
+def scipy_bounded_brent(func, lo, hi):
+    """SciPy's bounded Brent minimum of ``func`` on [lo, hi] to the range
+    tolerance, as (x, func(x)): the reference for the Newton search."""
     res = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": est._RANGE_XTOL, "maxiter": maxiter})
-    return float(res.x), float(res.fun), int(res.nfev)
+                                   options={"xatol": est._RANGE_XTOL})
+    return float(res.x), float(res.fun)
 
 
 class TestBoundedBrent:
+    """The Newton search against SciPy's bounded Brent search on the same
+    functions: it reaches Brent's value and lies within its tolerance."""
+
     @pytest.mark.parametrize("case", range(22))
-    def test_equals_scipy_on_amount_likelihoods(self, case):
+    def test_equals_scipy_on_amount_likelihoods(self, monkeypatch, case):
         # The last two worlds fit at the lower and the upper search bound.
         r_km = {20: 0.01, 21: 1e5}.get(case, 25.0)
         spec = dm.SynthSpec(n_sites=15 + 10 * (case % 3), n_days=10, r_km=r_km, seed=300 + case)
         ds = dm.synth_generate(spec)
         w = est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), 10)
-        objective = est._amount_loglik(est._amount_stacks(w, spec.eta, spec.nu))
-        bounds = [math.log(b) for b in est.RANGE_SEARCH_KM]
-        got = est._bounded_brent(lambda x: -objective(x), *bounds)
-        assert got == scipy_bounded_brent(lambda x: -objective(x), *bounds)
+        logliks = record_searches(monkeypatch)
+        r_hat, diag = est.fit_amount_range(w, spec.eta, spec.nu)
+        [loglik] = logliks
+        x, value = scipy_bounded_brent(lambda x: -loglik([x])[0],
+                                       *(math.log(b) for b in est.RANGE_SEARCH_KM))
+        assert diag["r_converged"] is True
+        assert abs(math.log(r_hat) - x) <= est._RANGE_XTOL
+        assert loglik([math.log(r_hat)])[0] >= -value
         if case >= 20:
-            assert est._at_bound(math.exp(got[0]))
+            assert est._at_bound(r_hat)
 
+    # Each function gives a value to minimize and its first two derivatives.
     @pytest.mark.parametrize("func, lo, hi", [
-        (lambda x: (x - 1.3) ** 2, 0.0, 7.6),
-        (lambda x: math.sin(3.0 * x) + 0.1 * x, -3.0, 2.0),
-        (lambda x: math.cos(x) * math.exp(-x), 0.0, 7.6),
-        (lambda x: abs(x - 2.0), 0.0, 7.6),
-        (lambda x: x, 0.0, 7.6),
-        (lambda x: -x, 0.0, 7.6),
-        (lambda x: 0.0, -1.0, 1.0),
+        (lambda x: ((x - 1.3) ** 2, 2.0 * (x - 1.3), 2.0), 0.0, 7.6),
+        (lambda x: (math.exp(x) - 2.0 * x, math.exp(x) - 2.0, math.exp(x)), -3.0, 2.0),
+        (lambda x: (math.cos(x) * math.exp(-x), -(math.sin(x) + math.cos(x)) * math.exp(-x),
+                    2.0 * math.sin(x) * math.exp(-x)), 0.0, 7.6),
+        (lambda x: (math.hypot(1.0, x - 2.0), (x - 2.0) / math.hypot(1.0, x - 2.0),
+                    math.hypot(1.0, x - 2.0) ** -3), 0.0, 7.6),
+        (lambda x: (x, 1.0, 0.0), 0.0, 7.6),
+        (lambda x: (-x, -1.0, 0.0), 0.0, 7.6),
+        (lambda x: (0.0, 0.0, 0.0), -1.0, 1.0),
     ])
     def test_equals_scipy_on_analytic_functions(self, func, lo, hi):
-        assert est._bounded_brent(func, lo, hi) == scipy_bounded_brent(func, lo, hi)
+        # From mid-interval; cos(x) exp(-x) starts where it is concave.
+        def loglik(x):
+            value, first, second = func(x[0])
+            return -value, [-first], lambda: [[second]]
 
-    def test_evaluation_cap_equals_scipy(self, monkeypatch):
-        monkeypatch.setattr(est, "_BRENT_MAX_EVALS", 4)
-        func = lambda x: math.sin(3.0 * x) + 0.1 * x  # noqa: E731
-        got = est._bounded_brent(func, -3.0, 2.0)
-        assert got == scipy_bounded_brent(func, -3.0, 2.0, maxiter=4)
-        assert got[2] == 4
+        (x,), _, converged = est._newton_max(loglik, [0.5 * (lo + hi)], [lo], [hi])
+        ref_x, ref_value = scipy_bounded_brent(lambda x: func(x)[0], lo, hi)
+        assert converged is True
+        assert func(x)[0] <= ref_value
+        assert abs(x - ref_x) <= est._RANGE_XTOL or func(x)[0] == ref_value
 
 
 class TestRangeSearch:
@@ -545,28 +582,17 @@ class TestRangeSearch:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fits_land_on_dense_grid_maximum(self, monkeypatch, seed):
-        # Records the value function each search maximises: the occurrence
-        # range's Newton search, then the amount range's Brent search.
-        objectives = []
-        newton, brent = est._newton_max, est._maximize_range
-
-        def record_newton(loglik, *args):
-            objectives.append(lambda x: loglik([x])[0])
-            return newton(loglik, *args)
-
-        def record_brent(objective):
-            objectives.append(objective)
-            return brent(objective)
-
-        monkeypatch.setattr(est, "_newton_max", record_newton)
-        monkeypatch.setattr(est, "_maximize_range", record_brent)
+        # Records the likelihood each Newton search maximizes: the occurrence
+        # range's, then the amount range's.
+        logliks = record_searches(monkeypatch)
         spec = dm.SynthSpec(n_sites=20, n_days=12, seed=200 + seed)
         w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
         trend, _ = est.fit_probit_trend(w)
         rho, rho_diag = est.fit_occurrence_range(w, trend)
         r_hat, r_diag = est.fit_amount_range(w, spec.eta, spec.nu)
-        for fitted, objective, evals in ((rho, objectives[0], rho_diag["rho_evals"]),
-                                         (r_hat, objectives[1], r_diag["r_evals"])):
+        for fitted, loglik, evals in ((rho, logliks[0], rho_diag["rho_evals"]),
+                                      (r_hat, logliks[1], r_diag["r_evals"])):
+            objective = lambda x: loglik([x])[0]  # noqa: E731
             assert abs(math.log(fitted) - self._grid_argmax(objective)) <= est._RANGE_XTOL
             assert 0 < evals < 40
 
@@ -577,6 +603,28 @@ class TestRangeSearch:
         _, diag = est.fit_occurrence_range(w, est.fit_probit_trend(w)[0])
         assert diag["rho_converged"] is False
         assert diag["rho_evals"] >= 2
+
+    def test_amount_newton_out_of_steps_reports_unconverged(self, monkeypatch):
+        monkeypatch.setattr(est, "_NEWTON_MAX_STEPS", 1)
+        spec = dm.SynthSpec(n_sites=20, n_days=12, seed=200)
+        w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
+        _, diag = est.fit_amount_range(w, spec.eta, spec.nu)
+        assert diag["r_converged"] is False
+        assert diag["r_evals"] >= 2
+
+    @pytest.mark.parametrize("seed", range(900, 912))
+    def test_fit_verify_windows_converge_off_the_bounds(self, seed):
+        # The windows of the benchmark's fit_verify workload, which fails a
+        # fit whose range sits at a bound: 25 sites with a tenth of the
+        # site-days missing at M = 10, and 30 complete sites at M = 30.
+        gappy = dataset_from_rows(gappy_rows(seed, n_sites=25, n_days=11))
+        complete = dm.synth_generate(dm.SynthSpec(n_sites=30, n_days=31, seed=seed))
+        for ds, M in ((gappy, 10), (complete, 30)):
+            diag = est.fit_model(est.make_window(ds, ds.dates[-1], M)).diagnostics
+            for name in ("rho", "r"):
+                assert diag[f"{name}_converged"] is True
+                assert diag[f"{name}_at_bound"] is False
+                assert diag[f"{name}_evals"] <= 20
 
     def test_nonfinite_likelihood_raises(self):
         with pytest.raises(NumericalError, match="likelihood nan"):
@@ -664,7 +712,7 @@ class TestPairLoglik:
         discordant pair and a discordant pair 10 km apart, both floored."""
         spec = dm.SynthSpec(n_sites=20, n_days=12, seed=seed)
         w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
-        first, second, dist = est._close_pairs(w)
+        first, second, dist = w.close_pairs
         sign = np.where(w.obs > 0, 1.0, -1.0)
         mean = sign * tr.occurrence_trend(est.fit_probit_trend(w)[0], w.fcst_cr, w.zero_flag)
         return (np.append(mean[first], [0.3, 0.3, -40.0]),
@@ -717,32 +765,6 @@ def mvn_log_density(dev, corr_matrix):
     return float(-0.5 * (n * (k * np.log(2.0 * np.pi) + logdet) + np.sum(sol ** 2)))
 
 
-def per_geometry_objective(window, eta, nu):
-    """The amount-range objective as one mvn_log_density call per wet-site
-    geometry, days with the same geometry sharing a Cholesky factor: the
-    oracle for the stacked objective."""
-    coeffs = tr.GammaCoeffs(*eta, *nu)
-    groups = {}
-    for xy, obs, fcst in window_days(window):
-        wet = obs > 0
-        fcst_cr = np.cbrt(fcst[wet])
-        zero_flag = fcst[wet] == 0.0
-        keep = tr.gamma_mean(eta, fcst_cr, zero_flag) > 0
-        if keep.sum() < 2:
-            continue
-        alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
-        y = np.cbrt(obs[wet][keep])
-        xy = xy[wet][keep]
-        groups.setdefault(xy.tobytes(), (xy, []))[1].append(tr.gaussian_scores(y, alpha, beta))
-    dists = [(rf.pairwise_distances(xy), np.array(devs)) for xy, devs in groups.values()]
-
-    def objective(log_range):
-        return sum(mvn_log_density(dev, rf.exp_correlation(d, math.exp(log_range)))
-                   for d, dev in dists)
-
-    return objective
-
-
 class TestMvnLogDensity:
     def test_standard_normal_origin(self):
         # Independent oracle: -0.5 * log(2 pi) per dimension at the mean.
@@ -773,71 +795,99 @@ class TestMvnLogDensity:
 LOG_RANGES = np.log([1.0, 4.0, 25.0, 150.0, 2000.0])
 
 
-def per_day_stacks(window, eta, nu):
-    """The amount-range stacks built one day at a time: the oracle for the
-    pooled construction in ``est._amount_stacks``."""
+def pair_log_density(z1, z2, dist, log_range):
+    """Summed mvn_log_density of each pair of scores under the exponential
+    correlation of its distance: the oracle for the amount likelihood."""
+    r = np.exp(-np.asarray(dist) / math.exp(log_range))
+    return sum(mvn_log_density([a, b], np.array([[1.0, c], [c, 1.0]]))
+               for a, b, c in zip(z1, z2, r))
+
+
+class TestGaussPairLoglik:
+    @staticmethod
+    def _pairs(seed):
+        """Scores of 300 pairs 0.5 to 100 km apart, correlated as a field
+        with a 25 km range correlates them."""
+        rng = np.random.default_rng(seed)
+        dist = rng.uniform(0.5, est.PAIR_CUTOFF_KM, 300)
+        r = np.exp(-dist / 25.0)
+        z1 = rng.standard_normal(300)
+        return z1, r * z1 + np.sqrt(1.0 - r * r) * rng.standard_normal(300), dist
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_derivatives_match_central_differences(self, seed):
+        loglik = est._gauss_pair_loglik(*self._pairs(seed))
+
+        def differences(x, delta):
+            up, mid, down = (loglik([x + t])[0] for t in (delta, 0.0, -delta))
+            return np.array([(up - down) / (2 * delta), -(up - 2 * mid + down) / delta ** 2])
+
+        for x in LOG_RANGES:
+            _, (score,), curvature = loglik([x])
+            (curvature,), = curvature()
+            # Central differences with one Richardson step: O(delta^4) error.
+            numeric = (4 * differences(x, 5e-3) - differences(x, 1e-2)) / 3
+            assert score == pytest.approx(numeric[0], rel=1e-6, abs=1e-6 * abs(curvature))
+            assert curvature == pytest.approx(numeric[1], rel=1e-6)
+
+    def test_value_is_summed_pair_density(self):
+        z1, z2, dist = self._pairs(7)
+        loglik = est._gauss_pair_loglik(z1, z2, dist)
+        for x in LOG_RANGES:
+            assert loglik([x])[0] == pytest.approx(pair_log_density(z1, z2, dist, x), rel=1e-12)
+
+
+def per_day_amount_pairs(window, eta, nu):
+    """The amount-range pairs built one day at a time: the Gaussian scores
+    of each day's kept records (wet, with a positive implied mean) and their
+    pairs at distinct sites closer than PAIR_CUTOFF_KM, as (z1, z2, dist):
+    the oracle for the pairs ``est.fit_amount_range`` takes from
+    ``TrainingWindow.close_pairs``."""
     coeffs = tr.GammaCoeffs(*eta, *nu)
-    by_count = {}
+    z1, z2, dist = [], [], []
     for xy, obs, fcst in window_days(window):
-        wet = obs > 0
-        fcst_cr = np.cbrt(fcst[wet])
-        zero_flag = fcst[wet] == 0.0
-        keep = tr.gamma_mean(eta, fcst_cr, zero_flag) > 0
-        if keep.sum() < 2:
-            continue
+        fcst_cr, zero_flag = np.cbrt(fcst), fcst == 0.0
+        keep = (obs > 0) & (tr.gamma_mean(eta, fcst_cr, zero_flag) > 0)
         alpha, beta, _ = tr.gamma_marginals(coeffs, fcst_cr[keep], zero_flag[keep])
-        scores = tr.gaussian_scores(np.cbrt(obs[wet][keep]), alpha, beta)
-        dist = rf.pairwise_distances(xy[wet][keep])
-        by_count.setdefault(scores.size, []).append((dist, scores))
-    return [(np.array([d for d, _ in days]), np.array([z for _, z in days])[:, :, None])
-            for days in by_count.values()]
+        z = tr.gaussian_scores(np.cbrt(obs[keep]), alpha, beta)
+        i, j = np.triu_indices(z.size, k=1)
+        d = rf.pairwise_distances(xy[keep])[i, j]
+        use = (d < est.PAIR_CUTOFF_KM) & (d > 0.0)
+        z1.append(z[i[use]])
+        z2.append(z[j[use]])
+        dist.append(d[use])
+    return np.concatenate(z1), np.concatenate(z2), np.concatenate(dist)
 
 
-def assert_stacks_match_loop(window, eta, nu):
-    stacks = est._amount_stacks(window, eta, nu)
-    expected = per_day_stacks(window, eta, nu)
-    assert [(d.shape, z.shape) for d, z in stacks] == [(d.shape, z.shape) for d, z in expected]
-    for (dist, scores), (d, z) in zip(stacks, expected):
-        assert np.array_equal(dist, d) and np.array_equal(scores, z)
-
-
-def assert_stacks_match_oracle(window, eta, nu):
-    stacked = est._amount_loglik(est._amount_stacks(window, eta, nu))
-    oracle = per_geometry_objective(window, eta, nu)
+def assert_amount_pairs_match_oracle(monkeypatch, window, eta, nu):
+    """fit_amount_range's likelihood and pair count against the per-day
+    oracle; returns the pair count."""
+    logliks = record_searches(monkeypatch)
+    _, diag = est.fit_amount_range(window, eta, nu)
+    z1, z2, dist = per_day_amount_pairs(window, eta, nu)
+    assert diag["r_pairs"] == dist.size
     for x in LOG_RANGES:
-        assert stacked(x) == pytest.approx(oracle(x), rel=1e-12, abs=0.0)
+        assert logliks[0]([x])[0] == pytest.approx(pair_log_density(z1, z2, dist, x),
+                                                   rel=1e-12, abs=0.0)
+    return diag["r_pairs"]
 
 
-class TestAmountStacks:
+class TestAmountPairs:
     @pytest.mark.parametrize("seed", range(4))
-    def test_gappy_window_matches_per_geometry_oracle(self, seed):
+    def test_gappy_window_matches_per_day_oracle(self, monkeypatch, seed):
         # One site-day in ten missing, so wet counts and geometries vary.
         spec = dm.SynthSpec(n_sites=25, n_days=10, seed=300 + seed)
         rng = np.random.default_rng(seed)
         rows = [row for row in dataset_rows(dm.synth_generate(spec)) if rng.random() >= 0.1]
         ds = dataset_from_rows(rows)
         w = est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), 10)
-        stacks = est._amount_stacks(w, spec.eta, spec.nu)
-        assert len(stacks) > 1 and max(len(d) for d, _ in stacks) > 1
-        for dist, scores in stacks:
-            g, k, _ = dist.shape
-            assert scores.shape == (g, k, 1)
-        assert_stacks_match_loop(w, spec.eta, spec.nu)
-        assert_stacks_match_oracle(w, spec.eta, spec.nu)
+        assert assert_amount_pairs_match_oracle(monkeypatch, w, spec.eta, spec.nu) > 100
 
-    def test_single_matrix_stack(self):
-        xy = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 40.0]])
-        w = window_from_days([(xy[:2], [2.0, 5.0], [3.0, 4.0]),
-                              (xy, [1.0, 7.0, 3.0], [2.0, 6.0, 0.0])])
-        stacks = est._amount_stacks(w, (1.0, 0.5, 0.2), (0.3, 0.02))
-        assert [d.shape for d, _ in stacks] == [(1, 2, 2), (1, 3, 3)]
-        assert_stacks_match_oracle(w, (1.0, 0.5, 0.2), (0.3, 0.02))
-
-    def test_nonpositive_means_and_single_wet_days(self):
+    def test_nonpositive_means_and_single_wet_days(self, monkeypatch):
         # With eta0 = -1 the implied mean is nonpositive where the forecast
         # cube root is at most 2, or the forecast is zero: those wet records
-        # drop, leaving day 2 with one wet site and day 5 with none. Day 4
-        # joins the k = 2 stack that day 1 opened, after the k = 3 stack.
+        # drop, leaving one pair on day 1, none on day 2 (one kept site),
+        # three on day 3, one on day 4 and none on days 5 and 6.
         eta, nu = (-1.0, 0.5, 0.2), (0.3, 0.02)
         xy = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 40.0], [25.0, 35.0]])
         w = window_from_days([
@@ -848,36 +898,19 @@ class TestAmountStacks:
             (xy[:2], [3.0, 1.0], [0.0, 0.0]),
             (xy, [0.0, 0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 9.0]),
         ])
-        stacks = est._amount_stacks(w, eta, nu)
-        assert [d.shape for d, _ in stacks] == [(2, 2, 2), (1, 3, 3)]
-        assert_stacks_match_loop(w, eta, nu)
-        assert_stacks_match_oracle(w, eta, nu)
+        assert assert_amount_pairs_match_oracle(monkeypatch, w, eta, nu) == 5
 
-    def test_blocked_cholesky_stack(self):
-        # 70 wet sites make a 71 x 71 bordered matrix, past the size where
-        # OpenBLAS factors in blocks, so the ∞ corner sits in a trailing block.
-        rng = np.random.default_rng(5)
-        xy = rng.uniform(0.0, 300.0, size=(70, 2))
-        days = [(xy, rng.gamma(2.0, 3.0, 70), rng.uniform(1.0, 60.0, 70)) for _ in range(2)]
-        w = window_from_days(days + [(xy[:5], [2.0, 5.0, 1.0, 3.0, 4.0], [3.0, 4.0, 2.0, 8.0, 1.0])])
-        assert [d.shape for d, _ in est._amount_stacks(w, (1.0, 0.5, 0.2), (0.3, 0.02))] == [
-            (2, 70, 70), (1, 5, 5)]
-        assert_stacks_match_loop(w, (1.0, 0.5, 0.2), (0.3, 0.02))
-        assert_stacks_match_oracle(w, (1.0, 0.5, 0.2), (0.3, 0.02))
-
-    def test_colocated_pair_takes_jitter_retry(self):
-        # The co-located pair's correlation matrix is singular at every
-        # range, so its stack's Cholesky retries with jitter, for the
-        # well-separated pair in the same stack too.
+    def test_colocated_pair_left_out(self, monkeypatch):
+        # The co-located pair is correlated 1 at every range; only the pair
+        # 61 km apart enters, and without it the range is unidentifiable.
         far = np.array([[0.0, 0.0], [60.0, 10.0]])
         same = np.array([[5.0, 5.0], [5.0, 5.0]])
-        w = window_from_days([(far, [2.0, 5.0], [3.0, 4.0]),
-                              (same, [1.0, 6.0], [2.0, 3.0])])
-        [(dist, _)] = est._amount_stacks(w, (1.0, 0.5, 0.2), (0.3, 0.02))
-        for x in LOG_RANGES:
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(rf.exp_correlation(dist, math.exp(x)))
-        assert_stacks_match_oracle(w, (1.0, 0.5, 0.2), (0.3, 0.02))
+        days = [(far, [2.0, 5.0], [3.0, 4.0]), (same, [1.0, 6.0], [2.0, 3.0])]
+        eta, nu = (1.0, 0.5, 0.2), (0.3, 0.02)
+        assert assert_amount_pairs_match_oracle(
+            monkeypatch, window_from_days(days), eta, nu) == 1
+        with pytest.raises(RangeUnidentifiable, match="no same-day pair of wet sites"):
+            est.fit_amount_range(window_from_days(days[1:]), eta, nu)
 
 
 class TestFitWarnings:
@@ -902,6 +935,17 @@ class TestFitWarnings:
         [record] = caplog.records
         assert record.getMessage().startswith("2004-02-01 M=10: the occurrence-range search")
         assert "after 51 evaluations at rho_km = 30.0" in record.getMessage()
+
+    def test_unconverged_amount_range_warns(self, caplog):
+        model = est.FittedModel.from_text(
+            "gamma0 = 0\ngamma1 = 0.4\ngamma2 = -0.4\nrho_km = 30\neta0 = 1.5\n"
+            "eta1 = 0.8\neta2 = 0.4\nnu0 = 0.15\nnu1 = 0.05\nr_km = 20\n"
+            "diag.r_converged = False\ndiag.r_evals = 51\n")
+        with caplog.at_level("WARNING", logger="precipfield"):
+            vf.warn_fit_diagnostics(model, dt.date(2004, 2, 1), 10)
+        [record] = caplog.records
+        assert record.getMessage().startswith("2004-02-01 M=10: the amount-range search")
+        assert "after 51 evaluations at r_km = 20.0" in record.getMessage()
 
     def test_converged_fit_is_quiet(self, caplog):
         spec = dm.SynthSpec(n_sites=20, n_days=15, seed=12)
@@ -975,6 +1019,8 @@ class TestFitModel:
             assert isinstance(diag[key], int) and diag[key] > 0
         assert diag["variance_converged"] is True
         assert diag["rho_converged"] is True
+        assert diag["r_converged"] is True
+        assert diag["r_pairs"] > 0
         assert diag["min_training_mean"] > 0
         assert diag["n_wet_records"] > 0
 
@@ -984,7 +1030,7 @@ class TestFitModel:
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 15)
         model = est.fit_model(w)
         diag = model.diagnostics
-        assert diag["occurrence_pairs"] == int(est._close_pairs(w)[2].size) > 0
+        assert diag["occurrence_pairs"] == int(w.close_pairs[2].size) > 0
         assert diag["rho_at_bound"] is False and diag["r_at_bound"] is False
         back = est.FittedModel.from_text(model.to_text())
         assert back.diagnostics["occurrence_pairs"] == diag["occurrence_pairs"]
@@ -992,8 +1038,9 @@ class TestFitModel:
         assert back.diagnostics["r_at_bound"] is False
         assert back.diagnostics["variance_converged"] is True
         assert back.diagnostics["rho_converged"] is True
+        assert back.diagnostics["r_converged"] is True
         assert back.diagnostics["probit_iterations"] == diag["probit_iterations"]
-        for key in ("probit_iterations", "variance_evals", "occurrence_pairs"):
+        for key in ("probit_iterations", "variance_evals", "occurrence_pairs", "r_pairs"):
             assert type(back.diagnostics[key]) is int, key
         assert type(back.diagnostics["min_training_mean"]) is float
         assert back.to_text() == model.to_text()

@@ -16,3 +16,20 @@ def test_cli_digests_lists_each_output_once():
     assert lines and all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     paths = [line[66:] for line in lines]
     assert len(set(paths)) == len(paths)
+
+
+def test_cli_digests_keeps_outputs_only_in_an_empty_directory(tmp_path):
+    # An existing empty directory takes the outputs; once it holds them, a
+    # second run refuses it in one line, exits 2 and writes nothing.
+    keep = tmp_path / "out"
+    keep.mkdir()
+    script = [sys.executable, str(SCRIPTS / "cli_digests.py"), "--keep", str(keep)]
+    res = subprocess.run(script, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    listed = sorted(line[66:] for line in res.stdout.splitlines())
+    written = sorted(str(p.relative_to(keep)) for p in keep.rglob("*") if p.is_file())
+    assert listed == written and written
+    res = subprocess.run(script, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 2
+    assert res.stdout == "" and res.stderr == f"--keep {keep}: not an empty directory\n"
+    assert sorted(str(p.relative_to(keep)) for p in keep.rglob("*") if p.is_file()) == written
