@@ -160,9 +160,19 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(os.path.dirname(here), "src"),
                         help="source tree holding the precipfield package")
-    parser.add_argument("--seeds", type=int, default=40, help="fresh seeds per criterion")
+    parser.add_argument("--seeds", type=int, default=40,
+                        help="fresh seeds per criterion (at least 2, for quartiles)")
     parser.add_argument("--criteria", default="2,5,6,7", help="comma-separated subset")
     args = parser.parse_args()
+    wanted = {token.strip() for token in args.criteria.split(",")}
+    unknown = sorted(wanted - {"2", "5", "6", "7"})
+    if unknown:
+        print(f"--criteria {args.criteria}: unknown criterion {unknown[0]!r} "
+              "(choose from 2, 5, 6, 7)", file=sys.stderr)
+        sys.exit(2)
+    if args.seeds < 2:
+        print(f"--seeds {args.seeds}: quartiles need at least 2 fresh seeds", file=sys.stderr)
+        sys.exit(2)
     sys.path.insert(0, os.path.abspath(args.src))
     from precipfield import data as dm
     from precipfield import estimation as est
@@ -173,7 +183,6 @@ def main():
 
     pf = (dm, est, rf, fc, tr, vf)
     fresh = range(1000, 1000 + args.seeds)
-    wanted = set(args.criteria.split(","))
 
     if "2" in wanted:
         pinned = [criterion2_errors(pf, s) for s in range(20)]

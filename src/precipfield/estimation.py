@@ -3,10 +3,12 @@
 Stages, in order: probit occurrence trend, pairwise composite likelihood for
 the occurrence range, OLS for the Gamma mean, constrained ML for the Gamma
 variance and a pairwise Gaussian composite likelihood for the amount range.
-The two ranges and the variance are maximized by one Newton search,
-:func:`_newton_max`; the two ranges read the same close pairs of sites. Every
-stage is a deterministic function of the window and the earlier stages; all
-but the Gamma mean also return a dict of deterministic fit diagnostics.
+The four searches (the probit, the two ranges and the variance) run through
+one Newton search, :func:`_newton_max`; the probit and the Gamma mean share
+one trend design (:func:`_trend_design`), and the two ranges read the same
+close pairs of sites. Every stage is a deterministic function of the window
+and the earlier stages; all but the Gamma mean also return a dict of
+deterministic fit diagnostics.
 """
 
 from __future__ import annotations
@@ -191,71 +193,58 @@ def make_window(dataset, valid_date, M):
     return TrainingWindow(dataset.span(max(last - M, 0), last))
 
 
-def _probit_design(fcst_cr, zero_flag):
-    return np.column_stack([np.ones_like(fcst_cr), fcst_cr, zero_flag.astype(float)])
-
-
-def _drop_constant_indicator(design):
-    """Drop the zero-forecast indicator column when it carries no contrast."""
-    col = design[:, 2]
-    if col.min() == col.max():
-        return design[:, :2], True
-    return design, False
+def _trend_design(fcst_cr, zero_flag):
+    """The trend design (1, fcst^1/3, zero flag) of the probit and the Gamma
+    mean, and whether the zero flag was dropped: it is where it carries no
+    contrast, its coefficient then reported as 0. Raises
+    :class:`InsufficientData` where the design is rank-deficient, as where
+    the forecast is constant."""
+    design = np.column_stack([np.ones_like(fcst_cr), fcst_cr, zero_flag.astype(float)])
+    dropped = bool(zero_flag.min() == zero_flag.max())
+    if dropped:
+        design = design[:, :2]
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        raise InsufficientData("rank-deficient trend design (1, fcst^1/3, zero flag)")
+    return design, dropped
 
 
 def fit_probit_trend(window):
-    """Maximum-likelihood probit for occurrence on (1, fcst^1/3, zero flag).
+    """Maximum-likelihood probit for occurrence on the trend design
+    (:func:`_trend_design`).
 
-    Fisher scoring with step halving; convergence at score norm 1e-8.
-    Returns the coefficients and ``{"probit_iterations": scoring steps}``.
+    :func:`_newton_max` maximizes the log likelihood sum log Phi(s eta), s =
+    +1 wet and -1 dry and eta the trend, over the unbounded coefficients from
+    zero, on the score sum s x phi(eta) / Phi(s eta) and the expected
+    information sum x x' phi(eta)^2 / (Phi(eta) Phi(-eta)). A search that
+    does not converge, or that ends with every record on its own side of the
+    trend (where scaling the coefficients up raises the likelihood without
+    bound), raises :class:`SeparationDetected`. Returns the coefficients and
+    ``{"probit_evals": n}``.
     """
-    wet = (window.obs > 0).astype(float)
-    if wet.min() == wet.max():
+    wet = window.obs > 0
+    if wet.all() or not wet.any():
         raise DegenerateOccurrence("window is all-wet or all-dry")
-    design, dropped = _drop_constant_indicator(_probit_design(window.fcst_cr, window.zero_flag))
+    design, dropped = _trend_design(window.fcst_cr, window.zero_flag)
+    signed = design * np.where(wet, 1.0, -1.0)[:, None]
 
-    beta = np.zeros(design.shape[1])
-    loglik = _probit_loglik(beta, design, wet)
-    for iteration in range(101):
-        eta = design @ beta
-        log_phi = -0.5 * eta ** 2 - 0.5 * math.log(2 * math.pi)
-        lam1 = np.exp(log_phi - special.log_ndtr(eta))
-        lam0 = np.exp(log_phi - special.log_ndtr(-eta))
-        score = design.T @ (wet * lam1 - (1 - wet) * lam0)
-        if np.linalg.norm(score) < 1e-8:
-            break
-        if iteration == 100:  # out of steps: accept a score that is merely small
-            if np.linalg.norm(score) > 1e-6:
-                raise SeparationDetected("probit did not converge in 100 iterations")
-            break
-        w_info = lam1 * lam0  # phi^2 / (Phi * (1 - Phi))
-        info = design.T @ (design * w_info[:, None])
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            raise InsufficientData("rank-deficient probit design") from None
-        # Step halving on the log likelihood; when all fail, the last scale is taken.
-        scale = 1.0
-        for _ in range(30):
-            cand = beta + scale * step
-            cand_ll = _probit_loglik(cand, design, wet)
-            if cand_ll >= loglik - 1e-12:
-                break
-            scale *= 0.5
-        else:
-            cand = beta + scale * step
-            cand_ll = _probit_loglik(cand, design, wet)
-        beta, loglik = cand, cand_ll
-        if np.linalg.norm(beta) > 1e3:
-            raise SeparationDetected("probit coefficients diverge")
-    gamma2 = 0.0 if dropped else float(beta[2])
-    return (tr.OccurrenceTrendParams(float(beta[0]), float(beta[1]), gamma2),
-            {"probit_iterations": iteration})
+    def loglik(beta):
+        eta = signed @ beta  # s times the trend
+        log_cdf, log_pdf = special.log_ndtr(eta), -0.5 * eta * eta - 0.5 * _LOG2PI
+        lam = np.exp(log_pdf - log_cdf)
 
+        def information():
+            weight = lam * np.exp(log_pdf - special.log_ndtr(-eta))
+            return (design.T @ (design * weight[:, None])).tolist()
 
-def _probit_loglik(beta, design, wet):
-    eta = design @ beta
-    return float(np.sum(wet * special.log_ndtr(eta) + (1 - wet) * special.log_ndtr(-eta)))
+        return float(np.sum(log_cdf)), (signed.T @ lam).tolist(), information
+
+    p = design.shape[1]
+    beta, evals, converged = _newton_max(loglik, [0.0] * p, [-math.inf] * p, [math.inf] * p)
+    if not converged or (signed @ beta > 0.0).all():
+        raise SeparationDetected("the forecast separates wet from dry: the probit search "
+                                 f"found no maximum in {evals} evaluations")
+    gamma2 = 0.0 if dropped else beta[2]
+    return tr.OccurrenceTrendParams(beta[0], beta[1], gamma2), {"probit_evals": evals}
 
 
 def bivariate_normal_cdf(h, k, r):
@@ -377,20 +366,13 @@ def _at_bound(range_km):
 
 
 def fit_gamma_mean(window):
-    """OLS of cube-root wet amounts on (1, fcst^1/3, zero flag).
-
-    If no wet record has a zero forecast the indicator column is dropped and
-    its coefficient reported as 0.
-    """
+    """OLS of cube-root wet amounts on the trend design of the wet records
+    (:func:`_trend_design`)."""
     wet = window.obs > 0
     if wet.sum() < 3:
         raise InsufficientData(f"only {int(wet.sum())} wet records")
-    y = np.cbrt(window.obs[wet])
-    design, dropped = _drop_constant_indicator(
-        _probit_design(window.fcst_cr[wet], window.zero_flag[wet]))
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise InsufficientData("rank-deficient mean regression design")
+    design, dropped = _trend_design(window.fcst_cr[wet], window.zero_flag[wet])
+    coef = np.linalg.lstsq(design, np.cbrt(window.obs[wet]), rcond=None)[0]
     eta2 = 0.0 if dropped else float(coef[2])
     return float(coef[0]), float(coef[1]), eta2
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import dataset_from_rows, dataset_rows
 from scipy import linalg, optimize, stats
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from precipfield import data as dm
 from precipfield import estimation as est
@@ -148,6 +148,72 @@ class TestProbitTrend:
         wet = rng.standard_normal(n) + 0.5 * fcst_cr - 0.3 > 0
         params, _ = est.fit_probit_trend(pooled_window(wet.astype(float), fcst_cr ** 3))
         assert params.gamma2 == 0.0
+
+
+def probit_loglik(beta, window):
+    """The probit log likelihood sum log Phi(s x'beta) of a window, s = +1
+    wet and -1 dry, on (1, fcst^1/3) and the zero flag where beta has three
+    coefficients."""
+    design = np.column_stack([np.ones_like(window.fcst_cr), window.fcst_cr,
+                              window.zero_flag.astype(float)])[:, :len(beta)]
+    return float(np.sum(log_ndtr(np.where(window.obs > 0, 1.0, -1.0) * (design @ beta))))
+
+
+def probit_window(case):
+    """Window ``case`` of twelve for the probit oracle: 0-7 hold independent
+    records drawn from a probit trend (6 and 7 with no zero forecast, so the
+    indicator is dropped), 8-11 are synthetic worlds."""
+    if case >= 8:
+        ds = dm.synth_generate(dm.SynthSpec(n_sites=10 * case - 65, n_days=20, seed=52 + case))
+        return est.make_window(ds, ds.dates[-1] + dt.timedelta(days=1), 20)
+    rng = np.random.default_rng(40 + case)
+    n = [60, 200, 1000, 5000][case % 4]
+    fcst_cr = rng.gamma(2.0, 1.0, size=n)
+    if case < 6:
+        fcst_cr[rng.random(n) < 0.1 + 0.05 * case] = 0.0
+    gamma = rng.normal([0.0, 0.5, -0.4], 0.5)
+    wet = rng.standard_normal(n) + gamma[0] + gamma[1] * fcst_cr + gamma[2] * (fcst_cr == 0) > 0
+    return pooled_window(np.where(wet, 1.0, 0.0), fcst_cr ** 3)
+
+
+class TestProbitSearch:
+    @pytest.mark.parametrize("case", range(12))
+    def test_reaches_scipy_maximum(self, case):
+        w = probit_window(case)
+        params, diag = est.fit_probit_trend(w)
+        dropped = bool(w.zero_flag.all() or not w.zero_flag.any())
+        assert dropped is (case in (6, 7))
+        beta = [params.gamma0, params.gamma1] + ([] if dropped else [params.gamma2])
+        assert not dropped or params.gamma2 == 0.0
+        res = optimize.minimize(lambda b: -probit_loglik(b, w), np.zeros(len(beta)),
+                                method="BFGS", options={"gtol": 1e-10})
+        assert probit_loglik(beta, w) >= -res.fun - 1e-9
+        assert 0 < diag["probit_evals"] < est._NEWTON_MAX_STEPS
+
+    @pytest.mark.parametrize("fcst", [np.full(50, 3.0), np.full(50, 0.7),
+                                      np.where(np.arange(50) % 2 == 0, 8.0, 0.0)])
+    def test_rank_deficient_design_raises(self, fcst):
+        # Mixed wet and dry records on a constant forecast, or on one nonzero
+        # value whose cube root is 2 minus twice the zero flag: the trend
+        # coefficients are not identified, in the probit or the Gamma mean.
+        obs = np.where(np.arange(50) % 5 < 2, 2.0, 0.0)
+        for fit in (est.fit_probit_trend, est.fit_gamma_mean):
+            with pytest.raises(InsufficientData, match="rank-deficient"):
+                fit(pooled_window(obs, fcst))
+
+    def test_fit_model_names_the_probit_stage(self):
+        obs = np.where(np.arange(50) < 20, 2.0, 0.0)
+        with pytest.raises(InsufficientData, match="^stage probit: rank-deficient"):
+            est.fit_model(pooled_window(obs, np.full(50, 3.0)))
+
+    def test_separation_with_a_wide_gap_raises(self):
+        # Wet exactly where the forecast exceeds 8, with no forecast between
+        # 1 and 27: the search stops where the likelihood is flat to
+        # rounding, every record on its own side of the trend.
+        rng = np.random.default_rng(0)
+        fcst = np.concatenate([rng.uniform(0.0, 1.0, 100), rng.uniform(27.0, 60.0, 100)])
+        with pytest.raises(SeparationDetected):
+            est.fit_probit_trend(pooled_window(np.where(fcst > 8.0, 1.0, 0.0), fcst))
 
 
 class TestBivariateNormalCdf:
@@ -582,25 +648,26 @@ class TestRangeSearch:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fits_land_on_dense_grid_maximum(self, monkeypatch, seed):
-        # Records the likelihood each Newton search maximizes: the occurrence
-        # range's, then the amount range's.
+        # Records the likelihood each Newton search maximizes: the probit's,
+        # the occurrence range's, then the amount range's.
         logliks = record_searches(monkeypatch)
         spec = dm.SynthSpec(n_sites=20, n_days=12, seed=200 + seed)
         w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
         trend, _ = est.fit_probit_trend(w)
         rho, rho_diag = est.fit_occurrence_range(w, trend)
         r_hat, r_diag = est.fit_amount_range(w, spec.eta, spec.nu)
-        for fitted, loglik, evals in ((rho, logliks[0], rho_diag["rho_evals"]),
-                                      (r_hat, logliks[1], r_diag["r_evals"])):
+        for fitted, loglik, evals in ((rho, logliks[1], rho_diag["rho_evals"]),
+                                      (r_hat, logliks[2], r_diag["r_evals"])):
             objective = lambda x: loglik([x])[0]  # noqa: E731
             assert abs(math.log(fitted) - self._grid_argmax(objective)) <= est._RANGE_XTOL
             assert 0 < evals < 40
 
     def test_newton_out_of_steps_reports_unconverged(self, monkeypatch):
-        monkeypatch.setattr(est, "_NEWTON_MAX_STEPS", 1)
         spec = dm.SynthSpec(n_sites=20, n_days=12, seed=200)
         w = est.make_window(dm.synth_generate(spec), dt.date(2005, 1, 1), 12)
-        _, diag = est.fit_occurrence_range(w, est.fit_probit_trend(w)[0])
+        trend, _ = est.fit_probit_trend(w)  # a probit out of steps raises
+        monkeypatch.setattr(est, "_NEWTON_MAX_STEPS", 1)
+        _, diag = est.fit_occurrence_range(w, trend)
         assert diag["rho_converged"] is False
         assert diag["rho_evals"] >= 2
 
@@ -1015,7 +1082,7 @@ class TestFitModel:
         w = est.make_window(ds, max(ds.dates) + dt.timedelta(days=1), 15)
         model = est.fit_model(w)
         diag = model.diagnostics
-        for key in ("probit_iterations", "rho_evals", "r_evals", "variance_evals"):
+        for key in ("probit_evals", "rho_evals", "r_evals", "variance_evals"):
             assert isinstance(diag[key], int) and diag[key] > 0
         assert diag["variance_converged"] is True
         assert diag["rho_converged"] is True
@@ -1039,8 +1106,8 @@ class TestFitModel:
         assert back.diagnostics["variance_converged"] is True
         assert back.diagnostics["rho_converged"] is True
         assert back.diagnostics["r_converged"] is True
-        assert back.diagnostics["probit_iterations"] == diag["probit_iterations"]
-        for key in ("probit_iterations", "variance_evals", "occurrence_pairs", "r_pairs"):
+        assert back.diagnostics["probit_evals"] == diag["probit_evals"]
+        for key in ("probit_evals", "variance_evals", "occurrence_pairs", "r_pairs"):
             assert type(back.diagnostics[key]) is int, key
         assert type(back.diagnostics["min_training_mean"]) is float
         assert back.to_text() == model.to_text()
