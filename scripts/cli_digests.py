@@ -169,6 +169,10 @@ def main():
                         help="write outputs here (a new or empty directory) instead of "
                              "a temp dir")
     args = parser.parse_args()
+    if not os.path.isfile(os.path.join(args.src, "precipfield", "__init__.py")):
+        print(f"--src {args.src}: not a source tree (no precipfield/__init__.py)",
+              file=sys.stderr)
+        sys.exit(2)
     sys.path.insert(0, os.path.abspath(args.src))
     from precipfield import cli
 

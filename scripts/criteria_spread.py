@@ -173,6 +173,10 @@ def main():
     if args.seeds < 2:
         print(f"--seeds {args.seeds}: quartiles need at least 2 fresh seeds", file=sys.stderr)
         sys.exit(2)
+    if not os.path.isfile(os.path.join(args.src, "precipfield", "__init__.py")):
+        print(f"--src {args.src}: not a source tree (no precipfield/__init__.py)",
+              file=sys.stderr)
+        sys.exit(2)
     sys.path.insert(0, os.path.abspath(args.src))
     from precipfield import data as dm
     from precipfield import estimation as est

@@ -83,7 +83,7 @@ def _draw_members(mu, alpha, beta, draw, n_members, seed, block):
     return members
 
 
-def _site_ensemble(model, sites, fcst_accum, n_members, seed, chols=None):
+def _site_ensemble(model, sites, fcst_accum, n_members, seed, chols):
     if len(sites) < 1:
         raise DomainError("need at least one site")
     fcst_accum = np.atleast_1d(np.asarray(fcst_accum, dtype=float))
@@ -96,9 +96,7 @@ def _site_ensemble(model, sites, fcst_accum, n_members, seed, chols=None):
         # stacked matmul is one gemv per member, so unlike a gemm it rounds
         # alike at any k.
         e = rng.standard_normal((k, 2, len(sites), 1))
-        if chols is not None:
-            return (chols[0] @ e[:, 0])[..., 0], (chols[1] @ e[:, 1])[..., 0]
-        return e[:, 0, :, 0], e[:, 1, :, 0]
+        return (chols[0] @ e[:, 0])[..., 0], (chols[1] @ e[:, 1])[..., 0]
 
     members = _draw_members(mu, alpha, beta, draw, n_members, seed, SITE_BLOCK)
     return ForecastEnsemble(members=members, sites=list(sites),
@@ -118,8 +116,9 @@ def generate_site_ensemble(model, sites, fcst_accum, n_members, seed):
 
 def independence_baseline_ensemble(model, sites, fcst_accum, n_members, seed):
     """Spatially independent counterpart: identical marginals, identity
-    correlations for both latent processes."""
-    return _site_ensemble(model, sites, fcst_accum, n_members, seed)
+    correlations for both latent processes. A gemv against the identity
+    returns each normal exactly."""
+    return _site_ensemble(model, sites, fcst_accum, n_members, seed, [np.eye(len(sites))] * 2)
 
 
 def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):

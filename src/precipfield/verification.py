@@ -354,26 +354,21 @@ class VerificationReport:
 
 def warn_fit_diagnostics(model, valid_date, M):
     """Log a WARNING when a range fitted for ``valid_date`` with window
-    length ``M`` stopped at an end of ``estimation.RANGE_SEARCH_KM``, one
-    for each range search and one when the variance search did not
-    converge."""
-    diag = model.diagnostics
-    hits = [f"{name} = {corr.range_km!r}"
-            for name, corr, flag in (("rho_km", model.rho, "rho_at_bound"),
-                                     ("r_km", model.r, "r_at_bound"))
-            if diag.get(flag)]
+    length ``M`` stopped at an end of ``estimation.RANGE_SEARCH_KM`` (one
+    line for both ranges), and one for each search that did not converge."""
+    diag, amount = model.diagnostics, model.amount
+    searches = (("rho", "occurrence-range", f"rho_km = {model.rho.range_km!r}"),
+                ("r", "amount-range", f"r_km = {model.r.range_km!r}"),
+                ("variance", "Gamma variance", f"nu0 = {amount.nu0!r}, nu1 = {amount.nu1!r}"))
+    hits = [where for key, _, where in searches if diag.get(f"{key}_at_bound")]
     if hits:
         log.warning("%s M=%d: %s at the search bound %s km; using it anyway",
                     valid_date, M, ", ".join(hits), est.RANGE_SEARCH_KM)
-    for name, corr, kind in (("rho", model.rho, "occurrence"), ("r", model.r, "amount")):
-        if not diag.get(f"{name}_converged", True):
-            log.warning("%s M=%d: the %s-range search stopped unconverged after %d "
-                        "evaluations at %s_km = %r; using it anyway", valid_date, M, kind,
-                        diag[f"{name}_evals"], name, corr.range_km)
-    if not diag.get("variance_converged", True):
-        log.warning("%s M=%d: the Gamma variance search stopped unconverged after %d "
-                    "evaluations at nu0 = %r, nu1 = %r; using it anyway", valid_date, M,
-                    diag["variance_evals"], model.amount.nu0, model.amount.nu1)
+    for key, search, where in searches:
+        if not diag.get(f"{key}_converged", True):
+            log.warning("%s M=%d: the %s search stopped unconverged after %d evaluations "
+                        "at %s; using it anyway", valid_date, M, search, diag[f"{key}_evals"],
+                        where)
 
 
 def eligible_dates(dataset, M, last=None):

@@ -607,7 +607,7 @@ class TestBoundedBrent:
         assert abs(math.log(r_hat) - x) <= est._RANGE_XTOL
         assert loglik([math.log(r_hat)])[0] >= -value
         if case >= 20:
-            assert est._at_bound(r_hat)
+            assert diag["r_at_bound"]
 
     # Each function gives a value to minimize and its first two derivatives.
     @pytest.mark.parametrize("func, lo, hi", [
@@ -1013,6 +1013,29 @@ class TestFitWarnings:
         [record] = caplog.records
         assert record.getMessage().startswith("2004-02-01 M=10: the amount-range search")
         assert "after 51 evaluations at r_km = 20.0" in record.getMessage()
+
+    def test_every_warning_line(self, caplog):
+        # Both ranges at a bound share one line; each unconverged search,
+        # the variance's too, has its own, in fit order.
+        model = est.FittedModel.from_text(
+            "gamma0 = 0\ngamma1 = 0.4\ngamma2 = -0.4\nrho_km = 30\neta0 = 1.5\n"
+            "eta1 = 0.8\neta2 = 0.4\nnu0 = 0.15\nnu1 = 0.05\nr_km = 20\n"
+            "diag.rho_at_bound = True\ndiag.r_at_bound = True\n"
+            "diag.rho_converged = False\ndiag.rho_evals = 51\n"
+            "diag.r_converged = False\ndiag.r_evals = 52\n"
+            "diag.variance_converged = False\ndiag.variance_evals = 57\n")
+        with caplog.at_level("WARNING", logger="precipfield"):
+            vf.warn_fit_diagnostics(model, dt.date(2004, 2, 1), 10)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "2004-02-01 M=10: rho_km = 30.0, r_km = 20.0 at the search bound "
+                        "(1.0, 2000.0) km; using it anyway"),
+            ("WARNING", "2004-02-01 M=10: the occurrence-range search stopped unconverged "
+                        "after 51 evaluations at rho_km = 30.0; using it anyway"),
+            ("WARNING", "2004-02-01 M=10: the amount-range search stopped unconverged "
+                        "after 52 evaluations at r_km = 20.0; using it anyway"),
+            ("WARNING", "2004-02-01 M=10: the Gamma variance search stopped unconverged "
+                        "after 57 evaluations at nu0 = 0.15, nu1 = 0.05; using it anyway"),
+        ]
 
     def test_converged_fit_is_quiet(self, caplog):
         spec = dm.SynthSpec(n_sites=20, n_days=15, seed=12)

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -62,3 +63,16 @@ def test_criteria_spread_refuses_bad_arguments(args, message):
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 2
     assert res.stdout == "" and res.stderr == message
+
+
+@pytest.mark.parametrize("script", ["cli_digests.py", "criteria_spread.py"])
+def test_src_without_the_package_is_refused(tmp_path, script):
+    # With this checkout on PYTHONPATH, a mistyped --src used to digest this
+    # tree instead; without it, the run ended in a traceback.
+    missing = tmp_path / "missing"
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    res = subprocess.run([sys.executable, str(SCRIPTS / script), "--src", str(missing)],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"--src {missing}: not a source tree (no precipfield/__init__.py)\n"
