@@ -43,35 +43,47 @@ class Dataset:
 
         Raises :class:`ValidationError` naming the site and date of the first
         offending row for a negative or non-finite value, non-finite or
-        inconsistent coordinates, and a duplicate (site, date).
+        inconsistent coordinates, and a duplicate (site, date). Rows already
+        in (date, site) order, as every saved file is, are neither sorted
+        nor copied: float arrays ``obs`` and ``fcst`` are then kept as
+        read-only views, so a caller must not write to them afterwards.
         """
-        site_id, date = list(site_id), list(date)
-        self.sites, site = _factorize(site_id)
-        self.dates, day = _factorize(date)
+        self.sites, site, first = _factorize(site_id)
+        self.dates, day, _ = _factorize(date)
         xy = np.column_stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-        obs = np.asarray(obs, dtype=float)
-        fcst = np.asarray(fcst, dtype=float)
+        obs = np.asarray(obs, dtype=float).view()
+        fcst = np.asarray(fcst, dtype=float).view()
 
         def reject(bad, message):
             if bad.any():
                 i = int(np.argmax(bad))
-                raise ValidationError(message.format(site=site_id[i], date=date[i]))
+                raise ValidationError(message.format(site=self.sites[site[i]],
+                                                     date=self.dates[day[i]]))
 
         reject(~(np.isfinite(obs) & (obs >= 0)), "{site} {date}: obs must be >= 0")
         reject(~(np.isfinite(fcst) & (fcst >= 0)), "{site} {date}: fcst must be >= 0")
         reject(~np.isfinite(xy).all(axis=1), "site {site} on {date}: coordinates must be finite")
-        first = np.unique(site, return_index=True)[1]
-        reject((xy != xy[first[site]]).any(axis=1),
+        site_xy = xy[first]
+        # A coordinate at a time: one row-length gather, not an (n, 2) one.
+        reject((xy[:, 0] != site_xy[site, 0]) | (xy[:, 1] != site_xy[site, 1]),
                "site {site} on {date}: coordinates differ from its first row")
-        key = day * len(self.sites) + site  # orders rows by date, then site
-        repeat = np.ones(len(key), dtype=bool)
-        repeat[np.unique(key, return_index=True)[1]] = False
-        reject(repeat, "duplicate record for site {site} on {date}")
-
-        order = np.argsort(key)
-        counts = np.bincount(day, minlength=len(self.dates))
-        self._columns(np.concatenate([[0], np.cumsum(counts)]), site[order], day[order],
-                      xy[order], xy[first], obs[order], fcst[order])
+        key = day * len(self.sites)  # orders rows by date, then site
+        key += site
+        if not (key[1:] > key[:-1]).all():  # a strictly increasing key repeats none
+            # One stable sort gives the row order, and each key's repeats
+            # after its first row in input order.
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            repeat = np.zeros(len(key), dtype=bool)
+            repeat[order[1:][key[1:] == key[:-1]]] = True
+            reject(repeat, "duplicate record for site {site} on {date}")
+            site = site[order]
+            day = day[order]
+            xy = xy[order]
+            obs = obs[order]
+            fcst = fcst[order]
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(day, minlength=len(self.dates)))])
+        self._columns(offsets, site, day, xy, site_xy, obs, fcst)
 
     def _columns(self, offsets, site, date, xy, site_xy, obs, fcst):
         for name, col in (("offsets", offsets), ("site", site), ("date", date), ("xy", xy),
@@ -84,21 +96,26 @@ class Dataset:
 
     def span(self, first, last):
         """The rows of ``dates[first:last]``, as a view that is not validated
-        again; its ``site`` column indexes this dataset's ``sites``."""
+        again; its ``site`` column indexes this dataset's ``sites``. A span
+        from the first date shares every row column, ``date`` too."""
         view = Dataset.__new__(Dataset)
         view.sites, view.dates = self.sites, self.dates[first:last]
         lo, hi = self.offsets[first], self.offsets[last]
-        view._columns(self.offsets[first:last + 1] - lo, self.site[lo:hi],
-                      self.date[lo:hi] - first, self.xy[lo:hi], self.site_xy,
-                      self.obs[lo:hi], self.fcst[lo:hi])
+        date = self.date[lo:hi] if first == 0 else self.date[lo:hi] - first
+        view._columns(self.offsets[first:last + 1] - lo, self.site[lo:hi], date,
+                      self.xy[lo:hi], self.site_xy, self.obs[lo:hi], self.fcst[lo:hi])
         return view
 
 
 def _factorize(labels):
-    """The sorted distinct labels, and each label's position among them."""
-    distinct = sorted(set(labels))
+    """The sorted distinct labels, each label's position among them, and
+    the index of each distinct label's first occurrence."""
+    labels = labels if isinstance(labels, list) else list(labels)
+    first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
+    distinct = sorted(first)
     position = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(position.__getitem__, labels), np.intp, len(labels))
+    return (distinct, np.fromiter(map(position.__getitem__, labels), np.intp, len(labels)),
+            np.fromiter(map(first.__getitem__, distinct), np.intp, len(distinct)))
 
 
 def csv_field(text):
@@ -149,7 +166,7 @@ def _not_utf8(path, exc):
 # Both CSV readers take a file's rows from csv.reader in blocks, convert or
 # check a block's rows, and name the line of the first bad row.
 
-_BLOCK_ROWS = 1 << 14  # rows gathered before a block is converted
+_BLOCK_ROWS = 1 << 12  # rows gathered before a block is converted
 
 
 def _csv_blocks(reader, path, width):
@@ -213,7 +230,7 @@ def load_dataset(path):
     without six fields, with a coordinate or value that is not a number or
     a date that is not ISO 8601 raises :class:`ParseError` naming the first
     such row's physical line."""
-    site_id, date, values = [], [], []
+    site_id, date, columns = [], [], [[], [], [], []]  # x, y, obs and fcst, block by block
     ids, days = {}, {}  # one string per site id; date string -> date, each parsed once
     with open(path, newline="", encoding="utf-8") as fh:
         blocks = _csv_blocks(csv.reader(fh), path, len(CSV_HEADER))
@@ -226,18 +243,21 @@ def load_dataset(path):
             n = len(fields) // 6
             strings = fields[3::6]
             try:
-                values.append([*(_repeated_floats(fields[k::6], n) for k in (1, 2)),
-                               *(np.fromiter(map(float, fields[k::6]), float, n)
-                                 for k in (4, 5))])
+                values = [*(_repeated_floats(fields[k::6], n) for k in (1, 2)),
+                          *(np.fromiter(map(float, fields[k::6]), float, n) for k in (4, 5))]
                 days.update((text, dt.date.fromisoformat(text))
                             for text in set(strings) - days.keys())
             except ValueError:
                 # The row checks convert as the block does, so one fails.
                 raise _first_bad_row(path, fields, 6, line, _check_dataset_row) from None
+            for k in range(4):
+                columns[k].append(values[k])
             site_id += map(ids.setdefault, fields[0::6], fields[0::6])
             date += map(days.__getitem__, strings)
-            del fields, strings  # before the next block is read
-    x, y, obs, fcst = np.concatenate([np.empty((4, 0)), *values], axis=1)
+            del fields, line, strings, values  # before the next block is read
+    for k in range(4):  # each column's blocks go as it is joined
+        columns[k] = np.concatenate([np.empty(0), *columns[k]])
+    x, y, obs, fcst = columns
     return Dataset(site_id, x, y, date, obs, fcst)
 
 
@@ -299,20 +319,23 @@ def save_dataset(ds, path):
     """Write a dataset in the canonical CSV schema (deterministic ordering),
     one date at a time."""
     ids = [template_field(s) for s in ds.sites]
-    # Coordinates repeat once per date: format each distinct bit pattern once
-    # (by bits, not value, so a -0.0 row keeps its sign next to a 0.0 row).
-    bits, inverse = np.unique(ds.xy.view(np.int64).ravel(), return_inverse=True)
-    coords = list(map(repr, bits.view(np.float64).tolist()))
-    inverse = inverse.reshape(-1, 2)
+    # Each site's id and coordinates are formatted once; a row whose
+    # coordinate bits differ from its site's (a -0.0 next to a 0.0) gets its
+    # own, so that every row is written as stored.
+    heads = [f"{i},{x!r},{y!r}" for i, (x, y) in zip(ids, ds.site_xy.tolist())]
+    site_bits = ds.site_xy.view(np.int64)
 
     def blocks():
         for d, day in enumerate(ds.dates):
             lo, hi = ds.offsets[d], ds.offsets[d + 1]
+            site = ds.site[lo:hi]
+            rows = [heads[s] for s in site.tolist()]
+            for i in np.flatnonzero((ds.xy[lo:hi].view(np.int64) != site_bits[site]).any(axis=1)):
+                x, y = ds.xy[lo + i].tolist()
+                rows[i] = f"{ids[site[i]]},{x!r},{y!r}"
             tail = f",{day.isoformat()},%r,%r\n"
-            template = "".join([f"{ids[s]},{coords[x]},{coords[y]}{tail}" for s, (x, y)
-                                in zip(ds.site[lo:hi].tolist(), inverse[lo:hi].tolist())])
             values = np.column_stack([ds.obs[lo:hi], ds.fcst[lo:hi]])
-            yield template % tuple(values.ravel().tolist())
+            yield (tail.join(rows) + tail) % tuple(values.ravel().tolist())
 
     write_csv(path, CSV_HEADER, blocks())
 
@@ -384,27 +407,27 @@ def synth_generate(spec):
         raise DomainError(f"extent must be positive and finite, got {spec.extent_km!r} km")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     sites = _synth_sites(spec, rng)
-    corr_f = rf.correlation_matrix(sites, rf.ExpCorrelation(spec.fcst_range_km))
-    corr_w = rf.correlation_matrix(sites, rf.ExpCorrelation(spec.rho_km))
-    corr_z = rf.correlation_matrix(sites, rf.ExpCorrelation(spec.r_km))
-    chol_f = rf.cholesky_pd(corr_f)
-    chol_w = rf.cholesky_pd(corr_w)
-    chol_z = rf.cholesky_pd(corr_z)
+    dates = [dt.date(2004, 1, 1) + dt.timedelta(days=day) for day in range(spec.n_days)]
+    obs, fcst = _synth_values(spec, sites, len(dates), rng)
+    return Dataset([s.id for s in sites] * len(dates),
+                   np.tile([s.x for s in sites], len(dates)),
+                   np.tile([s.y for s in sites], len(dates)),
+                   [date for date in dates for _ in sites],
+                   obs.ravel(), fcst.ravel())
 
+
+def _synth_values(spec, sites, n_days, rng):
+    """The (days, sites) observations and forecasts of
+    :func:`synth_generate`; its temporaries are freed on return, before the
+    dataset is built."""
     gamma = tr.OccurrenceTrendParams(*spec.gamma)
     coeffs = tr.GammaCoeffs(*spec.eta, *spec.nu)
     threshold = 1.0 - spec.fcst_wet_fraction
-
-    n = len(sites)
-    dates = [dt.date(2004, 1, 1) + dt.timedelta(days=day) for day in range(spec.n_days)]
-    g, w, z = (np.empty((len(dates), n)) for _ in range(3))
-    for day in range(len(dates)):
-        g[day] = chol_f @ rng.standard_normal(n)
-        w[day] = chol_w @ rng.standard_normal(n)
-        z[day] = chol_z @ rng.standard_normal(n)
+    g, w, z = _synth_fields(sites, (spec.fcst_range_km, spec.rho_km, spec.r_km), n_days, rng)
 
     # Forecast field: thresholded probit of a coherent unit field.
     fcst_cr = spec.fcst_amp * np.maximum(0.0, special.ndtr(g) - threshold)
+    del g
     fcst = tr.cube(fcst_cr)
     zero_flag = fcst == 0.0
     w += tr.occurrence_trend(gamma, fcst_cr, zero_flag)
@@ -412,12 +435,20 @@ def synth_generate(spec):
     wet = w > 0
     alpha, beta = np.ones_like(w), np.ones_like(w)
     alpha[wet], beta[wet], _ = tr.gamma_marginals(coeffs, fcst_cr[wet], zero_flag[wet])
+    del fcst_cr, zero_flag
     obs = quantize(tr.wet_amounts(w, z, alpha, beta))
     # Forecasts stay continuous (they come from a model grid, not gauges).
     fcst += spec.wet_bias_offset
+    return obs, fcst
 
-    return Dataset([s.id for s in sites] * len(dates),
-                   np.tile([s.x for s in sites], len(dates)),
-                   np.tile([s.y for s in sites], len(dates)),
-                   [date for date in dates for _ in sites],
-                   obs.ravel(), fcst.ravel())
+
+def _synth_fields(sites, ranges_km, n_days, rng):
+    """One (days, sites) unit Gaussian field per exponential correlation
+    range, drawn day by day, each day's fields in the order of the ranges."""
+    chols = [rf.cholesky_pd(rf.correlation_matrix(sites, rf.ExpCorrelation(r)))
+             for r in ranges_km]
+    fields = [np.empty((n_days, len(sites))) for _ in chols]
+    for day in range(n_days):
+        for field, chol in zip(fields, chols):
+            field[day] = chol @ rng.standard_normal(len(sites))
+    return fields

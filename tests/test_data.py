@@ -1,10 +1,11 @@
 import datetime as dt
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import TRICKY_ID_CHARS, column_csv, csv_reference, dataset_from_rows, dataset_rows
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -74,6 +75,20 @@ class TestDataset:
         _, current = dm.split_by_date(ds, dt.date(2004, 1, 1))
         with pytest.raises(ValueError):
             current.obs[0] = 0.0
+
+    def test_rows_in_key_order_are_kept(self):
+        # Rows in (date, site) order are neither sorted nor copied: the
+        # value columns are read-only views of the arrays passed, which stay
+        # writeable. Rows out of order are copied in key order.
+        obs, fcst = np.array([1.0, 2.0, 3.0]), np.array([0.0, 4.0, 5.0])
+        ds = dm.Dataset(["a", "b", "a"], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                        [dt.date(2004, 1, 1)] * 2 + [dt.date(2004, 1, 2)], obs, fcst)
+        assert np.shares_memory(ds.obs, obs) and np.shares_memory(ds.fcst, fcst)
+        assert obs.flags.writeable and not ds.obs.flags.writeable
+        ds = dm.Dataset(["b", "a", "a"], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                        [dt.date(2004, 1, 1)] * 2 + [dt.date(2004, 1, 2)], obs, fcst)
+        assert not np.shares_memory(ds.obs, obs)
+        assert ds.obs.tolist() == [2.0, 1.0, 3.0] and ds.site.tolist() == [0, 1, 0]
 
 
 class TestLoadSave:
@@ -190,9 +205,10 @@ class TestLoadSave:
                 dm.load_grid_field(path, grid)
 
     def test_traced_peak_of_a_large_file(self, tmp_path):
-        # 73,000 rows: they are converted a block at a time, so the loader's
-        # Python allocations stay well under those of every row held as a
-        # list of strings.
+        # 73,000 rows: they are converted a block at a time, and the saved
+        # rows are in key order, so the dataset keeps the joined columns
+        # without a sort or a copy. Blocks of 16,384 rows, and a sorted copy
+        # of every column, peaked near 14 MB.
         path = tmp_path / "ds.csv"
         dm.save_dataset(dm.synth_generate(dm.SynthSpec(n_sites=200, n_days=365, seed=1)), path)
         tracemalloc.start()
@@ -202,11 +218,15 @@ class TestLoadSave:
         finally:
             tracemalloc.stop()
         assert len(ds) == 200 * 365
-        assert peak < 24e6
+        assert peak <= 8e6
+        for name in ("site", "date", "xy", "obs", "fcst"):  # no column pins a larger array
+            assert _owner(getattr(ds, name)).nbytes == getattr(ds, name).nbytes
 
     def test_traced_peak_of_saving_a_large_dataset(self, tmp_path):
-        # 73,000 rows are formatted a date at a time; formatted as one list
-        # of strings per column they peaked near 25 MB.
+        # 73,000 rows are formatted a date at a time, each site's
+        # coordinates once; formatted as one list of strings per column
+        # they peaked near 25 MB, and with each distinct coordinate bit
+        # pattern found by a sort, near 6 MB.
         ds = dm.synth_generate(dm.SynthSpec(n_sites=200, n_days=365, seed=1))
         tracemalloc.start()
         try:
@@ -214,7 +234,7 @@ class TestLoadSave:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak <= 1e6
         assert dataset_rows(dm.load_dataset(tmp_path / "ds.csv")) == dataset_rows(ds)
 
     def test_parse_error_counts_physical_lines(self, tmp_path):
@@ -244,6 +264,13 @@ class TestLoadSave:
         path.write_text("x,y\n")
         with pytest.raises(ParseError):
             dm.load_dataset(path)
+
+
+def _owner(array):
+    """The array that owns ``array``'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
 
 
 SITE_IDS = st.one_of(
@@ -303,12 +330,86 @@ class TestColumnarRoundTrip:
                                   getattr(ds, name).view(np.uint64))
 
 
+def first_offence(rows):
+    """The message for the first offending row of ``rows`` in input order,
+    each check in turn: a negative or non-finite obs, then fcst, non-finite
+    coordinates, coordinates that differ from the site's first row, and a
+    repeated (site, date); None when every row is valid."""
+    first, seen = {}, set()
+    for site, x, y, *_ in rows:
+        first.setdefault(site, (x, y))
+
+    def repeated(site, date):
+        repeat = (site, date) in seen
+        seen.add((site, date))
+        return repeat
+
+    rules = [(lambda s, x, y, d, o, f: not (math.isfinite(o) and o >= 0),
+              "{} {}: obs must be >= 0"),
+             (lambda s, x, y, d, o, f: not (math.isfinite(f) and f >= 0),
+              "{} {}: fcst must be >= 0"),
+             (lambda s, x, y, d, o, f: not (math.isfinite(x) and math.isfinite(y)),
+              "site {} on {}: coordinates must be finite"),
+             (lambda s, x, y, d, o, f: (x, y) != first[s],
+              "site {} on {}: coordinates differ from its first row"),
+             (lambda s, x, y, d, o, f: repeated(s, d), "duplicate record for site {} on {}")]
+    for bad, message in rules:
+        for row in rows:
+            if bad(*row):
+                return message.format(row[0], row[3])
+    return None
+
+
+class TestValidationRule:
+    """One bad row in a valid row set, in random or saved order, is named
+    as the first offending row in input order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=datasets(), saved=st.booleans(),
+           kind=st.sampled_from(["duplicate", "coordinates", "negative"]), data=st.data())
+    def test_names_first_offending_row(self, rows, saved, kind, data):
+        assume(rows)
+        if saved:
+            rows.sort(key=lambda r: (r[3], r[0]))
+        assert first_offence(rows) is None
+        assert dataset_rows(dataset_from_rows(rows)) == sorted(rows, key=lambda r: (r[3], r[0]))
+        site, x, y, date, obs, fcst = data.draw(st.sampled_from(rows))
+        if kind != "duplicate":  # on a date the site does not report yet
+            taken = {r[3] for r in rows if r[0] == site}
+            date = data.draw(st.sampled_from(
+                sorted({r[3] for r in rows} - taken | {dt.date(2005, 3, 1)})))
+        if kind == "coordinates":
+            x = 1.0 if x != 1.0 else 2.0
+        if kind == "negative":
+            obs = data.draw(st.one_of(st.floats(max_value=-5e-324), st.just(math.nan)))
+        rows.insert(data.draw(st.integers(0, len(rows))), (site, x, y, date, obs, fcst))
+        message = first_offence(rows)
+        assert message is not None
+        with pytest.raises(ValidationError) as exc:
+            dataset_from_rows(rows)
+        assert str(exc.value) == message
+
+
 class TestSplitByDate:
     def test_strict_history(self):
         ds = dataset_from_rows([make_row(day=d) for d in (1, 2, 3)])
         hist, current = dm.split_by_date(ds, dt.date(2004, 1, 2))
         assert [r[3].day for r in dataset_rows(hist)] == [1]
         assert [r[3].day for r in dataset_rows(current)] == [2]
+
+    def test_history_shares_columns(self):
+        # A span from the first date shares every row column with its
+        # dataset, its date column too; a later span shifts its dates.
+        ds = dm.synth_generate(dm.SynthSpec(n_sites=4, n_days=6, seed=2))
+        hist, current = dm.split_by_date(ds, ds.dates[3])
+        for name in ("site", "date", "xy", "obs", "fcst"):
+            assert np.shares_memory(getattr(hist, name), getattr(ds, name))
+            assert not getattr(hist, name).flags.writeable
+            assert not getattr(current, name).flags.writeable
+        assert hist.date.tolist() == ds.date[:12].tolist()
+        assert current.date.tolist() == [0] * 4
+        with pytest.raises(ValueError):
+            hist.date[0] = 1
 
     def test_missing_date(self):
         ds = dataset_from_rows([make_row(day=1)])
@@ -411,6 +512,20 @@ class TestSynthGenerate:
         for r in dataset_rows(ds):
             assert r[4] >= 0 and r[5] >= 0
             assert r[4] == int(r[4])  # observations quantized
+
+    def test_traced_peak_of_a_large_world(self):
+        # 200 sites x 365 days: the (days, sites) temporaries and the
+        # correlation factors are freed before the dataset is built, and
+        # its rows, in key order, are neither sorted nor copied. Held
+        # alive, and sorted, they peaked near 17 MB.
+        tracemalloc.start()
+        try:
+            ds = dm.synth_generate(dm.SynthSpec(n_sites=200, n_days=365, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 200 * 365
+        assert peak <= 8e6
 
     def test_wet_bias_offset(self):
         spec = dm.SynthSpec(n_sites=40, n_days=250, seed=2, wet_bias_offset=30.0)
