@@ -201,12 +201,12 @@ def forecast(model, dataset, date, mode, members, seed, out, site_ids, grid_fore
             raise UsageError("grid mode requires --grid-forecast, --grid-nx and --grid-ny")
         grid = rf.GridSpec(x0=grid_x0, y0=grid_y0, cell_km=grid_cell_km, nx=grid_nx, ny=grid_ny)
         field = dm.load_grid_field(grid_forecast, grid)
+        plan = fc.GridForecast(fitted, grid, field)
+        if plan.fallback_sites:
+            _warn_fallback(f"{len(plan.fallback_sites)} grid cells")
         n = members or fc.DEFAULT_GRID_MEMBERS
-        ens = fc.generate_grid_ensemble(fitted, grid, field, n, seed)
-        if ens.fallback_sites:
-            _warn_fallback(f"{len(ens.fallback_sites)} grid cells")
         os.makedirs(out, exist_ok=True)
-        fc.write_grid_ensemble_csvs(ens, out)
+        fc.write_grid_ensemble_csvs(grid, plan.member_blocks(n, seed), out)
         log.info("wrote %d grid members to %s", n, out)
         return
 
@@ -222,18 +222,17 @@ def forecast(model, dataset, date, mode, members, seed, out, site_ids, grid_fore
         keep = [i for i, s in enumerate(sites) if s.id in wanted]
         sites = [sites[i] for i in keep]
         fcst = fcst[keep]
-    fell_back = [s.id for s, flag in zip(sites, fc.two_stage_params(fitted, fcst)[3]) if flag]
-    if fell_back:
-        _warn_fallback("sites " + ", ".join(fell_back))
+    plan = fc.SiteForecast(fitted, sites, fcst)
+    if plan.fallback_sites:
+        _warn_fallback("sites " + ", ".join(sites[i].id for i in plan.fallback_sites))
+    # The correlation factors are made before the output file is opened.
     if mode == "areal":
         n = members or fc.DEFAULT_AREAL_MEMBERS
-        values = fc.areal_ensemble(fitted, sites, fcst, n, seed)
-        fc.write_scalar_ensemble_csv(values, out)
+        fc.write_scalar_ensemble_csv(plan.areal_blocks(n, seed), out)
         log.info("wrote %d areal members to %s", n, out)
     else:
         n = members or fc.DEFAULT_MULTISITE_MEMBERS
-        ens = fc.generate_site_ensemble(fitted, sites, fcst, n, seed)
-        fc.write_site_ensemble_csv(ens, out)
+        fc.write_site_ensemble_csv(sites, plan.member_blocks(n, seed), out)
         log.info("wrote %d site members to %s", n, out)
 
 

@@ -191,12 +191,18 @@ class CirculantEmbedding:
     def sample(self, rng, n_fields=1):
         """Draw ``n_fields`` independent (ny, nx) fields in pairs, the real and
         imaginary parts of one FFT, from the Generator ``rng``, as an
-        (n_fields, ny, nx) array; an odd count still draws its last pair."""
+        (n_fields, ny, nx) array; an odd count still draws its last pair.
+
+        The FFT runs along x, then along y, as ``fft2`` does, but keeps only
+        the grid's nx columns before the second pass; each column's
+        transform is unchanged, so the fields are ``fft2`` cropped, bit for
+        bit, for about three quarters of its work."""
         ny, nx = self.grid.ny, self.grid.nx
         out = np.empty((n_fields + n_fields % 2, ny, nx))
         for i in range(0, n_fields, 2):
             eps = rng.standard_normal((2, self._my, self._mx))
-            f = np.fft.fft2(self._sqrt_lam * (eps[0] + 1j * eps[1]))[:ny, :nx]
+            f = np.fft.fft(self._sqrt_lam * (eps[0] + 1j * eps[1]), axis=1)[:, :nx]
+            f = np.fft.fft(f, axis=0)[:ny]
             out[i], out[i + 1] = f.real, f.imag
         return out[:n_fields]
 

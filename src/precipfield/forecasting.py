@@ -3,13 +3,21 @@
 Site ensembles, gridded field ensembles via circulant embedding, areal
 averages, and the no-spatial-correlation baseline with identical marginals.
 All of them draw members through one two-stage kernel, :func:`_draw_members`,
-which takes every member's latent fields from one Generator, member by
-member, and thresholds and transforms each block of members as it is drawn.
-The writers stream each file through ``%``-templates built once.
+a generator that takes every member's latent fields from one Generator,
+member by member, and thresholds, transforms and yields each block of
+members as it is drawn. :class:`SiteForecast` and :class:`GridForecast` run
+every check of a forecast before the first member is drawn. The ``forecast``
+command sends each block straight to its writer (in areal mode, each
+block's row means), so it holds one block whatever the member count; the
+``generate_*`` ensembles, which ``verify`` scores whole, fill one array from
+the same generator. The writers take the sites or the grid and an iterable
+of blocks, and stream each file through ``%``-templates: one per block of a
+site or scalar file, one for every grid member file.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -65,42 +73,117 @@ def _site_marginals(model, fcst_cr, zero_flag):
 
 
 def _draw_members(mu, alpha, beta, draw, n_members, seed, block):
-    """Two-stage member draw shared by every ensemble.
+    """Two-stage member draw shared by every ensemble, as a generator of
+    member blocks.
 
     ``draw(rng, k)`` returns the correlated occurrence and amount normal
     blocks of the next k <= ``block`` members, each ``(k,) + mu.shape``,
     taken member by member from one Generator, ``default_rng(seed)``: the
-    first k members of an n-member ensemble are the k-member ensemble.
-    Threshold and anamorphosis run on each block as it is drawn, so working
-    memory beyond the ensemble itself is one block.
+    first k members of an n-member ensemble are the k-member ensemble, and
+    the block size moves no bit. Threshold and anamorphosis run on each
+    block as it is drawn, and each block is yielded as soon as it is done.
     """
     rng = np.random.default_rng(seed)
-    members = np.empty((n_members,) + mu.shape)
     for i in range(0, n_members, block):
         w, z = draw(rng, min(block, n_members - i))
         w += mu
-        members[i:i + len(w)] = tr.wet_amounts(w, z, alpha, beta)
+        yield tr.wet_amounts(w, z, alpha, beta)
+
+
+def _whole(blocks, n_members, shape):
+    """The ``n_members`` members of a block generator in one array."""
+    members = np.empty((n_members,) + shape)
+    i = 0
+    for block in blocks:
+        members[i:i + len(block)] = block
+        i += len(block)
     return members
 
 
-def _site_ensemble(model, sites, fcst_accum, n_members, seed, chols):
-    if len(sites) < 1:
-        raise DomainError("need at least one site")
-    fcst_accum = np.atleast_1d(np.asarray(fcst_accum, dtype=float))
-    if fcst_accum.shape != (len(sites),):
-        raise DomainError(f"{fcst_accum.size} forecasts for {len(sites)} sites")
-    mu, alpha, beta, fell_back = two_stage_params(model, fcst_accum)
+class SiteForecast:
+    """A forecast at scattered sites, checked and ready to draw.
 
-    def draw(rng, k):
-        # Each member's occurrence normals, then its amount normals. The
-        # stacked matmul is one gemv per member, so unlike a gemm it rounds
-        # alike at any k.
-        e = rng.standard_normal((k, 2, len(sites), 1))
-        return (chols[0] @ e[:, 0])[..., 0], (chols[1] @ e[:, 1])[..., 0]
+    Construction checks that there is one forecast per site and computes
+    its :func:`two_stage_params` once; ``fallback_sites`` holds the indices
+    of the sites that took the fallback mean. Nothing is drawn until the
+    generator of :meth:`member_blocks` is consumed.
+    """
 
-    members = _draw_members(mu, alpha, beta, draw, n_members, seed, SITE_BLOCK)
-    return ForecastEnsemble(members=members, sites=list(sites),
-                            fallback_sites=np.flatnonzero(fell_back).tolist())
+    def __init__(self, model, sites, fcst_accum):
+        if len(sites) < 1:
+            raise DomainError("need at least one site")
+        fcst_accum = np.atleast_1d(np.asarray(fcst_accum, dtype=float))
+        if fcst_accum.shape != (len(sites),):
+            raise DomainError(f"{fcst_accum.size} forecasts for {len(sites)} sites")
+        self.model, self.sites = model, list(sites)
+        self.mu, self.alpha, self.beta, fell_back = two_stage_params(model, fcst_accum)
+        self.fallback_sites = np.flatnonzero(fell_back).tolist()
+
+    def member_blocks(self, n_members, seed, spatial=True):
+        """The ``n_members`` members as a generator of ``(k, sites)``
+        blocks, k <= ``SITE_BLOCK``. The two correlation matrices are
+        factorised before this returns (identities for the
+        no-spatial-correlation baseline when not ``spatial``), so every
+        check has run before the first member is drawn.
+        """
+        if spatial:
+            chols = [rf.cholesky_pd(rf.correlation_matrix(self.sites, corr))
+                     for corr in (self.model.rho, self.model.r)]
+        else:  # a gemv against the identity returns each normal exactly
+            chols = [np.eye(len(self.sites))] * 2
+
+        def draw(rng, k):
+            # Each member's occurrence normals, then its amount normals. The
+            # stacked matmul is one gemv per member, so unlike a gemm it rounds
+            # alike at any k.
+            e = rng.standard_normal((k, 2, len(self.sites), 1))
+            return (chols[0] @ e[:, 0])[..., 0], (chols[1] @ e[:, 1])[..., 0]
+
+        return _draw_members(self.mu, self.alpha, self.beta, draw, n_members, seed, SITE_BLOCK)
+
+    def areal_blocks(self, n_members, seed):
+        """The areal average over the sites of each member, as a generator
+        of one block of averages per block of :meth:`member_blocks`."""
+        return (block.mean(axis=1) for block in self.member_blocks(n_members, seed))
+
+
+class GridForecast:
+    """A gridded forecast, checked and ready to draw by circulant embedding.
+
+    Construction checks the field's shape, builds both embeddings and
+    computes the cell-wise :func:`two_stage_params` once;
+    ``fallback_sites`` holds the flat indices of the fallback cells.
+    """
+
+    def __init__(self, model, grid, fcst_field):
+        fcst_field = np.asarray(fcst_field, dtype=float)
+        if fcst_field.shape != (grid.ny, grid.nx):
+            raise DomainError("forecast field shape does not match grid")
+        self._embeddings = (rf.CirculantEmbedding(grid, model.rho),
+                            rf.CirculantEmbedding(grid, model.r))
+        self.mu, self.alpha, self.beta, fell_back = two_stage_params(model, fcst_field)
+        self.fallback_sites = np.flatnonzero(fell_back).tolist()
+
+    def member_blocks(self, n_members, seed):
+        """The ``n_members`` fields as a generator of ``(k, ny, nx)``
+        blocks, k <= 2."""
+        emb_w, emb_z = self._embeddings
+
+        def draw(rng, k):
+            # A pair of members shares one FFT per field: its real and imaginary
+            # parts. An odd count still draws its last pair.
+            w, z = emb_w.sample(rng, 2), emb_z.sample(rng, 2)
+            return w[:k], z[:k]
+
+        return _draw_members(self.mu, self.alpha, self.beta, draw, n_members, seed, 2)
+
+
+def _site_ensemble(model, sites, fcst_accum, n_members, seed, spatial):
+    forecast = SiteForecast(model, sites, fcst_accum)
+    members = _whole(forecast.member_blocks(n_members, seed, spatial), n_members,
+                     forecast.mu.shape)
+    return ForecastEnsemble(members=members, sites=forecast.sites,
+                            fallback_sites=forecast.fallback_sites)
 
 
 def generate_site_ensemble(model, sites, fcst_accum, n_members, seed):
@@ -110,15 +193,13 @@ def generate_site_ensemble(model, sites, fcst_accum, n_members, seed):
     zero out dry sites and push wet sites through the anamorphosis, then
     cube back to the accumulation scale.
     """
-    chols = [rf.cholesky_pd(rf.correlation_matrix(sites, corr)) for corr in (model.rho, model.r)]
-    return _site_ensemble(model, sites, fcst_accum, n_members, seed, chols)
+    return _site_ensemble(model, sites, fcst_accum, n_members, seed, spatial=True)
 
 
 def independence_baseline_ensemble(model, sites, fcst_accum, n_members, seed):
     """Spatially independent counterpart: identical marginals, identity
-    correlations for both latent processes. A gemv against the identity
-    returns each normal exactly."""
-    return _site_ensemble(model, sites, fcst_accum, n_members, seed, [np.eye(len(sites))] * 2)
+    correlations for both latent processes."""
+    return _site_ensemble(model, sites, fcst_accum, n_members, seed, spatial=False)
 
 
 def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):
@@ -127,55 +208,50 @@ def generate_grid_ensemble(model, grid, fcst_field, n_members, seed):
     Gamma parameters are computed cell-wise from the gridded forecast;
     ``fallback_sites`` holds the flat indices of fallback cells.
     """
-    fcst_field = np.asarray(fcst_field, dtype=float)
-    if fcst_field.shape != (grid.ny, grid.nx):
-        raise DomainError("forecast field shape does not match grid")
-    emb_w = rf.CirculantEmbedding(grid, model.rho)
-    emb_z = rf.CirculantEmbedding(grid, model.r)
-    mu, alpha, beta, fell_back = two_stage_params(model, fcst_field)
-
-    def draw(rng, k):
-        # A pair of members shares one FFT per field: its real and imaginary
-        # parts. An odd count still draws its last pair.
-        w, z = emb_w.sample(rng, 2), emb_z.sample(rng, 2)
-        return w[:k], z[:k]
-
-    members = _draw_members(mu, alpha, beta, draw, n_members, seed, 2)
-    return ForecastEnsemble(members=members, grid=grid,
-                            fallback_sites=np.flatnonzero(fell_back).tolist())
+    forecast = GridForecast(model, grid, fcst_field)
+    members = _whole(forecast.member_blocks(n_members, seed), n_members, forecast.mu.shape)
+    return ForecastEnsemble(members=members, grid=grid, fallback_sites=forecast.fallback_sites)
 
 
 def areal_ensemble(model, sites, fcst_accum, n_members=DEFAULT_AREAL_MEMBERS, seed=0):
     """Scalar ensemble of areally averaged accumulation over a site subset."""
-    ens = generate_site_ensemble(model, sites, fcst_accum, n_members, seed)
-    return ens.members.mean(axis=1)
+    return _whole(SiteForecast(model, sites, fcst_accum).areal_blocks(n_members, seed),
+                  n_members, ())
 
 
-def write_site_ensemble_csv(ens, path):
-    """CSV rows ``member,site_id,value_hundredths_inch``, member-major,
-    written ``SITE_BLOCK`` members at a time."""
-    n = len(ens.members)
+def _member_rows(lines, blocks):
+    """The CSV text of each block of members in turn: a member's rows are
+    ``lines`` joined by its number, a ``%``-template filled with its values
+    in order. Members are numbered from 0 across the blocks."""
+    first = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        yield ("".join([str(m).join(lines) for m in range(first, first + len(block))])
+               % tuple(block.ravel().tolist()))
+        first += len(block)
+
+
+def write_site_ensemble_csv(sites, blocks, path):
+    """CSV rows ``member,site_id,value_hundredths_inch``, member-major, from
+    an iterable of ``(k, sites)`` member blocks, each written as it
+    arrives."""
     # Joined by a member number, the site lines become that member's rows.
-    lines = ["", *(f",{dm.template_field(site.id)},%r\n" for site in ens.sites)]
-    dm.write_csv(path, ["member", "site_id", "value_hundredths_inch"], (
-        "".join([str(m).join(lines) for m in range(i, min(i + SITE_BLOCK, n))])
-        % tuple(ens.members[i:i + SITE_BLOCK].ravel().tolist())
-        for i in range(0, n, SITE_BLOCK)))
+    lines = ["", *(f",{dm.template_field(site.id)},%r\n" for site in sites)]
+    dm.write_csv(path, ["member", "site_id", "value_hundredths_inch"], _member_rows(lines, blocks))
 
 
-def write_grid_ensemble_csvs(ens, outdir):
+def write_grid_ensemble_csvs(grid, blocks, outdir):
     """One CSV per member, ``GRID_MEMBER_FILE``, with rows
-    ``row,col,value_hundredths_inch``."""
-    ny, nx = ens.grid.ny, ens.grid.nx
-    template = "".join([f"{iy},{ix},%r\n" for iy in range(ny) for ix in range(nx)])
-    for i, member in enumerate(ens.members):
+    ``row,col,value_hundredths_inch``, from an iterable of ``(k, ny, nx)``
+    member blocks; each file is written as its member arrives."""
+    template = "".join([f"{iy},{ix},%r\n" for iy in range(grid.ny) for ix in range(grid.nx)])
+    for i, member in enumerate(itertools.chain.from_iterable(blocks)):
         dm.write_csv(os.path.join(outdir, GRID_MEMBER_FILE.format(i)),
                      ["row", "col", "value_hundredths_inch"],
                      [template % tuple(member.ravel().tolist())])
 
 
-def write_scalar_ensemble_csv(values, path):
-    """CSV rows ``member,value_hundredths_inch`` for scalar ensembles."""
-    values = np.asarray(values, dtype=float).ravel()
-    template = "".join([f"{m},%r\n" for m in range(values.size)])
-    dm.write_csv(path, ["member", "value_hundredths_inch"], [template % tuple(values.tolist())])
+def write_scalar_ensemble_csv(blocks, path):
+    """CSV rows ``member,value_hundredths_inch`` for scalar ensembles, from
+    an iterable of 1-D blocks of values, each written as it arrives."""
+    dm.write_csv(path, ["member", "value_hundredths_inch"], _member_rows(["", ",%r\n"], blocks))

@@ -165,6 +165,27 @@ class TestCirculantEmbedding:
         out = emb.sample(np.random.default_rng(0), n_fields=3)
         assert out.shape == (3, 3, 7)
 
+    @pytest.mark.parametrize("ny, nx, range_km", [
+        (1, 1, 20.0), (1, 7, 20.0), (7, 1, 20.0), (9, 7, 20.0), (100, 100, 20.0),
+        (4, 4, 40.0),  # embedding enlarged to 4x its minimal size
+    ])
+    def test_sample_is_fft2_cropped(self, ny, nx, range_km):
+        # The sampler transforms along x, keeps the grid's columns, then
+        # transforms along y; its fields must be numpy's fft2 cropped to
+        # the grid, bit for bit.
+        emb = fd.CirculantEmbedding(fd.GridSpec(0.0, 0.0, 10.0, nx, ny),
+                                    fd.ExpCorrelation(range_km))
+        if (ny, nx) == (4, 4):
+            assert (emb._my, emb._mx) == (24, 24)
+        rng = np.random.default_rng(ny * 1000 + nx)
+        expected = []
+        for _ in range(2):
+            eps = rng.standard_normal((2, emb._my, emb._mx))
+            f = np.fft.fft2(emb._sqrt_lam * (eps[0] + 1j * eps[1]))[:ny, :nx]
+            expected += [f.real, f.imag]
+        out = emb.sample(np.random.default_rng(ny * 1000 + nx), n_fields=4)
+        assert np.array_equal(out.view(np.uint64), np.array(expected).view(np.uint64))
+
     def test_indefinite_embedding_rejected(self):
         # A range far longer than the grid extent cannot embed even after
         # the 4x enlargement cap.

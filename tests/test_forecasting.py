@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from conftest import TRICKY_ID_CHARS, column_csv, csv_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from precipfield import cli
 from precipfield import data as dm
 from precipfield import estimation as est
 from precipfield import fields as rf
@@ -313,10 +315,56 @@ def scattered_sites(n, seed=3):
     return sites, rng.gamma(2.0, 6.0, n)
 
 
+def blocks_of(members, k):
+    """``members`` as a list of blocks of ``k`` members, the last partial."""
+    return [members[i:i + k] for i in range(0, len(members), k)]
+
+
+@pytest.fixture(scope="module")
+def world100(tmp_path_factory):
+    """Files for CLI forecasts: a dataset with 100 sites on its last date,
+    a model file and a 100 x 100 grid forecast with dry cells."""
+    root = tmp_path_factory.mktemp("world100")
+    ds = dm.synth_generate(dm.SynthSpec(n_sites=100, n_days=2, seed=5))
+    dm.save_dataset(ds, root / "dataset.csv")
+    (root / "model.txt").write_text(toy_model().to_text())
+    field = np.random.default_rng(1).gamma(1.0, 10.0, (100, 100))
+    field[field < 3.0] = 0.0
+    with open(root / "grid.csv", "w", encoding="utf-8") as fh:
+        fh.write("row,col,value_hundredths_inch\n")
+        fh.writelines(f"{iy},{ix},{v!r}\n" for iy, row in enumerate(field.tolist())
+                      for ix, v in enumerate(row))
+    return root, ds.dates[-1].isoformat()
+
+
+def cli_forecast(world, mode, n, out):
+    """Run ``forecast`` in ``mode`` with ``n`` members on ``world100``."""
+    root, date = world
+    args = ["forecast", "--model", str(root / "model.txt"), "--mode", mode,
+            "--members", str(n), "--seed", "3", "--out", str(out)]
+    if mode == "grid":
+        args += ["--grid-forecast", str(root / "grid.csv"), "--grid-cell-km", "3",
+                 "--grid-nx", "100", "--grid-ny", "100"]
+    else:
+        args += ["--dataset", str(root / "dataset.csv"), "--date", date]
+    res = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    assert res.exit_code == 0
+
+
+def world_inputs(world):
+    """The model, sites and site forecasts that ``forecast`` reads from
+    ``world100``'s files."""
+    root, date = world
+    model = est.FittedModel.from_text((root / "model.txt").read_text())
+    sites, fcst, _ = dm.day_arrays(dm.load_dataset(root / "dataset.csv"),
+                                   dt.date.fromisoformat(date))
+    return model, sites, fcst
+
+
 class TestBoundedMemory:
     """Each ensemble is transformed, and each file written, a block of
-    members at a time, so working memory is about one block beyond the
-    ensemble itself."""
+    members at a time: a forecast holds one block whatever its member
+    count, and a whole ensemble costs about one block beyond itself."""
 
     def test_areal_ensemble_peak(self):
         # 5,000 x 100 members are 4 MB; the whole-ensemble transform peaked
@@ -330,8 +378,55 @@ class TestBoundedMemory:
         sites, fcst = scattered_sites(100)
         ens = fc.generate_site_ensemble(toy_model(), sites, fcst, 2500, 2)
         path = tmp_path / "site.csv"
-        assert traced_peak(lambda: fc.write_site_ensemble_csv(ens, path)) < 6e6
+        blocks = blocks_of(ens.members, fc.SITE_BLOCK)
+        assert traced_peak(lambda: fc.write_site_ensemble_csv(sites, blocks, path)) < 6e6
         assert sum(1 for _ in open(path, "rb")) == 1 + 2500 * 100
+
+    @pytest.mark.parametrize("mode, n, bound", [
+        # Traced peaks at 100 sites (100 x 100 cells): about 2.7, 1.7 and
+        # 3.8 MB, whatever the member count. Holding the whole ensemble,
+        # they were 9.9, 17.4 and 12.1 MB.
+        ("site", 10_000, 4e6),
+        ("areal", 20_000, 3e6),
+        ("grid", 100, 6e6),
+    ])
+    def test_cli_forecast_peak(self, world100, tmp_path, mode, n, bound):
+        out = tmp_path / "out"
+        assert traced_peak(lambda: cli_forecast(world100, mode, n, out)) < bound
+        if mode == "grid":
+            assert len(list(out.iterdir())) == n
+        else:
+            assert sum(1 for _ in open(out, "rb")) == 1 + n * (100 if mode == "site" else 1)
+
+
+class TestCliBlockEdges:
+    """The streamed CLI files equal the whole ensembles written by the
+    former column writer, across block edges."""
+
+    def test_site_forecast_of_600_members(self, world100, tmp_path):
+        # Two full 256-member blocks and a partial one.
+        cli_forecast(world100, "site", 600, tmp_path / "site.csv")
+        model, sites, fcst = world_inputs(world100)
+        members = fc.generate_site_ensemble(model, sites, fcst, 600, 3).members
+        assert (tmp_path / "site.csv").read_bytes() == column_csv(
+            ["member", "site_id", "value_hundredths_inch"],
+            [[str(m) for m in range(600) for _ in sites], [s.id for s in sites] * 600,
+             map(repr, members.ravel().tolist())])
+
+    def test_grid_forecast_of_5_members(self, world100, tmp_path):
+        # An odd count: only the first half of the last pair is written.
+        cli_forecast(world100, "grid", 5, tmp_path / "grid")
+        model = world_inputs(world100)[0]
+        grid = rf.GridSpec(0.0, 0.0, 3.0, 100, 100)
+        field = dm.load_grid_field(world100[0] / "grid.csv", grid)
+        members = fc.generate_grid_ensemble(model, grid, field, 5, 3).members
+        assert sorted(p.name for p in (tmp_path / "grid").iterdir()) == [
+            fc.GRID_MEMBER_FILE.format(i) for i in range(5)]
+        for i in range(5):
+            assert (tmp_path / "grid" / fc.GRID_MEMBER_FILE.format(i)).read_bytes() == column_csv(
+                ["row", "col", "value_hundredths_inch"],
+                [[str(iy) for iy in range(100) for _ in range(100)],
+                 [str(ix) for ix in range(100)] * 100, map(repr, members[i].ravel().tolist())])
 
 
 class TestArealForecasts:
@@ -342,11 +437,13 @@ class TestArealForecasts:
 
     def test_average_two_point(self):
         # The areal value of a member is the plain mean of its site values.
+        # At 100 sites and 600 members the means of 256-member blocks, the
+        # last partial, must be those of the whole matrix.
         model = toy_model()
-        sites = spread_sites(2)
-        site_ens = fc.generate_site_ensemble(model, sites, [8.0, 0.0], 300, seed=3)
-        areal = fc.areal_ensemble(model, sites, [8.0, 0.0], n_members=300, seed=3)
-        assert np.array_equal(areal, site_ens.members.mean(axis=1))
+        for sites, fcst, n in [(spread_sites(2), [8.0, 0.0], 300), (*scattered_sites(100), 600)]:
+            site_ens = fc.generate_site_ensemble(model, sites, fcst, n, seed=3)
+            areal = fc.areal_ensemble(model, sites, fcst, n_members=n, seed=3)
+            assert_bits_equal(areal, site_ens.members.mean(axis=1))
 
     def test_average_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -391,7 +488,7 @@ class TestEnsembleSerialization:
         model = toy_model()
         ens = fc.generate_site_ensemble(model, spread_sites(2), [8.0, 0.0], 3, seed=18)
         path = tmp_path / "ens.csv"
-        fc.write_site_ensemble_csv(ens, path)
+        fc.write_site_ensemble_csv(ens.sites, [ens.members], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "member,site_id,value_hundredths_inch"
         assert len(lines) == 1 + 3 * 2
@@ -402,7 +499,7 @@ class TestEnsembleSerialization:
         model = toy_model()
         grid = rf.GridSpec(0.0, 0.0, 10.0, 4, 4)
         ens = fc.generate_grid_ensemble(model, grid, np.full((4, 4), 8.0), 2, seed=19)
-        fc.write_grid_ensemble_csvs(ens, tmp_path)
+        fc.write_grid_ensemble_csvs(grid, [ens.members], tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["member_0000.csv",
                                                               "member_0001.csv"]
         lines = (tmp_path / "member_0000.csv").read_text().splitlines()
@@ -414,7 +511,7 @@ class TestEnsembleSerialization:
         sites = [rf.Site("plain", 0.0, 0.0), rf.Site('gauge "7", east', 30.0, 0.0),
                  rf.Site("Zürich", 60.0, 0.0)]
         ens = fc.generate_site_ensemble(model, sites, [8.0, 0.0, 3.0], 4, seed=5)
-        fc.write_site_ensemble_csv(ens, tmp_path / "site.csv")
+        fc.write_site_ensemble_csv(sites, [ens.members], tmp_path / "site.csv")
         assert (tmp_path / "site.csv").read_bytes() == csv_reference(
             ["member", "site_id", "value_hundredths_inch"],
             [[i, s.id, repr(float(ens.members[i, j]))]
@@ -422,14 +519,14 @@ class TestEnsembleSerialization:
         assert b'"gauge ""7"", east"' in (tmp_path / "site.csv").read_bytes()
 
         values = fc.areal_ensemble(model, sites, [8.0, 0.0, 3.0], 5, seed=6)
-        fc.write_scalar_ensemble_csv(values, tmp_path / "areal.csv")
+        fc.write_scalar_ensemble_csv([values], tmp_path / "areal.csv")
         assert (tmp_path / "areal.csv").read_bytes() == csv_reference(
             ["member", "value_hundredths_inch"],
             [[i, repr(float(v))] for i, v in enumerate(values)])
 
         grid = rf.GridSpec(0.0, 0.0, 10.0, 3, 2)
         ens = fc.generate_grid_ensemble(model, grid, np.arange(6.0).reshape(2, 3), 2, seed=7)
-        fc.write_grid_ensemble_csvs(ens, tmp_path)
+        fc.write_grid_ensemble_csvs(grid, [ens.members], tmp_path)
         for i in range(2):
             assert (tmp_path / f"member_{i:04d}.csv").read_bytes() == csv_reference(
                 ["row", "col", "value_hundredths_inch"],
@@ -438,7 +535,7 @@ class TestEnsembleSerialization:
 
     def test_scalar_csv(self, tmp_path):
         path = tmp_path / "areal.csv"
-        fc.write_scalar_ensemble_csv([1.5, 0.0], path)
+        fc.write_scalar_ensemble_csv([[1.5], [0.0]], path)
         assert path.read_text() == (
             "member,value_hundredths_inch\n0,1.5\n1,0.0\n"
         )
@@ -461,9 +558,9 @@ class TestTemplateWriters:
         members = rng.gamma(0.5, 20.0, (n, len(ids))) * (rng.random((n, len(ids))) < 0.6)
         if data is not None:
             members[0] = data.draw(st.lists(VALUES, min_size=len(ids), max_size=len(ids)))
-        ens = fc.ForecastEnsemble(members=members, sites=[rf.Site(i, 0.0, 0.0) for i in ids])
+        sites = [rf.Site(i, 0.0, 0.0) for i in ids]
         path = tmp_path_factory.mktemp("site") / "site.csv"
-        fc.write_site_ensemble_csv(ens, path)
+        fc.write_site_ensemble_csv(sites, blocks_of(members, fc.SITE_BLOCK), path)
         quoted = [dm.csv_field(i) for i in ids]
         assert path.read_bytes() == column_csv(
             ["member", "site_id", "value_hundredths_inch"],
@@ -476,15 +573,14 @@ class TestTemplateWriters:
     def test_grid_and_scalar_csvs(self, tmp_path_factory, ny, nx, n, picks):
         members = np.resize(np.array(picks), (n, ny, nx))
         out = tmp_path_factory.mktemp("grid")
-        fc.write_grid_ensemble_csvs(fc.ForecastEnsemble(
-            members=members, grid=rf.GridSpec(0.0, 0.0, 1.0, nx, ny)), out)
+        fc.write_grid_ensemble_csvs(rf.GridSpec(0.0, 0.0, 1.0, nx, ny), blocks_of(members, 2), out)
         assert len(list(out.iterdir())) == n
         for i in range(n):
             assert (out / fc.GRID_MEMBER_FILE.format(i)).read_bytes() == column_csv(
                 ["row", "col", "value_hundredths_inch"],
                 [[str(iy) for iy in range(ny) for _ in range(nx)],
                  [str(ix) for ix in range(nx)] * ny, map(repr, members[i].ravel().tolist())])
-        fc.write_scalar_ensemble_csv(members.ravel(), out / "areal.csv")
+        fc.write_scalar_ensemble_csv(blocks_of(members.ravel(), 5), out / "areal.csv")
         assert (out / "areal.csv").read_bytes() == column_csv(
             ["member", "value_hundredths_inch"],
             [map(str, range(members.size)), map(repr, members.ravel().tolist())])
