@@ -11,21 +11,27 @@ verifies a copy whose site ids need quoting, so that quoted fields are
 covered on the way in and out, and a copy whose site ids hold ``%``, so
 that the writers' ``%``-templates are covered. Two checkouts whose listings agree produce
 byte-identical outputs, which is the gate for a refactor that must not move
-any result.
+any result. ``tests/cli_digests.txt`` pins the listing: ``--write`` also
+writes it to a file, after a header of ``#`` lines that name the numpy
+version, its BLAS build and the BLAS thread count, since the bytes are only
+promised for a fixed BLAS build.
 
 Usage::
 
     python scripts/cli_digests.py                 # outputs in a temp dir
     python scripts/cli_digests.py --keep out/     # keep outputs (new or empty dir)
     python scripts/cli_digests.py --src other/src # digest another checkout
+    python scripts/cli_digests.py --write tests/cli_digests.txt  # re-pin the listing
 
-Takes about 2.5 s on a 2-core host; ``verify`` and ``sweep`` dominate.
+Takes about 1.3 s on a 2-core host; ``verify`` and ``sweep`` dominate.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import glob
 import hashlib
 import os
 import random
@@ -160,6 +166,23 @@ def digests(top):
                 yield hashlib.sha256(fh.read()).hexdigest(), os.path.relpath(path, top)
 
 
+def environment():
+    """The header lines of a written listing: the numpy version, its BLAS
+    build and the thread count that BLAS reports after the CLI has run."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = "unknown"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        get_threads = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if get_threads is not None:
+            get_threads.restype = ctypes.c_int
+            threads = get_threads()
+    return [f"# numpy {np.__version__}", f"# blas {blas['name']} {blas.get('version')}",
+            f"# blas threads {threads}"]
+
+
 def main():
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -168,6 +191,8 @@ def main():
     parser.add_argument("--keep", default=None,
                         help="write outputs here (a new or empty directory) instead of "
                              "a temp dir")
+    parser.add_argument("--write", default=None,
+                        help="also write the listing, after an environment header, to this file")
     args = parser.parse_args()
     if not os.path.isfile(os.path.join(args.src, "precipfield", "__init__.py")):
         print(f"--src {args.src}: not a source tree (no precipfield/__init__.py)",
@@ -179,8 +204,11 @@ def main():
     def emit(top):
         for seed in SEEDS:
             produce(cli, top, seed)
-        for digest, rel in digests(top):
-            print(f"{digest}  {rel}")
+        lines = [f"{digest}  {rel}" for digest, rel in digests(top)]
+        print(*lines, sep="\n")
+        if args.write:
+            with open(args.write, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in environment() + lines))
 
     if args.keep:
         if os.path.exists(args.keep) and not (os.path.isdir(args.keep)

@@ -1,8 +1,10 @@
 """Command-line surface: synth, fit, forecast, verify, sweep.
 
 Every stochastic command requires an explicit seed; identical inputs and
-seed produce byte-identical outputs, whatever the BLAS thread count: each
-command runs numpy's bundled OpenBLAS on one thread (:func:`_one_blas_thread`).
+seed produce byte-identical outputs, whatever the BLAS thread count and
+whatever the number of CPUs: each command runs numpy's bundled OpenBLAS on
+one thread (:func:`_one_blas_thread`), and a forecast's worker processes
+give back their blocks in member order.
 ``fit`` is deterministic and ignores its seed. Progress goes to stderr, data
 to files.
 Exit codes: 0 success, else the ``exit_code`` of the error class (see
@@ -225,7 +227,8 @@ def forecast(model, dataset, date, mode, members, seed, out, site_ids, grid_fore
     plan = fc.SiteForecast(fitted, sites, fcst)
     if plan.fallback_sites:
         _warn_fallback("sites " + ", ".join(sites[i].id for i in plan.fallback_sites))
-    # The correlation factors are made before the output file is opened.
+    # The correlation factors are made, and the writer's workers forked,
+    # before the output file is opened.
     if mode == "areal":
         n = members or fc.DEFAULT_AREAL_MEMBERS
         fc.write_scalar_ensemble_csv(plan.areal_blocks(n, seed), out)

@@ -9,11 +9,13 @@ inch, with anything below one hundredth recorded as zero.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import datetime as dt
 import functools
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +138,20 @@ def template_field(text):
 def write_csv(path, header, blocks):
     """Write the header line, then each block of CSV text, a run of whole
     lines, as it arrives: a writer that formats its rows a block at a time
-    holds one block in memory."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(blocks)
+    holds one block in memory. The lines go to a temporary sibling,
+    ``path`` + ``.tmp``, which replaces ``path`` once the last block is
+    written; an error on the way removes it, so ``path`` is never left
+    partly written."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(blocks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_table(path, header, rows):

@@ -3,22 +3,30 @@
 Site ensembles, gridded field ensembles via circulant embedding, areal
 averages, and the no-spatial-correlation baseline with identical marginals.
 All of them draw members through one two-stage kernel, :func:`_draw_members`,
-a generator that takes every member's latent fields from one Generator,
-member by member, and thresholds, transforms and yields each block of
-members as it is drawn. :class:`SiteForecast` and :class:`GridForecast` run
-every check of a forecast before the first member is drawn. The ``forecast``
-command sends each block straight to its writer (in areal mode, each
-block's row means), so it holds one block whatever the member count; the
-``generate_*`` ensembles, which ``verify`` scores whole, fill one array from
-the same generator. The writers take the sites or the grid and an iterable
-of blocks, and stream each file through ``%``-templates: one per block of a
-site or scalar file, one for every grid member file.
+which takes every member's latent fields from one Generator, member by
+member, in the calling process, and returns them as :class:`MemberBlocks`:
+the numbered blocks of normals, with the work left to do on each block
+(threshold and anamorphosis, then whatever the consumer adds). That work
+runs in forked worker processes, one per usable CPU up to one per block, and
+its results come back in member order, so no output depends on the number
+of CPUs. :class:`SiteForecast` and :class:`GridForecast` run every check of
+a forecast before the first member is drawn. The ``forecast`` command hands
+the blocks straight to its writer, which adds its formatting to each block's
+work (in areal mode after the block's row means), so it holds a few blocks
+whatever the member count; the ``generate_*`` ensembles, which ``verify``
+scores whole, fill one array from the same blocks. The writers take the
+sites or the grid and the blocks (or any iterable of member arrays), and
+stream each file through ``%``-templates: one per block of a site or scalar
+file, one for every grid member file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,31 +80,186 @@ def _site_marginals(model, fcst_cr, zero_flag):
     return marginals, np.flatnonzero(fell_back).tolist()
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, or 1 where the platform cannot fork
+    or does not say."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_count(n_blocks, cpus):
+    """Workers for ``n_blocks`` blocks on ``cpus`` CPUs: one per CPU, but
+    no more than there are blocks; 1 means the calling process does the
+    work itself."""
+    return max(1, min(cpus, n_blocks))
+
+
+@contextlib.contextmanager
+def _ordered_map(fn, items, jobs):
+    """An iterator of ``fn(item)`` for each item in turn, computed by
+    ``jobs`` forked workers, or by plain ``map`` when ``jobs`` <= 1.
+
+    ``fn`` is fixed when the workers fork, so it need not pickle (the only
+    other threads of a CLI process are OpenBLAS's, which stop at a fork);
+    items and results go through one pipe per worker. Items go round-robin,
+    one in flight per worker (two deadlock on full pipe buffers), and the
+    next item is sent before a result is yielded, so results come back in
+    item order. ``items`` is consumed in the calling process. Worker k runs
+    on the k-th of this process's CPUs (in turn, if there are fewer): left
+    to the scheduler, workers woken by the pipe often share the caller's
+    CPU while another stays idle. A worker's exception is sent back and
+    raised here. On leaving the context every worker is stopped and joined,
+    on success and on error.
+    """
+    if jobs <= 1:
+        yield map(fn, items)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = []
+    try:
+        for k in range(jobs):
+            mine, theirs = context.Pipe()
+            proc = context.Process(target=_serve, daemon=True, args=(
+                fn, theirs, [*(c for _, c in workers), mine], cpus[k % len(cpus)]))
+            proc.start()
+            theirs.close()
+            workers.append((proc, mine))
+        yield _in_order([conn for _, conn in workers], iter(items))
+    finally:
+        for _, conn in workers:
+            conn.close()  # an idle worker reads EOF and returns
+        for proc, _ in workers:
+            proc.join()
+
+
+def _in_order(conns, items):
+    """The results of ``items`` sent round-robin to the workers at the
+    other ends of ``conns``, in item order."""
+    busy = []
+    for conn, item in zip(conns, items):
+        conn.send(item)
+        busy.append(conn)
+    while busy:
+        conn = busy.pop(0)
+        try:
+            ok, value = conn.recv()
+        except EOFError:
+            raise ChildProcessError("a forecast worker exited before its block was done") from None
+        if not ok:
+            raise value
+        item = next(items, None)
+        if item is not None:
+            conn.send(item)
+            busy.append(conn)
+        yield value
+
+
+def _serve(fn, conn, inherited, cpu):
+    """A worker on CPU ``cpu``: reply to each item read from ``conn`` with
+    ``(True, fn(item))``, or ``(False, exception)``, until the parent closes
+    its end. ``inherited`` are the parent's pipe ends that the fork copied;
+    closing them here lets each worker see EOF from the parent alone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
+    os.sched_setaffinity(0, {cpu})
+    for other in inherited:
+        other.close()
+    try:
+        while True:
+            try:
+                item = conn.recv()
+            except EOFError:
+                return
+            try:
+                reply = True, fn(item)
+            except Exception as exc:
+                reply = False, exc
+            conn.send(reply)
+    except ConnectionError:  # the parent stopped reading after an error
+        return
+
+
+class MemberBlocks:
+    """The blocks of an ensemble's members, numbered, and the work left to
+    do on each.
+
+    ``items`` yields ``(first, value)`` pairs, ``first`` the number of the
+    block's first member; each of ``steps`` maps ``(first, value)`` to the
+    block's next value. Within :meth:`results`, the items are drawn in the
+    calling process and the steps run on each in ``jobs`` workers
+    (:func:`_ordered_map`), giving the last step's values in member order.
+    The items are consumed once.
+    """
+
+    def __init__(self, items, steps=(), jobs=1):
+        self._items, self._steps, self._jobs = items, tuple(steps), jobs
+
+    def then(self, step):
+        """These blocks with ``step`` run on each after the steps so far."""
+        return MemberBlocks(self._items, self._steps + (step,), self._jobs)
+
+    def results(self):
+        """A context whose value iterates each block's result in member
+        order; its workers start when it is entered and are joined when it
+        is left."""
+        return _ordered_map(self._run, self._items, self._jobs)
+
+    def _run(self, item):
+        first, value = item
+        for step in self._steps:
+            value = step(first, value)
+        return value
+
+    @classmethod
+    def of(cls, blocks):
+        """``blocks`` as MemberBlocks: itself if it is one, else an
+        iterable of member arrays, numbered in turn and worked on here."""
+        if isinstance(blocks, cls):
+            return blocks
+
+        def numbered():
+            first = 0
+            for block in blocks:
+                yield first, block
+                first += len(block)
+
+        return cls(numbered())
+
+
 def _draw_members(mu, alpha, beta, draw, n_members, seed, block):
-    """Two-stage member draw shared by every ensemble, as a generator of
-    member blocks.
+    """Two-stage member draw shared by every ensemble, as
+    :class:`MemberBlocks` of at most ``block`` members.
 
     ``draw(rng, k)`` returns the correlated occurrence and amount normal
     blocks of the next k <= ``block`` members, each ``(k,) + mu.shape``,
-    taken member by member from one Generator, ``default_rng(seed)``: the
-    first k members of an n-member ensemble are the k-member ensemble, and
-    the block size moves no bit. Threshold and anamorphosis run on each
-    block as it is drawn, and each block is yielded as soon as it is done.
+    taken member by member from one Generator, ``default_rng(seed)``, in
+    the calling process: the first k members of an n-member ensemble are
+    the k-member ensemble, and the block size moves no bit. Threshold and
+    anamorphosis are each block's first step, so they run in the workers.
     """
     rng = np.random.default_rng(seed)
-    for i in range(0, n_members, block):
-        w, z = draw(rng, min(block, n_members - i))
+    starts = range(0, n_members, block)
+
+    def transform(first, normals):
+        w, z = normals
         w += mu
-        yield tr.wet_amounts(w, z, alpha, beta)
+        return tr.wet_amounts(w, z, alpha, beta)
+
+    normals = ((i, draw(rng, min(block, n_members - i))) for i in starts)
+    return MemberBlocks(normals, [transform], _worker_count(len(starts), _usable_cpus()))
 
 
 def _whole(blocks, n_members, shape):
-    """The ``n_members`` members of a block generator in one array."""
+    """The ``n_members`` members of :class:`MemberBlocks` in one array."""
     members = np.empty((n_members,) + shape)
     i = 0
-    for block in blocks:
-        members[i:i + len(block)] = block
-        i += len(block)
+    with blocks.results() as values:
+        for block in values:
+            members[i:i + len(block)] = block
+            i += len(block)
     return members
 
 
@@ -106,7 +269,7 @@ class SiteForecast:
     Construction checks that there is one forecast per site and computes
     its :func:`two_stage_params` once; ``fallback_sites`` holds the indices
     of the sites that took the fallback mean. Nothing is drawn until the
-    generator of :meth:`member_blocks` is consumed.
+    blocks of :meth:`member_blocks` are consumed.
     """
 
     def __init__(self, model, sites, fcst_accum):
@@ -120,9 +283,9 @@ class SiteForecast:
         self.fallback_sites = np.flatnonzero(fell_back).tolist()
 
     def member_blocks(self, n_members, seed, spatial=True):
-        """The ``n_members`` members as a generator of ``(k, sites)``
-        blocks, k <= ``SITE_BLOCK``. The two correlation matrices are
-        factorised before this returns (identities for the
+        """The ``n_members`` members as :class:`MemberBlocks` of
+        ``(k, sites)`` arrays, k <= ``SITE_BLOCK``. The two correlation
+        matrices are factorised before this returns (identities for the
         no-spatial-correlation baseline when not ``spatial``), so every
         check has run before the first member is drawn.
         """
@@ -141,10 +304,15 @@ class SiteForecast:
 
         return _draw_members(self.mu, self.alpha, self.beta, draw, n_members, seed, SITE_BLOCK)
 
+    def members(self, n_members, seed, spatial=True):
+        """The ``n_members`` members of :meth:`member_blocks` in one
+        ``(n_members, sites)`` array."""
+        return _whole(self.member_blocks(n_members, seed, spatial), n_members, self.mu.shape)
+
     def areal_blocks(self, n_members, seed):
-        """The areal average over the sites of each member, as a generator
-        of one block of averages per block of :meth:`member_blocks`."""
-        return (block.mean(axis=1) for block in self.member_blocks(n_members, seed))
+        """The areal average over the sites of each member, as one block of
+        averages per block of :meth:`member_blocks`, taken in its worker."""
+        return self.member_blocks(n_members, seed).then(_row_means)
 
 
 class GridForecast:
@@ -165,8 +333,8 @@ class GridForecast:
         self.fallback_sites = np.flatnonzero(fell_back).tolist()
 
     def member_blocks(self, n_members, seed):
-        """The ``n_members`` fields as a generator of ``(k, ny, nx)``
-        blocks, k <= 2."""
+        """The ``n_members`` fields as :class:`MemberBlocks` of
+        ``(k, ny, nx)`` arrays, k <= 2."""
         emb_w, emb_z = self._embeddings
 
         def draw(rng, k):
@@ -178,11 +346,14 @@ class GridForecast:
         return _draw_members(self.mu, self.alpha, self.beta, draw, n_members, seed, 2)
 
 
+def _row_means(first, block):
+    return block.mean(axis=1)
+
+
 def _site_ensemble(model, sites, fcst_accum, n_members, seed, spatial):
     forecast = SiteForecast(model, sites, fcst_accum)
-    members = _whole(forecast.member_blocks(n_members, seed, spatial), n_members,
-                     forecast.mu.shape)
-    return ForecastEnsemble(members=members, sites=forecast.sites,
+    return ForecastEnsemble(members=forecast.members(n_members, seed, spatial),
+                            sites=forecast.sites,
                             fallback_sites=forecast.fallback_sites)
 
 
@@ -219,39 +390,52 @@ def areal_ensemble(model, sites, fcst_accum, n_members=DEFAULT_AREAL_MEMBERS, se
                   n_members, ())
 
 
-def _member_rows(lines, blocks):
-    """The CSV text of each block of members in turn: a member's rows are
-    ``lines`` joined by its number, a ``%``-template filled with its values
-    in order. Members are numbered from 0 across the blocks."""
-    first = 0
-    for block in blocks:
-        block = np.asarray(block, dtype=float)
-        yield ("".join([str(m).join(lines) for m in range(first, first + len(block))])
-               % tuple(block.ravel().tolist()))
-        first += len(block)
+def _member_text(lines, first, block):
+    """The CSV text of a block of members whose first is number ``first``:
+    a member's rows are ``lines`` joined by its number, a ``%``-template
+    filled with its values in order."""
+    block = np.asarray(block, dtype=float)
+    return ("".join([str(m).join(lines) for m in range(first, first + len(block))])
+            % tuple(block.ravel().tolist()))
+
+
+def _write_blocks(path, header, blocks, text):
+    """Write ``path`` from the ``text(first, block)`` of each block, a step
+    of its work: for a forecast's blocks, done in its workers, which start
+    before the file is opened."""
+    with MemberBlocks.of(blocks).then(text).results() as texts:
+        dm.write_csv(path, header, texts)
 
 
 def write_site_ensemble_csv(sites, blocks, path):
     """CSV rows ``member,site_id,value_hundredths_inch``, member-major, from
-    an iterable of ``(k, sites)`` member blocks, each written as it
-    arrives."""
+    :class:`MemberBlocks` or an iterable of ``(k, sites)`` member blocks,
+    each written as it arrives."""
     # Joined by a member number, the site lines become that member's rows.
     lines = ["", *(f",{dm.template_field(site.id)},%r\n" for site in sites)]
-    dm.write_csv(path, ["member", "site_id", "value_hundredths_inch"], _member_rows(lines, blocks))
+    _write_blocks(path, ["member", "site_id", "value_hundredths_inch"], blocks,
+                  functools.partial(_member_text, lines))
 
 
 def write_grid_ensemble_csvs(grid, blocks, outdir):
     """One CSV per member, ``GRID_MEMBER_FILE``, with rows
-    ``row,col,value_hundredths_inch``, from an iterable of ``(k, ny, nx)``
-    member blocks; each file is written as its member arrives."""
+    ``row,col,value_hundredths_inch``, from :class:`MemberBlocks` or an
+    iterable of ``(k, ny, nx)`` member blocks; each file is written as its
+    member arrives."""
     template = "".join([f"{iy},{ix},%r\n" for iy in range(grid.ny) for ix in range(grid.nx)])
-    for i, member in enumerate(itertools.chain.from_iterable(blocks)):
-        dm.write_csv(os.path.join(outdir, GRID_MEMBER_FILE.format(i)),
-                     ["row", "col", "value_hundredths_inch"],
-                     [template % tuple(member.ravel().tolist())])
+
+    def texts(first, block):
+        return [template % tuple(member.ravel().tolist()) for member in np.asarray(block)]
+
+    with MemberBlocks.of(blocks).then(texts).results() as block_texts:
+        for i, text in enumerate(itertools.chain.from_iterable(block_texts)):
+            dm.write_csv(os.path.join(outdir, GRID_MEMBER_FILE.format(i)),
+                         ["row", "col", "value_hundredths_inch"], [text])
 
 
 def write_scalar_ensemble_csv(blocks, path):
     """CSV rows ``member,value_hundredths_inch`` for scalar ensembles, from
-    an iterable of 1-D blocks of values, each written as it arrives."""
-    dm.write_csv(path, ["member", "value_hundredths_inch"], _member_rows(["", ",%r\n"], blocks))
+    :class:`MemberBlocks` or an iterable of 1-D blocks of values, each
+    written as it arrives."""
+    _write_blocks(path, ["member", "value_hundredths_inch"], blocks,
+                  functools.partial(_member_text, ["", ",%r\n"]))

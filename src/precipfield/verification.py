@@ -421,17 +421,16 @@ def verify_date(ds, di, valid_date, window_days, members, mst_members, seed):
     def draw(model, sites, fcst):
         # By the prefix contract, the first k members of an ensemble of n are
         # the k-member ensemble, for k = members and for k = mst_members.
-        spatial = fc.generate_site_ensemble(model, sites, fcst, n, seeds[0]).members
-        return {"independence": fc.independence_baseline_ensemble(
-            model, sites, fcst, n, seeds[1]).members, "spatial": spatial}
+        forecast = fc.SiteForecast(model, sites, fcst)
+        spatial = forecast.members(n, seeds[0])
+        return forecast, {"independence": forecast.members(n, seeds[1], spatial=False),
+                          "spatial": spatial}
 
     step = date_step(ds, valid_date, window_days, draw)
     if step is None:
         return None
-    model, sites, fcst, obs, ensembles = step
-    # The forecast stage computed these too, so they raise nothing here.
-    mu, alpha, beta, _ = fc.two_stage_params(model, fcst)
-    p_wet = ndtr(mu)
+    _, sites, fcst, obs, (forecast, ensembles) = step
+    p_wet = ndtr(forecast.mu)
 
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(1000 + di,)))
@@ -465,7 +464,8 @@ def verify_date(ds, di, valid_date, window_days, members, mst_members, seed):
     # Climatology ranks scale to [0, 1] (the history is large).
     methods["climatology_rank"] = {"pit": (verification_rank(clim, obs, rng) - 0.5)
                                    / (clim.size + 1)}
-    methods["spatial"]["pit"] = pit_value(1.0 - p_wet, tr.GammaMarginal(alpha, beta), obs, rng)
+    methods["spatial"]["pit"] = pit_value(
+        1.0 - p_wet, tr.GammaMarginal(forecast.alpha, forecast.beta), obs, rng)
 
     # Multivariate scores over the day's sites.
     for name, ens in ensembles.items():
@@ -494,13 +494,13 @@ def _sweep_cell(dataset, di, valid_date, M, n_members, seed):
     skips the cell; its members are seeded by ``seed``, ``M`` and ``di``."""
     def draw(model, sites, fcst):
         member_seed = np.random.SeedSequence(entropy=seed, spawn_key=(M, di))
-        return fc.generate_site_ensemble(model, sites, fcst, n_members, member_seed)
+        return fc.SiteForecast(model, sites, fcst).members(n_members, member_seed)
 
     step = date_step(dataset, valid_date, M, draw)
     if step is None:
         return None
-    _, _, _, obs, ens = step
-    return crps_ensemble(ens.members.T, obs)
+    _, _, _, obs, members = step
+    return crps_ensemble(members.T, obs)
 
 
 def window_sweep(dataset, valid_dates, Ms, n_members, seed):

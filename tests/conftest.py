@@ -1,7 +1,19 @@
 import csv
 import io
 
+import pytest
+
 from precipfield import data as dm
+from precipfield import forecasting as fc
+
+_usable_cpus = fc._usable_cpus
+
+
+@pytest.fixture(autouse=True)
+def at_most_two_workers(monkeypatch):
+    """A forecast in a test forks no more than 2 workers, whatever the
+    host's CPU count."""
+    monkeypatch.setattr(fc, "_usable_cpus", lambda: min(2, _usable_cpus()))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -16,6 +16,7 @@ from precipfield import data as dm
 from precipfield import errors
 from precipfield import estimation as est
 from precipfield import fields as rf
+from precipfield import forecasting as fc
 from precipfield import transforms as tr
 from precipfield import verification as vf
 from precipfield.errors import ParseError, PrecipError, UsageError
@@ -900,6 +901,23 @@ class TestVerify:
         assert fitted == verified
         assert [d for d, _ in verified] == dm.load_dataset(dataset).dates[-3:]
 
+    def test_one_forecast_per_verified_date(self, synth_dir, tmp_path, runner, monkeypatch):
+        # Both ensembles and the scores of a date come from one SiteForecast.
+        # The two ensembles and the scoring each computed the implied
+        # parameters, 9 times for these 3 dates.
+        calls, two_stage_params = [], fc.two_stage_params
+
+        def spy(model, fcst_accum):
+            calls.append(len(fcst_accum))
+            return two_stage_params(model, fcst_accum)
+
+        monkeypatch.setattr(fc, "two_stage_params", spy)
+        res = run(runner, ["verify", "--dataset", str(synth_dir / "dataset.csv"), "-M", "10",
+                           "--members", "15", "--mst-members", "9", "--dates", "3",
+                           "--seed", "0", "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 0
+        assert calls == [12, 12, 12]
+
     @pytest.mark.parametrize("args", [["verify", "-M", "5"],
                                       ["sweep", "--window-days-list", "2,5"]])
     def test_no_full_window_exits_3_naming_m(self, tmp_path, runner, caplog, args):
@@ -1109,6 +1127,17 @@ run("verify", "--dataset", dataset, "-M", "10", "--members", "5", "--mst-members
 run("sweep", "--dataset", dataset, "--window-days-list", "6,10", "--dates", "2",
     "--members", "5", "--seed", "0", "--out", out + "/sweep.csv")
 """
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # A forecast imports it when it first forks workers, and verify never
+    # does at its ensemble sizes.
+    probe = ("import sys; import precipfield.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=fresh_interpreter_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_no_command_loads_scipy_optimize(tmp_path):

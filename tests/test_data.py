@@ -301,6 +301,32 @@ def datasets(draw):
             for site, date in keys]
 
 
+class TestWriteCsv:
+    """A CSV file appears whole under its name or not at all."""
+
+    def test_written_whole_and_no_temporary_left(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dm.write_csv(path, ["a", "b"], ["1,2\n", "3,4\n"])
+        assert path.read_text() == "a,b\n1,2\n3,4\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    @pytest.mark.parametrize("before", [None, "old\n"])
+    def test_failure_after_a_block_keeps_what_was_there(self, tmp_path, before):
+        # It used to leave the header and the first block under the name.
+        path = tmp_path / "t.csv"
+        if before is not None:
+            path.write_text(before)
+
+        def blocks():
+            yield "1,2\n"
+            raise NotFound("late")
+
+        with pytest.raises(NotFound, match="late"):
+            dm.write_csv(path, ["a", "b"], blocks())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["t.csv"])
+        assert before is None or path.read_text() == before
+
+
 SIGNED_ZERO_SITE = [("z", 0.0, -0.0, dt.date(2004, 1, 1), 0.0, 1.0),
                     ("z", -0.0, 0.0, dt.date(2004, 1, 2), 2.0, 0.0),
                     ("z", 0.0, 0.0, dt.date(2004, 1, 3), 0.0, 0.0)]

@@ -1,4 +1,7 @@
 import datetime as dt
+import faulthandler
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,7 @@ from precipfield import fields as rf
 from precipfield import forecasting as fc
 from precipfield import transforms as tr
 from precipfield import verification as vf
-from precipfield.errors import DomainError
+from precipfield.errors import DomainError, NumericalError
 
 
 def toy_model(gamma=(0.0, 0.4, -0.4), rho=35.0, eta=(1.5, 0.8, 0.4),
@@ -427,6 +430,107 @@ class TestCliBlockEdges:
                 ["row", "col", "value_hundredths_inch"],
                 [[str(iy) for iy in range(100) for _ in range(100)],
                  [str(ix) for ix in range(100)] * 100, map(repr, members[i].ravel().tolist())])
+
+
+def output_bytes(out):
+    """The bytes of a forecast's file, or of each file of a grid forecast."""
+    if out.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return out.read_bytes()
+
+
+@pytest.fixture()
+def time_bound():
+    """Ends the run, printing every thread's stack, if a test waits 120 s
+    on a worker."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestWorkers:
+    """Each block's transform and text are made in forked workers, one per
+    usable CPU up to one per block; the files are the same bytes at any
+    worker count, and no worker outlives its command."""
+
+    @pytest.mark.parametrize("n_blocks, cpus, workers", [
+        (1, 8, 1), (10, 2, 2), (10, 1, 1), (3, 64, 3), (0, 2, 1)])
+    def test_worker_count(self, n_blocks, cpus, workers):
+        assert fc._worker_count(n_blocks, cpus) == workers
+
+    @pytest.mark.parametrize("mode, n", [("site", 600), ("areal", 600), ("grid", 5)])
+    def test_bytes_do_not_depend_on_worker_count(self, world100, tmp_path, monkeypatch,
+                                                 mode, n):
+        # Three blocks each: 256 + 256 + 88 members, or 2 + 2 + 1 fields.
+        jobs = []
+        ordered_map = fc._ordered_map
+
+        def spy(fn, items, n_jobs):
+            jobs.append(n_jobs)
+            return ordered_map(fn, items, n_jobs)
+
+        monkeypatch.setattr(fc, "_ordered_map", spy)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(fc, "_usable_cpus", lambda cpus=cpus: cpus)
+            cli_forecast(world100, mode, n, tmp_path / f"cpus{cpus}")
+            outputs.append(output_bytes(tmp_path / f"cpus{cpus}"))
+            assert multiprocessing.active_children() == []
+        assert jobs == [1, 2]
+        assert outputs[0] == outputs[1]
+        if mode == "grid":
+            assert len(outputs[0]) == n
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_late_numerical_error_leaves_no_file(self, world100, tmp_path, monkeypatch,
+                                                 caplog, cpus):
+        # The second Gamma quantile of each process fails: after the first
+        # block is written when the CLI works alone, and in each worker's
+        # second block otherwise. It used to leave the blocks before it.
+        quantile, calls = tr._gamma_quantile, []
+
+        def fail_second(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalError("Gamma quantile did not converge")
+            return quantile(*args)
+
+        monkeypatch.setattr(tr, "_gamma_quantile", fail_second)
+        monkeypatch.setattr(fc, "_usable_cpus", lambda: cpus)
+        root, date = world100
+        out = tmp_path / "out" / "site.csv"
+        out.parent.mkdir()
+        with caplog.at_level("INFO", logger="precipfield"):
+            res = CliRunner().invoke(cli.main, [
+                "forecast", "--model", str(root / "model.txt"), "--dataset",
+                str(root / "dataset.csv"), "--date", date, "--members", "1000",
+                "--seed", "3", "--out", str(out)], catch_exceptions=False)
+        assert res.exit_code == 4
+        assert list(out.parent.iterdir()) == []
+        assert multiprocessing.active_children() == []
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", "Gamma quantile did not converge")]
+
+    def test_results_come_back_in_order(self):
+        with fc._ordered_map(lambda i: (i, os.getpid()), range(7), 2) as results:
+            results = list(results)
+        assert [i for i, _ in results] == list(range(7))
+        assert len({pid for _, pid in results} - {os.getpid()}) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_an_error(self):
+        # No reply and no exception to send back: the parent raises an
+        # OSError, which the CLI reports in one line, and joins the rest.
+        def die_on_3(i):
+            if i == 3:
+                os._exit(3)
+            return i
+
+        with pytest.raises(ChildProcessError, match="a forecast worker exited"):
+            with fc._ordered_map(die_on_3, range(7), 2) as results:
+                list(results)
+        assert multiprocessing.active_children() == []
 
 
 class TestArealForecasts:

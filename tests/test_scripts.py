@@ -7,18 +7,52 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PINNED_DIGESTS = Path(__file__).resolve().parent / "cli_digests.txt"
 
 
-def test_cli_digests_lists_each_output_once():
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """One run of ``cli_digests.py --write`` in a fresh process: its result
+    and the listing it wrote."""
+    listing = tmp_path_factory.mktemp("digests") / "cli_digests.txt"
+    res = subprocess.run([sys.executable, str(SCRIPTS / "cli_digests.py"), "--write",
+                          str(listing)], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res, listing.read_text(encoding="utf-8")
+
+
+def header_and_digests(listing):
+    """A written listing's ``#`` header lines and its {path: digest}."""
+    lines = listing.splitlines()
+    return ([line for line in lines if line.startswith("#")],
+            {line[66:]: line[:64] for line in lines if not line.startswith("#")})
+
+
+def test_cli_digests_lists_each_output_once(digest_run):
     # The byte-identity gate of a refactor: one "<sha256>  <path>" line per
     # output file of the CLI runs.
-    res = subprocess.run([sys.executable, str(SCRIPTS / "cli_digests.py")],
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
+    res, _ = digest_run
     lines = res.stdout.splitlines()
     assert lines and all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     paths = [line[66:] for line in lines]
     assert len(set(paths)) == len(paths)
+
+
+def test_cli_outputs_match_the_pinned_digests(digest_run):
+    # Every CLI output of the digest scenarios keeps its bytes. A change
+    # that moves outputs on purpose re-pins the listing with
+    # `scripts/cli_digests.py --write tests/cli_digests.txt`; the diff of
+    # that file names the moved files.
+    res, listing = digest_run
+    header, now = header_and_digests(listing)
+    assert [f"{now[path]}  {path}" for path in now] == res.stdout.splitlines()
+    pinned_header, pinned = header_and_digests(PINNED_DIGESTS.read_text(encoding="utf-8"))
+    moved = sorted(path for path in now.keys() | pinned.keys()
+                   if now.get(path) != pinned.get(path))
+    environment = ("" if header == pinned_header else
+                   f"; this environment differs from the pinned one: {header} against "
+                   f"{pinned_header}")
+    assert not moved, f"{len(moved)} outputs moved: {', '.join(moved)}{environment}"
 
 
 def test_cli_digests_keeps_outputs_only_in_an_empty_directory(tmp_path):
